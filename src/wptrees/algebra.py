@@ -36,7 +36,6 @@ so values can be shared freely across threads and summed in any order.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -214,31 +213,9 @@ class Polynomial:
                             key=lambda ae: ae[0].sort_key()))
         return self._terms.get(mono, Fraction(0))
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get(_EMPTY_MONO, Fraction(0))
-
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(_mono_degree(m) for m in self._terms)
-
-    def atoms(self) -> set[Atom]:
-        out: set[Atom] = set()
-        for m in self._terms:
-            out.update(a for a, _ in m)
-        return out
-
-    def degree_in_kind(self, mono: Mono, kind: int) -> int:
-        return sum(e for a, e in mono if a.kind == kind)
-
     def moment_grade(self, mono: Mono) -> int:
         """Total degree of a monomial in the moment atoms m_k."""
         return sum(e for a, e in mono if a.kind == _MOM)
-
-    def max_moment_grade(self) -> int:
-        if not self._terms:
-            return 0
-        return max(self.moment_grade(m) for m in self._terms)
 
     # -- ring operations ------------------------------------------------
 
@@ -538,11 +515,6 @@ class GradedSeries:
                  if self.body.moment_grade(m) == g}
         return Polynomial(terms)
 
-    def truncate(self, cap: int) -> "GradedSeries":
-        if cap > self.grade_cap:
-            raise ValueError("cannot raise grade_cap by truncation")
-        return GradedSeries(self.body, cap)
-
 
 def _truncate(p: Polynomial, cap: int) -> Polynomial:
     kept = {m: c for m, c in p.items() if p.moment_grade(m) <= cap}
@@ -612,7 +584,3 @@ def poly_from_json_terms(terms: list[dict]) -> Polynomial:
             pairs.append((AUX, t["r"]))
         total = total + Polynomial.monomial(Fraction(t["coeff"]), pairs)
     return total
-
-
-def factorial(n: int) -> int:
-    return math.factorial(n)

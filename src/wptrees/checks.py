@@ -1,0 +1,123 @@
+"""The registry of exact identity checks.
+
+Every exact cross-check of the package lives here once, as a named thunk
+that returns True on success.  ``wptrees verify identities`` runs the whole
+registry in order, and the acceptance suite runs named subsets of it, so
+the two can never disagree on a criterion.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from math import factorial
+
+from .algebra import PI2, Polynomial, mom
+from .genfun import (
+    MomentContext,
+    f_from_trees,
+    f_recursion,
+    f_substituted,
+    htc_genfun,
+    mu_average,
+    solve_r,
+    z_residual,
+)
+from .montecarlo import corner_markings, polytope_dimension
+from .trees import brute_force_enumerate, canonical_key, enumerate_family
+from .volumes import (
+    ell_integral,
+    full_decomposition_v0n,
+    htc_volume,
+    is_homogeneous,
+    is_symmetric,
+    known_v0n,
+    v0n_graph_sum,
+    v0n_reduced,
+)
+
+__all__ = ["identity_checks"]
+
+
+def identity_checks(max_n: int) -> dict:
+    """Name -> thunk for every exact cross-check, in the order they run.
+
+    Each family of checks runs for n = 3 .. max_n, capped where the
+    reference data or the running time ends: the table at n = 6, the
+    recursion identity at n = 7, the dimension formula at n = 5.
+    """
+    checks = {}
+    table_n = range(3, min(max_n, 6) + 1)
+
+    for n in table_n:
+        checks[f"table-v0-{n}"] = lambda n=n: v0n_reduced(n) == known_v0n(n)
+    for n in table_n:
+        checks[f"route-graph-sum-{n}"] = lambda n=n: v0n_graph_sum(n) == v0n_reduced(n)
+        checks[f"route-decomposition-{n}"] = (
+            lambda n=n: full_decomposition_v0n(n) == v0n_reduced(n))
+    for n in range(3, max_n + 1):
+        checks[f"homogeneity-{n}"] = lambda n=n: (
+            is_homogeneous(v0n_reduced(n), n - 3)
+            and is_homogeneous(htc_volume(n), n - 3))
+        # Every permutation while n! is small, the generating
+        # transpositions beyond.
+        checks[f"symmetry-{n}"] = lambda n=n: is_symmetric(
+            v0n_reduced(n), n, all_permutations=n <= 5)
+
+    checks["ell-integral-grid"] = lambda: all(
+        ell_integral(a, b) == ell_integral(a, b, mode="integral")
+        for a in range(-1, 4) for b in range(4))
+    checks["z-root-through-grade-5"] = lambda: all(
+        _z_root(cap) for cap in range(1, 6))
+    checks["r-grade-2"] = _check_r_grade_2
+    checks["h-genfun-matches-averages"] = (
+        lambda: _check_h_genfun(min(3, max(1, max_n - 2))))
+
+    for n in range(3, min(max_n, 6) + 1):
+        checks[f"f-trees-vs-recursion-{n}"] = lambda n=n: f_from_trees(n) == f_recursion(n)
+    for n in range(3, min(max_n, 7) + 1):
+        checks[f"recursion-vs-volume-{n}"] = lambda n=n: (
+            f_substituted(n)
+            == mu_average(v0n_reduced(n), range(1, n + 1), MomentContext(n)).body)
+
+    for n in range(3, min(max_n, 6) + 1):
+        checks[f"enumerator-oracle-{n}"] = lambda n=n: (
+            {canonical_key(t) for t in enumerate_family("two-three", n)}
+            == {canonical_key(t) for t in brute_force_enumerate("two-three", n)})
+
+    for n in range(3, min(max_n, 5) + 1):
+        checks[f"dimension-formula-{n}"] = lambda n=n: _check_dimensions(n)
+    return checks
+
+
+def _z_root(cap: int) -> bool:
+    ctx = MomentContext(cap)
+    return z_residual(solve_r(ctx), ctx).is_zero()
+
+
+def _check_r_grade_2() -> bool:
+    expected = (Polynomial.of_atom(mom(0))
+                + Polynomial.monomial(Fraction(1, 2), [(mom(0), 1), (mom(1), 1)])
+                + Polynomial.monomial(1, [(PI2, 1), (mom(0), 2)]))
+    return solve_r(MomentContext(2)).body == expected
+
+
+def _check_h_genfun(max_p: int) -> bool:
+    ctx = MomentContext(max_p)
+    h = htc_genfun(ctx)
+    for p in range(1, max_p + 1):
+        avg = mu_average(htc_volume(p + 2), range(3, p + 3), ctx)
+        if h.grade_part(p) != avg.body * Fraction(1, factorial(p)):
+            return False
+    return True
+
+
+def _check_dimensions(n: int) -> bool:
+    for tree in enumerate_family("htc", n):
+        top = all(d == 3 for v, d in tree.degrees().items() if v < 0)
+        for marks in corner_markings(tree, 2):
+            a = polytope_dimension(tree, marks, mode="formula")
+            b = polytope_dimension(tree, marks, mode="rank")
+            if a != b:
+                return False
+            if top and not marks and a != 2 * n - 6:
+                return False
+    return True

@@ -16,40 +16,23 @@ import math
 import sys
 from fractions import Fraction
 
-from .algebra import GradedSeries, Polynomial, lsq, mom, poly_to_json_terms
+from .algebra import Polynomial, lsq, poly_to_json_terms
+from .checks import identity_checks
 from .genfun import (
     MomentContext,
-    f_from_trees,
-    f_recursion,
     f_substituted,
     htc_genfun,
-    mu_average,
     solve_r,
     symmetric_from_moments,
-    z_residual,
     z_series,
 )
-from .montecarlo import (
-    corner_markings,
-    mc_full_volume,
-    polytope_dimension,
-)
-from .trees import (
-    FAMILIES,
-    brute_force_enumerate,
-    canonical_key,
-    enumerate_family,
-    tree_to_json,
-)
+from .montecarlo import mc_full_volume
+from .trees import FAMILIES, enumerate_family, tree_to_json
 from .volumes import (
     HTC_ASSUMPTION,
     V05_COEFFICIENT_NOTE,
-    ell_integral,
     full_decomposition_v0n,
     htc_volume,
-    is_homogeneous,
-    is_symmetric,
-    known_v0n,
     v0n_graph_sum,
     v0n_reduced,
 )
@@ -73,15 +56,13 @@ def _substitute_lengths(poly: Polynomial, lengths: list[Fraction]) -> Polynomial
     return poly.substitute(mapping)
 
 
-def _print_poly(poly: Polynomial, fmt: str, meta: dict) -> None:
+def _print_poly(poly: Polynomial, fmt: str, meta: dict, n_lengths: int) -> None:
     if fmt == "text":
         print(poly.text())
     elif fmt == "latex":
         print(poly.latex())
     else:
-        payload = dict(meta)
-        payload["terms"] = poly_to_json_terms(poly, n_lengths=meta.pop("_n_lengths", None))
-        print(json.dumps(payload))
+        print(json.dumps({**meta, "terms": poly_to_json_terms(poly, n_lengths=n_lengths)}))
 
 
 def _cmd_vol(args) -> int:
@@ -96,14 +77,14 @@ def _cmd_vol(args) -> int:
     poly = route(args.n)
     if args.n == 5:
         print(V05_COEFFICIENT_NOTE, file=sys.stderr)
-    meta = {"command": "vol", "n": args.n, "method": args.method,
-            "_n_lengths": args.n}
+    meta = {"command": "vol", "n": args.n, "method": args.method}
+    n_lengths = args.n
     if args.lengths:
         lengths = _parse_lengths(args.lengths, args.n)
         poly = _substitute_lengths(poly, lengths)
         meta["lengths"] = [str(v) for v in lengths]
-        meta["_n_lengths"] = 0
-    _print_poly(poly, args.format, meta)
+        n_lengths = 0
+    _print_poly(poly, args.format, meta, n_lengths)
     return 0
 
 
@@ -111,18 +92,18 @@ def _cmd_htc(args) -> int:
     if args.n < 3:
         raise ValueError("need --n >= 3")
     poly = htc_volume(args.n)
-    meta = {"command": "htc", "n": args.n, "assumption": HTC_ASSUMPTION,
-            "_n_lengths": args.n}
+    meta = {"command": "htc", "n": args.n, "assumption": HTC_ASSUMPTION}
+    n_lengths = args.n
     if args.lengths:
         lengths = _parse_lengths(args.lengths, args.n)
         if not lengths[0] < lengths[1]:
             raise ValueError(f"half-tight volumes assume {HTC_ASSUMPTION}")
         poly = _substitute_lengths(poly, lengths)
         meta["lengths"] = [str(v) for v in lengths]
-        meta["_n_lengths"] = 0
+        n_lengths = 0
     if args.format == "text":
         print(f"# assumes {HTC_ASSUMPTION}", file=sys.stderr)
-    _print_poly(poly, args.format, meta)
+    _print_poly(poly, args.format, meta, n_lengths)
     return 0
 
 
@@ -163,94 +144,9 @@ def _cmd_trees(args) -> int:
 
 # -- verification -----------------------------------------------------------
 
-def _identity_checks(max_n: int):
-    """(name, thunk) pairs for every exact cross-check."""
-    checks = []
-    table_n = range(3, min(max_n, 6) + 1)
-
-    for n in table_n:
-        checks.append((f"table-v0-{n}",
-                       lambda n=n: v0n_reduced(n) == known_v0n(n)))
-    for n in table_n:
-        checks.append((f"route-graph-sum-{n}",
-                       lambda n=n: v0n_graph_sum(n) == v0n_reduced(n)))
-        checks.append((f"route-decomposition-{n}",
-                       lambda n=n: full_decomposition_v0n(n) == v0n_reduced(n)))
-    for n in range(3, max_n + 1):
-        checks.append((
-            f"homogeneity-{n}",
-            lambda n=n: is_homogeneous(v0n_reduced(n), n - 3)
-            and is_homogeneous(htc_volume(n), n - 3)))
-        checks.append((f"symmetry-{n}",
-                       lambda n=n: is_symmetric(v0n_reduced(n), n)))
-
-    checks.append(("ell-integral-grid", lambda: all(
-        ell_integral(a, b) == ell_integral(a, b, mode="integral")
-        for a in range(-1, 4) for b in range(4))))
-
-    def z_root(cap: int) -> bool:
-        ctx = MomentContext(cap)
-        return z_residual(solve_r(ctx), ctx).is_zero()
-
-    checks.append(("z-root-through-grade-5",
-                   lambda: all(z_root(cap) for cap in range(1, 6))))
-
-    checks.append(("r-grade-2", _check_r_grade_2))
-    checks.append(("h-genfun-matches-averages",
-                   lambda: _check_h_genfun(min(3, max(1, max_n - 2)))))
-
-    for n in range(3, min(max_n, 6) + 1):
-        checks.append((f"f-trees-vs-recursion-{n}",
-                       lambda n=n: f_from_trees(n) == f_recursion(n)))
-    for n in range(3, min(max_n, 7) + 1):
-        checks.append((f"recursion-vs-volume-{n}", lambda n=n: (
-            f_substituted(n)
-            == mu_average(v0n_reduced(n), range(1, n + 1), MomentContext(n)).body)))
-
-    for n in range(3, min(max_n, 6) + 1):
-        checks.append((f"enumerator-oracle-{n}", lambda n=n: (
-            {canonical_key(t) for t in enumerate_family("two-three", n)}
-            == {canonical_key(t) for t in brute_force_enumerate("two-three", n)})))
-
-    for n in range(3, min(max_n, 5) + 1):
-        checks.append((f"dimension-formula-{n}", lambda n=n: _check_dimensions(n)))
-    return checks
-
-
-def _check_r_grade_2() -> bool:
-    from .algebra import PI2
-    expected = (Polynomial.of_atom(mom(0))
-                + Polynomial.monomial(Fraction(1, 2), [(mom(0), 1), (mom(1), 1)])
-                + Polynomial.monomial(1, [(PI2, 1), (mom(0), 2)]))
-    return solve_r(MomentContext(2)).body == expected
-
-
-def _check_h_genfun(max_p: int) -> bool:
-    ctx = MomentContext(max_p)
-    h = htc_genfun(ctx)
-    for p in range(1, max_p + 1):
-        avg = mu_average(htc_volume(p + 2), range(3, p + 3), ctx)
-        if h.grade_part(p) != avg.body * Fraction(1, math.factorial(p)):
-            return False
-    return True
-
-
-def _check_dimensions(n: int) -> bool:
-    for tree in enumerate_family("htc", n):
-        top = all(d == 3 for v, d in tree.degrees().items() if v < 0)
-        for marks in corner_markings(tree, 2):
-            a = polytope_dimension(tree, marks, mode="formula")
-            b = polytope_dimension(tree, marks, mode="rank")
-            if a != b:
-                return False
-            if top and not marks and a != 2 * n - 6:
-                return False
-    return True
-
-
 def _cmd_verify_identities(args) -> int:
     failures = 0
-    for name, thunk in _identity_checks(args.max_n):
+    for name, thunk in identity_checks(args.max_n).items():
         ok = thunk()
         print(f"{'PASS' if ok else 'FAIL'} {name}")
         failures += 0 if ok else 1
@@ -373,8 +269,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.threads < 1:
+            raise ValueError("need --threads >= 1")
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -52,7 +52,7 @@ from .algebra import (
     that,
 )
 from .trees import enumerate_family
-from .volumes import weight_gamma
+from .volumes import tree_weight, weight_gamma
 
 __all__ = [
     "MomentContext",
@@ -220,6 +220,14 @@ def f_recursion(n: int) -> Polynomial:
     return f
 
 
+def _t_atom(k: int, _label: int) -> Polynomial:
+    return Polynomial.of_atom(that(k))
+
+
+def _gamma_atom(k: int) -> Polynomial:
+    return Polynomial.of_atom(ghat(k))
+
+
 def f_from_trees(n: int) -> Polynomial:
     """f_n read off the ``two-three`` family.
 
@@ -232,17 +240,10 @@ def f_from_trees(n: int) -> Polynomial:
     total = Polynomial.zero()
     for d in enumerate_family("two-three", n):
         edges = len(d.t1.edges) + len(d.t2.edges)
-        exps: Counter = Counter()
-        exps[that(d.t1.degree(1))] += 1
-        for t in (d.t1, d.t2):
-            deg = t.degrees()
-            for b in t.boundary:
-                if b != 1:
-                    exps[that(deg[b] - 1)] += 1
-            for v in t.inner_ids():
-                exps[ghat(deg[v] - 1)] += 1
-        exps[INV_GAMMA1] += edges
-        total = total + Polynomial.monomial((-1) ** edges, exps.items())
+        special = Polynomial.monomial(
+            (-1) ** edges, [(that(d.t1.degree(1)), 1), (INV_GAMMA1, edges)])
+        total = total + special * tree_weight(d, skip=(1,), t_weight=_t_atom,
+                                              gamma_weight=_gamma_atom)
     return total
 
 

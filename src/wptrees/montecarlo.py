@@ -325,17 +325,6 @@ class McReport:
     z_score: float
     per_tree: list = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "samples": self.samples,
-            "seed": self.seed,
-            "reference": self.reference,
-            "z_score": self.z_score,
-            "per_tree": self.per_tree,
-        }
-
 
 def _zscore(estimate: float, reference: float, std_error: float) -> float:
     if std_error > 0.0:

@@ -22,8 +22,8 @@ ascending order; each insertion applies five local operations (subdivide an
 edge, replace an inner vertex, attach to a boundary vertex, attach to an
 inner vertex, attach to an edge through a new inner vertex).  Deleting the
 largest label and smoothing the result recovers the unique parent, so the
-construction is complete and duplicate-free; this is asserted at run time
-rather than assumed.  An independent brute-force enumerator (exhaustive
+construction is complete and duplicate-free; the enumerator checks this at
+run time and raises on a duplicate rather than assuming it.  An independent brute-force enumerator (exhaustive
 Pruefer sequences plus degree filtering) serves as the oracle for small n.
 
 Boundary-labeled trees are rigid (no nontrivial automorphisms fixing the
@@ -136,14 +136,14 @@ def canonical_key(t: Tree | DoubleTree) -> bytes:
     """Isomorphism-invariant key; equal iff the labeled graphs are equal."""
     if isinstance(t, DoubleTree):
         return b"D[" + canonical_key(t.t1) + b"|" + canonical_key(t.t2) + b"]"
-    root = min(t.boundary)
+    return _encode(t, min(t.boundary), None)
 
-    def enc(v: int, parent: int | None) -> bytes:
-        kids = sorted(enc(u, v) for u in t.neighbors(v) if u != parent)
-        tag = b"B%d" % v if v > 0 else b"I"
-        return tag + b"(" + b",".join(kids) + b")"
 
-    return enc(root, None)
+def _encode(t: Tree, v: int, parent: int | None) -> bytes:
+    """Canonical bytes of the subtree of t at v, seen from ``parent``."""
+    kids = sorted(_encode(t, u, v) for u in t.neighbors(v) if u != parent)
+    tag = b"B%d" % v if v > 0 else b"I"
+    return tag + b"(" + b",".join(kids) + b")"
 
 
 def plane_embedding_count(t: Tree | DoubleTree) -> int:
@@ -229,7 +229,8 @@ def insert_label(t: Tree, label: int) -> list[Tree]:
         children.append(Tree.make(new_boundary, edges))
 
     keys = [canonical_key(c) for c in children]
-    assert len(set(keys)) == len(keys), "insertion produced duplicates"
+    if len(set(keys)) != len(keys):
+        raise RuntimeError("insertion produced duplicates")
     return children
 
 
@@ -255,7 +256,8 @@ def trees_on(labels: tuple[int, ...]) -> tuple[Tree, ...]:
         for t in current.values():
             for child in insert_label(t, label):
                 key = canonical_key(child)
-                assert key not in grown, "insertion collided across parents"
+                if key in grown:
+                    raise RuntimeError("insertion collided across parents")
                 grown[key] = child
         current = grown
     return tuple(t for _, t in sorted(current.items()))
@@ -294,7 +296,8 @@ def enumerate_family(family: str, n: int) -> tuple:
             out[canonical_key(d)] = d
         for d in enumerate_family("full", n):
             key = canonical_key(d)
-            assert key not in out
+            if key in out:
+                raise RuntimeError("graph family components overlap")
             out[key] = d
         return tuple(d for _, d in sorted(out.items()))
 
@@ -306,7 +309,8 @@ def enumerate_family(family: str, n: int) -> tuple:
         for d in current.values():
             for child in insert_boundary(d):
                 key = canonical_key(child)
-                assert key not in grown, "insertion collided across parents"
+                if key in grown:
+                    raise RuntimeError("insertion collided across parents")
                 grown[key] = child
         current = grown
     return tuple(d for _, d in sorted(current.items()))
@@ -406,19 +410,12 @@ def _canonical_inner_ids(t: Tree) -> dict[int, int]:
     """Relabel inner vertices -1, -2, ... along the canonical traversal."""
     mapping: dict[int, int] = {}
 
-    def visit(v: int, parent: int | None) -> bytes:
+    def visit(v: int, parent: int | None) -> None:
         if v < 0 and v not in mapping:
             mapping[v] = -(len(mapping) + 1)
-        kids = sorted((canonical_key_sub(u, v), u)
-                      for u in t.neighbors(v) if u != parent)
+        kids = sorted((_encode(t, u, v), u) for u in t.neighbors(v) if u != parent)
         for _, u in kids:
             visit(u, v)
-        return b""
-
-    def canonical_key_sub(v: int, parent: int) -> bytes:
-        kids = sorted(canonical_key_sub(u, v) for u in t.neighbors(v) if u != parent)
-        tag = b"B%d" % v if v > 0 else b"I"
-        return tag + b"(" + b",".join(kids) + b")"
 
     visit(min(t.boundary), None)
     return mapping

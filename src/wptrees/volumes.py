@@ -42,6 +42,7 @@ __all__ = [
     "weight_t",
     "weight_t_tilde",
     "weight_gamma",
+    "tree_weight",
     "htc_volume",
     "v0n_reduced",
     "v0n_graph_sum",
@@ -95,11 +96,25 @@ def weight_gamma(k: int) -> Polynomial:
     return Polynomial.of_atom(PI2, k - 1) * coeff
 
 
-def _gamma_product(t: Tree) -> Polynomial:
+def tree_weight(t: Tree | DoubleTree, skip=(), t_weight=weight_t,
+                gamma_weight=weight_gamma) -> Polynomial:
+    """prod_{b not in skip} t_{deg(b)-1}(L_b) * prod_v gamma_{deg(v)-1}.
+
+    The product of the per-vertex weights of every boundary vertex outside
+    ``skip`` and every inner vertex v; a double tree multiplies both of its
+    components.  ``t_weight(k, b)`` and ``gamma_weight(k)`` supply the two
+    weights, so the same product serves counting atoms as well.
+    """
+    if isinstance(t, DoubleTree):
+        return (tree_weight(t.t1, skip, t_weight, gamma_weight)
+                * tree_weight(t.t2, skip, t_weight, gamma_weight))
     out = Polynomial.one()
     deg = t.degrees()
+    for b in t.boundary:
+        if b not in skip:
+            out = out * t_weight(deg[b] - 1, b)
     for v in t.inner_ids():
-        out = out * weight_gamma(deg[v] - 1)
+        out = out * gamma_weight(deg[v] - 1)
     return out
 
 
@@ -118,13 +133,8 @@ def htc_volume(n: int) -> Polynomial:
     L2 = Polynomial.of_atom(lsq(2))
     total = Polynomial.zero()
     for t in enumerate_family("htc", n):
-        deg = t.degrees()
-        term = weight_t_tilde(deg[2] - 1, L2, L1)
-        for b in t.boundary:
-            if b != 2:
-                term = term * weight_t(deg[b] - 1, b)
-        term = term * _gamma_product(t)
-        total = total + term
+        total = total + (weight_t_tilde(t.degree(2) - 1, L2, L1)
+                         * tree_weight(t, skip=(2,)))
     return total * Fraction(1, 4)
 
 
@@ -136,23 +146,18 @@ def v0n_reduced(n: int) -> Polynomial:
               * prod_v gamma_{deg(v)-1}.
 
     The result is symmetric in all lengths even though the family singles
-    out labels 1, 2, 3; symmetry is asserted (via the transpositions that
-    generate the full permutation group), not assumed.
+    out labels 1, 2, 3; symmetry is checked (via the transpositions that
+    generate the full permutation group) and a failure raises
+    ``ArithmeticError``, so it is never assumed.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     total = Polynomial.zero()
     for d in enumerate_family("two-three", n):
-        term = weight_t(d.t1.degree(1), 1)
-        for t in (d.t1, d.t2):
-            deg = t.degrees()
-            for b in t.boundary:
-                if b != 1:
-                    term = term * weight_t(deg[b] - 1, b)
-            term = term * _gamma_product(t)
-        total = total + term
+        total = total + weight_t(d.t1.degree(1), 1) * tree_weight(d, skip=(1,))
     total = total * Fraction(1, 8)
-    assert is_symmetric(total, n), "reduced volume is not symmetric"
+    if not is_symmetric(total, n):
+        raise ArithmeticError("reduced volume is not symmetric")
     return total
 
 
@@ -176,14 +181,7 @@ def v0n_graph_sum(n: int) -> Polynomial:
         for m in range(d2):
             piece = weight_t(d1 + m, 1) * weight_t(d2 - 1 - m, 2)
             pair = pair + (piece if m % 2 == 0 else -piece)
-        term = pair
-        for t in (d.t1, d.t2):
-            deg = t.degrees()
-            for b in t.boundary:
-                if b not in (1, 2):
-                    term = term * weight_t(deg[b] - 1, b)
-            term = term * _gamma_product(t)
-        total = total + term
+        total = total + pair * tree_weight(d, skip=(1, 2))
     return total * Fraction(1, 8)
 
 
@@ -237,16 +235,8 @@ def full_decomposition_v0n(n: int) -> Polynomial:
         raise ValueError(f"need n >= 3, got {n}")
     total = Polynomial.zero()
     for d in enumerate_family("full", n):
-        a = d.t1.degree(1) - 1
-        bb = d.t2.degree(2) - 1
-        term = ell_integral(a, bb, mode="integral")
-        for t in (d.t1, d.t2):
-            deg = t.degrees()
-            for b in t.boundary:
-                if b not in (1, 2):
-                    term = term * weight_t(deg[b] - 1, b)
-            term = term * _gamma_product(t)
-        total = total + term
+        glued = ell_integral(d.t1.degree(1) - 1, d.t2.degree(2) - 1, mode="integral")
+        total = total + glued * tree_weight(d, skip=(1, 2))
     return htc_volume(n) + total * Fraction(1, 16)
 
 
@@ -260,12 +250,8 @@ def _sym_sum(n: int, shape: tuple[int, ...], pi2_power: int, coeff) -> Polynomia
     monomial once).
     """
     out = Polynomial.zero()
-    seen = set()
     padded = tuple(shape) + (0,) * (n - len(shape))
     for perm in set(permutations(padded)):
-        if perm in seen:
-            continue
-        seen.add(perm)
         pairs = [(PI2, pi2_power)] + [(lsq(i + 1), e) for i, e in enumerate(perm) if e]
         out = out + Polynomial.monomial(Fraction(coeff), pairs)
     return out

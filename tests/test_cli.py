@@ -2,8 +2,30 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
-GOLDEN_V04 = "2*pi2 + 1/2*L1^2 + 1/2*L2^2 + 1/2*L3^2 + 1/2*L4^2"
+import pytest
+
+from wptrees import cli
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# Every README example except the 10^6-sample Monte Carlo run; the expected
+# stdout of each row is tests/golden/<id>.txt, byte for byte.
+README_GOLDEN = {
+    "vol-n4": "vol --n 4",
+    "vol-n5-graph-sum": "vol --n 5 --method graph-sum",
+    "vol-n4-lengths": "vol --n 4 --lengths 1,2,3,4",
+    "vol-n4-lengths-decimal": "vol --n 4 --lengths 0.5,1,1,1",
+    "vol-n4-json": "vol --n 4 --format json",
+    "vol-n4-latex": "vol --n 4 --format latex",
+    "htc-n4": "htc --n 4",
+    "gf-r3": "gf --target r --order 3",
+    "gf-z4-json": "gf --target z --order 4 --format json",
+    "trees-two-three-n4-count": "trees --family two-three --n 4 --count",
+    "trees-full-n4-list": "trees --family full --n 4 --list",
+    "verify-identities-5": "verify identities --max-n 5",
+}
 
 
 def run_cli(*args):
@@ -11,16 +33,11 @@ def run_cli(*args):
                           capture_output=True, text=True)
 
 
-def test_vol_n4_golden_text():
-    out = run_cli("vol", "--n", "4", "--format", "text")
+@pytest.mark.parametrize("name", README_GOLDEN)
+def test_readme_golden(name):
+    out = run_cli(*README_GOLDEN[name].split())
     assert out.returncode == 0
-    assert out.stdout.strip() == GOLDEN_V04
-
-
-def test_trees_count_golden():
-    out = run_cli("trees", "--family", "two-three", "--n", "4", "--count")
-    assert out.returncode == 0
-    assert out.stdout.strip() == "5"
+    assert out.stdout == (GOLDEN_DIR / f"{name}.txt").read_text()
 
 
 def test_all_methods_print_identical_polynomial():
@@ -45,22 +62,12 @@ def test_vol_json_round_trips():
 
     out = run_cli("vol", "--n", "4", "--format", "json")
     payload = json.loads(out.stdout)
+    assert list(payload) == ["command", "n", "method", "terms"]
     assert payload["n"] == 4 and payload["method"] == "tree"
     assert poly_from_json_terms(payload["terms"]) == v0n_reduced(4)
-
-
-def test_vol_latex():
-    out = run_cli("vol", "--n", "4", "--format", "latex")
-    assert out.stdout.strip() == (
-        "2 \\pi^2 + \\frac{1}{2} L_{1}^2 + \\frac{1}{2} L_{2}^2 "
-        "+ \\frac{1}{2} L_{3}^2 + \\frac{1}{2} L_{4}^2")
-
-
-def test_vol_numeric_lengths_exact():
-    out = run_cli("vol", "--n", "4", "--lengths", "1,2,3,4")
-    assert out.stdout.strip() == "15 + 2*pi2"
-    out = run_cli("vol", "--n", "4", "--lengths", "0.5,1,1,1")
-    assert out.stdout.strip() == "13/8 + 2*pi2"
+    htc = json.loads(run_cli("htc", "--n", "4", "--lengths", "1,2,3,4",
+                             "--format", "json").stdout)
+    assert list(htc) == ["command", "n", "assumption", "lengths", "terms"]
 
 
 def test_htc_assumption_note():
@@ -95,6 +102,17 @@ def test_invalid_inputs_exit_2():
     assert run_cli("vol", "--n", "4", "--lengths", "1,2,x,4").returncode == 2
     assert run_cli("vol", "--n", "4", "--method", "magic").returncode == 2
     assert run_cli("nonsense").returncode == 2
+    assert run_cli("--threads", "0", "vol", "--n", "3").returncode == 2
+    assert run_cli("--threads", "-1", "vol", "--n", "3").returncode == 2
+
+
+def test_internal_key_error_is_not_invalid_input(monkeypatch):
+    def broken(n):
+        raise KeyError("unbound atom")
+
+    monkeypatch.setattr(cli, "v0n_reduced", broken)
+    with pytest.raises(KeyError):
+        cli.main(["vol", "--n", "4"])
 
 
 def test_verify_identities_exit_zero():

@@ -1,5 +1,7 @@
 """Weights and the three volume routes against hand and table oracles."""
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -119,3 +121,17 @@ def test_positivity_at_positive_lengths():
 def test_known_table_bounds():
     with pytest.raises(ValueError):
         known_v0n(7)
+
+
+def test_symmetry_guard_survives_optimize():
+    # Under ``python -O`` a bare assert would vanish; the guard must not.
+    code = ("import wptrees.volumes as v\n"
+            "v.is_symmetric = lambda p, n: False\n"
+            "try:\n"
+            "    v.v0n_reduced(4)\n"
+            "except ArithmeticError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
