@@ -8,6 +8,7 @@ the two can never disagree on a criterion.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .algebra import PI2, Polynomial, mom
@@ -42,25 +43,29 @@ def identity_checks(max_n: int) -> dict:
 
     Each family of checks runs for n = 3 .. max_n, capped where the
     reference data or the running time ends: the table at n = 6, the
-    recursion identity at n = 7, the dimension formula at n = 5.
+    recursion identity at n = 7, the dimension formula at n = 5.  The
+    reduced and half-tight volumes are computed once per n and shared by
+    every check of one registry.
     """
     checks = {}
     table_n = range(3, min(max_n, 6) + 1)
+    reduced = cache(v0n_reduced)
+    htc = cache(htc_volume)
 
     for n in table_n:
-        checks[f"table-v0-{n}"] = lambda n=n: v0n_reduced(n) == known_v0n(n)
+        checks[f"table-v0-{n}"] = lambda n=n: reduced(n) == known_v0n(n)
     for n in table_n:
-        checks[f"route-graph-sum-{n}"] = lambda n=n: v0n_graph_sum(n) == v0n_reduced(n)
+        checks[f"route-graph-sum-{n}"] = lambda n=n: v0n_graph_sum(n) == reduced(n)
         checks[f"route-decomposition-{n}"] = (
-            lambda n=n: full_decomposition_v0n(n) == v0n_reduced(n))
+            lambda n=n: full_decomposition_v0n(n) == reduced(n))
     for n in range(3, max_n + 1):
         checks[f"homogeneity-{n}"] = lambda n=n: (
-            is_homogeneous(v0n_reduced(n), n - 3)
-            and is_homogeneous(htc_volume(n), n - 3))
+            is_homogeneous(reduced(n), n - 3)
+            and is_homogeneous(htc(n), n - 3))
         # Every permutation while n! is small, the generating
         # transpositions beyond.
         checks[f"symmetry-{n}"] = lambda n=n: is_symmetric(
-            v0n_reduced(n), n, all_permutations=n <= 5)
+            reduced(n), n, all_permutations=n <= 5)
 
     checks["ell-integral-grid"] = lambda: all(
         ell_integral(a, b) == ell_integral(a, b, mode="integral")
@@ -69,14 +74,14 @@ def identity_checks(max_n: int) -> dict:
         _z_root(cap) for cap in range(1, 6))
     checks["r-grade-2"] = _check_r_grade_2
     checks["h-genfun-matches-averages"] = (
-        lambda: _check_h_genfun(min(3, max(1, max_n - 2))))
+        lambda: _check_h_genfun(min(3, max(1, max_n - 2)), htc))
 
     for n in range(3, min(max_n, 6) + 1):
         checks[f"f-trees-vs-recursion-{n}"] = lambda n=n: f_from_trees(n) == f_recursion(n)
     for n in range(3, min(max_n, 7) + 1):
         checks[f"recursion-vs-volume-{n}"] = lambda n=n: (
             f_substituted(n)
-            == mu_average(v0n_reduced(n), range(1, n + 1), MomentContext(n)).body)
+            == mu_average(reduced(n), range(1, n + 1), MomentContext(n)).body)
 
     for n in range(3, min(max_n, 6) + 1):
         checks[f"enumerator-oracle-{n}"] = lambda n=n: (
@@ -100,11 +105,11 @@ def _check_r_grade_2() -> bool:
     return solve_r(MomentContext(2)).body == expected
 
 
-def _check_h_genfun(max_p: int) -> bool:
+def _check_h_genfun(max_p: int, htc) -> bool:
     ctx = MomentContext(max_p)
     h = htc_genfun(ctx)
     for p in range(1, max_p + 1):
-        avg = mu_average(htc_volume(p + 2), range(3, p + 3), ctx)
+        avg = mu_average(htc(p + 2), range(3, p + 3), ctx)
         if h.grade_part(p) != avg.body * Fraction(1, factorial(p)):
             return False
     return True

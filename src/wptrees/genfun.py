@@ -24,7 +24,8 @@ The module provides
                     variables t0.., gam2.., invgam1, built by the
                     boundary-insertion operator;
 * ``f_from_trees``  the same polynomials read off directly from the
-                    ``two-three`` tree family;
+                    ``two-three`` tree family (summed over its degree
+                    profiles);
 * ``mu_average``    termwise replacement L_i^(2a) -> m_a over a label subset;
 * ``symmetric_from_moments``   the inverse of a full mu-average, recovering
                     the (symmetric) length polynomial.
@@ -51,8 +52,8 @@ from .algebra import (
     mom,
     that,
 )
-from .trees import enumerate_family
-from .volumes import tree_weight, weight_gamma
+from .trees import family_profiles
+from .volumes import weight_gamma, weight_sums
 
 __all__ = [
     "MomentContext",
@@ -233,17 +234,23 @@ def f_from_trees(n: int) -> Polynomial:
 
     A double tree contributes prod_b t_{deg(b)-1} (with a half-edge added to
     boundary 1, so it contributes t_{deg(b1)}), prod_v gam_{deg(v)-1}, and
-    each edge contributes -invgam1.
+    each edge contributes -invgam1; a component on N vertices has N - 1
+    edges.  The sum runs over degree profiles, as in :mod:`wptrees.volumes`.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     total = Polynomial.zero()
-    for d in enumerate_family("two-three", n):
-        edges = len(d.t1.edges) + len(d.t2.edges)
-        special = Polynomial.monomial(
-            (-1) ** edges, [(that(d.t1.degree(1)), 1), (INV_GAMMA1, edges)])
-        total = total + special * tree_weight(d, skip=(1,), t_weight=_t_atom,
-                                              gamma_weight=_gamma_atom)
+    for first, second in family_profiles("two-three", n):
+        sums1 = weight_sums(first, lambda p: (p.degree(1), p.edges), skip=(1,),
+                            t_weight=_t_atom, gamma_weight=_gamma_atom)
+        sums2 = weight_sums(second, lambda p: p.edges,
+                            t_weight=_t_atom, gamma_weight=_gamma_atom)
+        for (d1, e1), w1 in sums1.items():
+            for e2, w2 in sums2.items():
+                edges = e1 + e2
+                special = Polynomial.monomial(
+                    (-1) ** edges, [(that(d1), 1), (INV_GAMMA1, edges)])
+                total = total + special * w1 * w2
     return total
 
 

@@ -32,6 +32,7 @@ pairwise summation; cross-chunk accumulation uses math.fsum.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -356,8 +357,10 @@ def _check_lengths(n: int, lengths) -> dict[int, float]:
 
 def _combine(jobs, reference: float, samples: int, seed: int,
              threads: int) -> McReport:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # More workers than jobs or CPUs only cost thread start-ups.
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             estimates = list(pool.map(lambda f: f(), jobs))
     else:
         estimates = [f() for f in jobs]

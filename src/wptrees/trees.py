@@ -23,12 +23,24 @@ edge, replace an inner vertex, attach to a boundary vertex, attach to an
 inner vertex, attach to an edge through a new inner vertex).  Deleting the
 largest label and smoothing the result recovers the unique parent, so the
 construction is complete and duplicate-free; the enumerator checks this at
-run time and raises on a duplicate rather than assuming it.  An independent brute-force enumerator (exhaustive
-Pruefer sequences plus degree filtering) serves as the oracle for small n.
+run time and raises on a duplicate rather than assuming it.  An independent
+brute-force enumerator (exhaustive Pruefer sequences plus degree filtering)
+serves as the oracle for small n.  Enumeration keeps every tree in memory,
+so it is refused above ``ENUMERATION_MAX_N``.
 
 Boundary-labeled trees are rigid (no nontrivial automorphisms fixing the
 labels), so counting needs no symmetry factors and the number of plane
 embeddings of a tree factorizes as prod_v (deg(v) - 1)!.
+
+Sums whose summand depends only on vertex degrees need no trees at all: they
+run over degree profiles (:func:`family_profiles`).  A profile of a tree on
+the boundary labels B with j inner vertices fixes the degree d_b >= 1 of each
+b in B and the multiset of inner degrees (each >= 3); the N = |B| + j degrees
+sum to 2(N - 1).  By Pruefer, (N - 2)! / prod_v (d_v - 1)! trees on N labelled
+vertices have that degree sequence; rigidity makes the inner relabellings
+act freely, so dividing by prod_k mult_k! (the repeats in the inner multiset)
+counts the trees with anonymous inner vertices.  A single vertex has degree
+0 and count 1.
 """
 from __future__ import annotations
 
@@ -37,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import factorial
+from math import factorial, prod
 
 __all__ = [
     "Tree",
@@ -49,14 +61,22 @@ __all__ = [
     "trees_on",
     "enumerate_family",
     "brute_force_enumerate",
+    "Profile",
+    "tree_profiles",
+    "family_splits",
+    "family_profiles",
     "validate_tree",
     "tree_to_json",
     "FAMILIES",
     "BRUTE_FORCE_MAX_N",
+    "ENUMERATION_MAX_N",
 ]
 
 FAMILIES = ("two-three", "graph", "htc", "full")
 BRUTE_FORCE_MAX_N = 7
+# Every enumerated tree stays cached: two-three at n = 8 is 217,968 trees and
+# 433 MB, and each further label multiplies both by about 25.
+ENUMERATION_MAX_N = 8
 
 
 def _norm_edge(a: int, b: int) -> tuple[int, int]:
@@ -242,12 +262,31 @@ def insert_boundary(d: DoubleTree) -> list[DoubleTree]:
     return out
 
 
+def _check_family(family: str, n: int) -> None:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+
+
+def _check_enumeration_size(n: int) -> None:
+    if n > ENUMERATION_MAX_N:
+        raise ValueError(
+            f"tree enumeration keeps every tree in memory and is limited to "
+            f"n <= {ENUMERATION_MAX_N}, got n = {n}")
+
+
 @lru_cache(maxsize=None)
 def trees_on(labels: tuple[int, ...]) -> tuple[Tree, ...]:
-    """All trees with the given boundary labels, sorted by canonical key."""
+    """All trees with the given boundary labels, sorted by canonical key.
+
+    Refused for more than ``ENUMERATION_MAX_N - 1`` labels, the size of the
+    largest component of any family at n = ``ENUMERATION_MAX_N``.
+    """
     labels = tuple(sorted(labels))
     if not labels:
         raise ValueError("need at least one boundary label")
+    _check_enumeration_size(len(labels) + 1)
     if len(labels) == 1:
         return (Tree.single(labels[0]),)
     current = {canonical_key(t): t for t in (Tree.edge(labels[0], labels[1]),)}
@@ -263,42 +302,47 @@ def trees_on(labels: tuple[int, ...]) -> tuple[Tree, ...]:
     return tuple(t for _, t in sorted(current.items()))
 
 
+def family_splits(family: str, n: int):
+    """The boundary label sets of the components, one tuple per split.
+
+    ``htc`` has the single split (2..n,); the double-tree families yield
+    pairs (s1, s2) with 1 in s1 and 2 in s2: ``full`` those with two labels
+    or more on each side, ``graph`` also the isolated split ((1,), 2..n),
+    and ``two-three`` the ``graph`` splits with 3 in s2.
+    """
+    _check_family(family, n)
+    if family == "htc":
+        yield (tuple(range(2, n + 1)),)
+        return
+    if family != "full":
+        yield ((1,), tuple(range(2, n + 1)))
+    rest = list(range(3, n + 1))
+    for r in range(1, len(rest)):
+        for picked in combinations(rest, r):
+            if family == "two-three" and 3 in picked:
+                continue
+            yield ((1,) + picked, (2,) + tuple(x for x in rest if x not in picked))
+
+
 @lru_cache(maxsize=None)
 def enumerate_family(family: str, n: int) -> tuple:
     """Complete duplicate-free enumeration, sorted by canonical key."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    _check_family(family, n)
+    _check_enumeration_size(n)
 
     if family == "htc":
         return trees_on(tuple(range(2, n + 1)))
 
-    if family == "full":
+    if family in ("full", "graph"):
         out: dict[bytes, DoubleTree] = {}
-        rest = list(range(3, n + 1))
-        for r in range(len(rest) + 1):
-            for picked in combinations(rest, r):
-                s1 = (1,) + picked
-                s2 = (2,) + tuple(x for x in rest if x not in picked)
-                if len(s1) < 2 or len(s2) < 2:
-                    continue
-                for t1 in trees_on(s1):
-                    for t2 in trees_on(s2):
-                        d = DoubleTree(t1, t2)
-                        out[canonical_key(d)] = d
-        return tuple(d for _, d in sorted(out.items()))
-
-    if family == "graph":
-        out = {}
-        for t2 in trees_on(tuple(range(2, n + 1))):
-            d = DoubleTree(Tree.single(1), t2)
-            out[canonical_key(d)] = d
-        for d in enumerate_family("full", n):
-            key = canonical_key(d)
-            if key in out:
-                raise RuntimeError("graph family components overlap")
-            out[key] = d
+        for s1, s2 in family_splits(family, n):
+            for t1 in trees_on(s1):
+                for t2 in trees_on(s2):
+                    d = DoubleTree(t1, t2)
+                    key = canonical_key(d)
+                    if key in out:
+                        raise RuntimeError("family splits overlap")
+                    out[key] = d
         return tuple(d for _, d in sorted(out.items()))
 
     # two-three: grown by boundary insertion from its single n = 3 element.
@@ -314,6 +358,84 @@ def enumerate_family(family: str, n: int) -> tuple:
                 grown[key] = child
         current = grown
     return tuple(d for _, d in sorted(current.items()))
+
+
+# -- degree profiles ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class Profile:
+    """The degree profile of the trees on the boundary labels ``boundary``.
+
+    ``degrees[i]`` is the degree of boundary vertex ``boundary[i]``, ``inner``
+    the inner degrees in nonincreasing order, and ``count`` the number of
+    trees (inner vertices anonymous) that have exactly this profile.
+    """
+
+    boundary: tuple[int, ...]
+    degrees: tuple[int, ...]
+    inner: tuple[int, ...]
+    count: int
+
+    def degree(self, label: int) -> int:
+        return self.degrees[self.boundary.index(label)]
+
+    @property
+    def edges(self) -> int:
+        return len(self.boundary) + len(self.inner) - 1
+
+
+def _inner_excesses(total: int, parts: int, cap: int):
+    """Nonincreasing tuples of ``parts`` integers in [2, cap] summing to <= total."""
+    if parts == 0:
+        yield ()
+        return
+    for first in range(min(cap, total - 2 * (parts - 1)), 1, -1):
+        for tail in _inner_excesses(total - first, parts - 1, first):
+            yield (first,) + tail
+
+
+def _compositions(total: int, parts: int):
+    """Tuples of ``parts`` nonnegative integers summing to ``total``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for tail in _compositions(total - first, parts - 1):
+            yield (first,) + tail
+
+
+def tree_profiles(labels: tuple[int, ...]) -> tuple[Profile, ...]:
+    """Every degree profile of the trees on ``labels``, with its tree count.
+
+    With j inner vertices there are N = |labels| + j vertices whose excesses
+    d_v - 1 sum to N - 2; the count is the Pruefer multinomial divided by the
+    inner relabellings (see the module docstring).
+    """
+    labels = tuple(sorted(labels))
+    if not labels:
+        raise ValueError("need at least one boundary label")
+    if len(labels) == 1:
+        return (Profile(labels, (0,), (), 1),)
+    out = []
+    for j in range(len(labels) - 1):
+        slack = len(labels) + j - 2
+        for inner in _inner_excesses(slack, j, slack):
+            inner_div = prod(factorial(e) for e in inner) * prod(
+                factorial(m) for m in Counter(inner).values())
+            for excess in _compositions(slack - sum(inner), len(labels)):
+                count = factorial(slack) // (
+                    inner_div * prod(factorial(e) for e in excess))
+                out.append(Profile(labels, tuple(e + 1 for e in excess),
+                                   tuple(e + 1 for e in inner), count))
+    return tuple(out)
+
+
+def family_profiles(family: str, n: int):
+    """For each split of ``family`` (see :func:`family_splits`), one tuple
+    of profiles per component.  Choosing one profile per component fixes a
+    set of family members, as many as the product of the chosen counts."""
+    for split in family_splits(family, n):
+        yield tuple(tree_profiles(labels) for labels in split)
 
 
 # -- independent brute-force oracle -------------------------------------
@@ -363,45 +485,16 @@ def _brute_trees_on(labels: tuple[int, ...]) -> dict[bytes, Tree]:
 
 def brute_force_enumerate(family: str, n: int) -> tuple:
     """Exhaustive oracle enumeration; independent of the insertion scheme."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    _check_family(family, n)
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force is limited to n <= {BRUTE_FORCE_MAX_N}")
 
-    if family == "htc":
-        found = _brute_trees_on(tuple(range(2, n + 1)))
-        return tuple(t for _, t in sorted(found.items()))
-
-    def doubles(require_3_in_t2: bool, allow_isolated: bool) -> dict[bytes, DoubleTree]:
-        out: dict[bytes, DoubleTree] = {}
-        if allow_isolated:
-            for t2 in _brute_trees_on(tuple(range(2, n + 1))).values():
-                d = DoubleTree(Tree.single(1), t2)
-                out[canonical_key(d)] = d
-        rest = list(range(3, n + 1))
-        for r in range(len(rest) + 1):
-            for picked in combinations(rest, r):
-                s1 = (1,) + picked
-                s2 = (2,) + tuple(x for x in rest if x not in picked)
-                if len(s1) < 2 or len(s2) < 2:
-                    continue
-                if require_3_in_t2 and 3 in picked:
-                    continue
-                for t1 in _brute_trees_on(s1).values():
-                    for t2 in _brute_trees_on(s2).values():
-                        d = DoubleTree(t1, t2)
-                        out[canonical_key(d)] = d
-        return out
-
-    if family == "full":
-        found = doubles(require_3_in_t2=False, allow_isolated=False)
-    elif family == "graph":
-        found = doubles(require_3_in_t2=False, allow_isolated=True)
-    else:  # two-three
-        found = doubles(require_3_in_t2=True, allow_isolated=True)
-    return tuple(d for _, d in sorted(found.items()))
+    found: dict[bytes, Tree | DoubleTree] = {}
+    for split in family_splits(family, n):
+        for parts in product(*(_brute_trees_on(s).values() for s in split)):
+            t = parts[0] if family == "htc" else DoubleTree(*parts)
+            found[canonical_key(t)] = t
+    return tuple(t for _, t in sorted(found.items()))
 
 
 # -- export ---------------------------------------------------------------

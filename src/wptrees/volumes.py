@@ -18,14 +18,22 @@ Per-vertex weights (with k = deg - 1 unless stated otherwise):
     ttilde_k(L,l) = 2 (L^2 - l^2)^k / (4^k k!)      for l < L, k >= 0
     gamma_k       = (-1)^k pi^(2k-2) / (k-1)!       for k >= 1
 
-Sums run over combinatorial trees; the plane-tree form with 1/(deg-1)!
-factors is equivalent because boundary-labeled trees are rigid and have
-exactly prod_v (deg(v)-1)! plane embeddings.  The side conditions l < L and
-L1 < L2 are bookkeeping on intermediate objects only; the final V_{0,n} are
+The sums are over combinatorial trees, but a summand depends only on the
+tree's degree profile (the component split, the degree of each labelled
+boundary vertex and the multiset of inner degrees), so every route sums over
+profiles instead, each weighted by its exact tree count
+(N - 2)! / prod_v (deg(v)-1)! / prod_k mult_k!  (Pruefer, with the repeats
+mult_k of the inner multiset divided out; see :mod:`wptrees.trees`).  Within
+a split the components contribute independent factors, so each route
+groups a component's profiles by the degree its special factor reads and
+multiplies the grouped sums.  The plane-tree form with 1/(deg-1)! factors is
+equivalent because boundary-labeled trees are rigid and have exactly
+prod_v (deg(v)-1)! plane embeddings.  The side conditions l < L and L1 < L2
+are bookkeeping on intermediate objects only; the final V_{0,n} are
 symmetric in all lengths and the assumption drops out.
 
-Every tree contributes independently and the prefactors 1/4, 1/8, 1/16 are
-applied once at the end, so the sums are safe to parallelize and reorder.
+All arithmetic is exact and the prefactors 1/4, 1/8, 1/16 are applied once
+at the end, so the order of summation never changes a result.
 """
 from __future__ import annotations
 
@@ -35,7 +43,7 @@ from itertools import permutations
 from math import factorial
 
 from .algebra import AUX, PI2, Polynomial, integrate_halfsquare, lsq
-from .trees import DoubleTree, Tree, enumerate_family
+from .trees import Profile, family_profiles
 
 __all__ = [
     "HTC_ASSUMPTION",
@@ -43,6 +51,7 @@ __all__ = [
     "weight_t_tilde",
     "weight_gamma",
     "tree_weight",
+    "weight_sums",
     "htc_volume",
     "v0n_reduced",
     "v0n_graph_sum",
@@ -96,26 +105,41 @@ def weight_gamma(k: int) -> Polynomial:
     return Polynomial.of_atom(PI2, k - 1) * coeff
 
 
-def tree_weight(t: Tree | DoubleTree, skip=(), t_weight=weight_t,
+def tree_weight(p: Profile, skip=(), t_weight=weight_t,
                 gamma_weight=weight_gamma) -> Polynomial:
     """prod_{b not in skip} t_{deg(b)-1}(L_b) * prod_v gamma_{deg(v)-1}.
 
     The product of the per-vertex weights of every boundary vertex outside
-    ``skip`` and every inner vertex v; a double tree multiplies both of its
-    components.  ``t_weight(k, b)`` and ``gamma_weight(k)`` supply the two
-    weights, so the same product serves counting atoms as well.
+    ``skip`` and every inner vertex v of a tree with degree profile ``p``.
+    ``t_weight(k, b)`` and ``gamma_weight(k)`` supply the two weights, so the
+    same product serves counting atoms as well.
     """
-    if isinstance(t, DoubleTree):
-        return (tree_weight(t.t1, skip, t_weight, gamma_weight)
-                * tree_weight(t.t2, skip, t_weight, gamma_weight))
     out = Polynomial.one()
-    deg = t.degrees()
-    for b in t.boundary:
+    for b, d in zip(p.boundary, p.degrees):
         if b not in skip:
-            out = out * t_weight(deg[b] - 1, b)
-    for v in t.inner_ids():
-        out = out * gamma_weight(deg[v] - 1)
+            out = out * t_weight(d - 1, b)
+    for d in p.inner:
+        out = out * gamma_weight(d - 1)
     return out
+
+
+def weight_sums(profiles, key, skip=(), t_weight=weight_t,
+                gamma_weight=weight_gamma) -> dict:
+    """key(p) -> sum of p.count * tree_weight(p, skip, ...) over ``profiles``.
+
+    One component's trees, grouped by what the special factor of a route
+    reads off them (say the degree of a special boundary).
+    """
+    sums: dict = {}
+    for p in profiles:
+        k = key(p)
+        term = tree_weight(p, skip, t_weight, gamma_weight) * p.count
+        sums[k] = sums[k] + term if k in sums else term
+    return sums
+
+
+def _degree_of(label: int):
+    return lambda p: p.degree(label)
 
 
 def htc_volume(n: int) -> Polynomial:
@@ -132,9 +156,9 @@ def htc_volume(n: int) -> Polynomial:
     L1 = Polynomial.of_atom(lsq(1))
     L2 = Polynomial.of_atom(lsq(2))
     total = Polynomial.zero()
-    for t in enumerate_family("htc", n):
-        total = total + (weight_t_tilde(t.degree(2) - 1, L2, L1)
-                         * tree_weight(t, skip=(2,)))
+    for (profiles,) in family_profiles("htc", n):
+        for d2, w in weight_sums(profiles, _degree_of(2), skip=(2,)).items():
+            total = total + weight_t_tilde(d2 - 1, L2, L1) * w
     return total * Fraction(1, 4)
 
 
@@ -153,12 +177,41 @@ def v0n_reduced(n: int) -> Polynomial:
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     total = Polynomial.zero()
-    for d in enumerate_family("two-three", n):
-        total = total + weight_t(d.t1.degree(1), 1) * tree_weight(d, skip=(1,))
+    for first, second in family_profiles("two-three", n):
+        part1 = Polynomial.zero()
+        for d1, w in weight_sums(first, _degree_of(1), skip=(1,)).items():
+            part1 = part1 + weight_t(d1, 1) * w
+        (part2,) = weight_sums(second, lambda p: None).values()
+        total = total + part1 * part2
     total = total * Fraction(1, 8)
     if not is_symmetric(total, n):
         raise ArithmeticError("reduced volume is not symmetric")
     return total
+
+
+def _paired_sum(family: str, n: int, factor) -> Polynomial:
+    """Sum over ``family`` of factor(deg(b1), deg(b2)) times the weights of
+    every other vertex; ``factor`` is called once per distinct degree pair."""
+    factor = lru_cache(maxsize=None)(factor)
+    total = Polynomial.zero()
+    for first, second in family_profiles(family, n):
+        sums1 = weight_sums(first, _degree_of(1), skip=(1, 2))
+        sums2 = weight_sums(second, _degree_of(2), skip=(1, 2))
+        for d1, w1 in sums1.items():
+            glued = Polynomial.zero()
+            for d2, w2 in sums2.items():
+                glued = glued + factor(d1, d2) * w2
+            total = total + w1 * glued
+    return total
+
+
+def _alternating_pair(d1: int, d2: int) -> Polynomial:
+    """sum_{m=0}^{d2-1} (-1)^m t_{d1+m}(L1) t_{d2-1-m}(L2)."""
+    pair = Polynomial.zero()
+    for m in range(d2):
+        piece = weight_t(d1 + m, 1) * weight_t(d2 - 1 - m, 2)
+        pair = pair + (piece if m % 2 == 0 else -piece)
+    return pair
 
 
 def v0n_graph_sum(n: int) -> Polynomial:
@@ -173,16 +226,7 @@ def v0n_graph_sum(n: int) -> Polynomial:
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    total = Polynomial.zero()
-    for d in enumerate_family("graph", n):
-        d1 = d.t1.degree(1)
-        d2 = d.t2.degree(2)
-        pair = Polynomial.zero()
-        for m in range(d2):
-            piece = weight_t(d1 + m, 1) * weight_t(d2 - 1 - m, 2)
-            pair = pair + (piece if m % 2 == 0 else -piece)
-        total = total + pair * tree_weight(d, skip=(1, 2))
-    return total * Fraction(1, 8)
+    return _paired_sum("graph", n, _alternating_pair) * Fraction(1, 8)
 
 
 def ell_integral(a: int, b: int, atom1=None, atom2=None,
@@ -228,16 +272,14 @@ def full_decomposition_v0n(n: int) -> Polynomial:
               * prod_{b != 1,2} t_{deg(b)-1}(L_b) * prod_v gamma_{deg(v)-1},
 
     with the l-integral evaluated in ``integral`` mode (actual integration,
-    independent of the closed form used by the graph sum).  Must equal
-    :func:`v0n_reduced` exactly.
+    independent of the closed form used by the graph sum), once per
+    distinct degree pair.  Must equal :func:`v0n_reduced` exactly.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    total = Polynomial.zero()
-    for d in enumerate_family("full", n):
-        glued = ell_integral(d.t1.degree(1) - 1, d.t2.degree(2) - 1, mode="integral")
-        total = total + glued * tree_weight(d, skip=(1, 2))
-    return htc_volume(n) + total * Fraction(1, 16)
+    glued = _paired_sum("full", n, lambda d1, d2: ell_integral(
+        d1 - 1, d2 - 1, mode="integral"))
+    return htc_volume(n) + glued * Fraction(1, 16)
 
 
 # -- oracle data and invariants ------------------------------------------

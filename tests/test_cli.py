@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,17 @@ def test_invalid_inputs_exit_2():
     assert run_cli("nonsense").returncode == 2
     assert run_cli("--threads", "0", "vol", "--n", "3").returncode == 2
     assert run_cli("--threads", "-1", "vol", "--n", "3").returncode == 2
+
+
+def test_enumeration_above_limit_exits_2_fast(capsys):
+    start = time.perf_counter()
+    code = cli.main(["trees", "--family", "two-three", "--n", "9"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "limited to n <= 8" in captured.err
+    assert elapsed < 0.5  # refused before any tree is built
 
 
 def test_internal_key_error_is_not_invalid_input(monkeypatch):

@@ -1,9 +1,13 @@
 """Dimension bookkeeping and the sampled polytope volumes."""
+import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from wptrees import cli, montecarlo
 from wptrees.montecarlo import (
     corner_markings,
     mc_full_volume,
@@ -114,6 +118,41 @@ def test_mc_thread_count_invariance():
     four = mc_full_volume(5, lengths, samples=20_000, seed=5, threads=4)
     assert one.estimate == four.estimate
     assert one.std_error == four.std_error
+
+
+def test_mc_worker_pool_is_capped(monkeypatch, capsys):
+    recorded = []
+
+    class RecordingPool:
+        """Stands in for the executor: records its size, runs jobs inline."""
+
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    argv = ["verify", "mc", "--n", "5", "--lengths", "1,2,1,1,1",
+            "--samples", "2000", "--seed", "3", "--sigma", "100"]
+    threads_before = threading.active_count()
+    assert cli.main(argv) == 0
+    serial = capsys.readouterr().out
+    assert recorded == []
+    assert cli.main(["--threads", str(10 ** 9)] + argv) == 0
+    huge = capsys.readouterr().out
+    assert threading.active_count() == threads_before
+    jobs = len(json.loads(serial.splitlines()[0])["per_tree"])
+    assert jobs > 4
+    assert recorded == [4]
+    assert huge == serial
 
 
 def test_mc_validation_errors():

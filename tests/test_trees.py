@@ -1,14 +1,21 @@
-"""Tree families: counts, oracle agreement, insertion properties, keys."""
+"""Tree families: counts, oracle agreement, insertion properties, keys,
+and the Pruefer counts of the degree profiles."""
 import json
+from collections import Counter
+from itertools import product
+from math import prod
 
 import pytest
 
 from wptrees.trees import (
+    ENUMERATION_MAX_N,
+    FAMILIES,
     DoubleTree,
     Tree,
     brute_force_enumerate,
     canonical_key,
     enumerate_family,
+    family_profiles,
     insert_boundary,
     insert_label,
     plane_embedding_count,
@@ -159,3 +166,49 @@ def test_tree_json_export():
     d = enumerate_family("two-three", 4)[0]
     payload = tree_to_json(d)
     assert set(payload) == {"t1", "t2", "key", "plane_embeddings"}
+
+
+# -- degree profiles ---------------------------------------------------------
+
+FAMILY_SIZES_N7 = {"htc": 6692, "two-three": 9952, "full": 6520, "graph": 13212}
+
+
+def tree_profile(t: Tree) -> tuple:
+    deg = t.degrees()
+    return (t.boundary, tuple(deg[b] for b in t.boundary),
+            tuple(sorted((deg[v] for v in t.inner_ids()), reverse=True)))
+
+
+def profile_counts(family, n) -> Counter:
+    """Profile key -> Pruefer count, over every member of the family."""
+    out = Counter()
+    for components in family_profiles(family, n):
+        for ps in product(*components):
+            key = tuple((p.boundary, p.degrees, p.inner) for p in ps)
+            out[key] += prod(p.count for p in ps)
+    return out
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_profile_counts_match_enumeration(family, n):
+    enumerated = Counter(
+        (tree_profile(t),) if family == "htc" else (tree_profile(t.t1), tree_profile(t.t2))
+        for t in enumerate_family(family, n))
+    assert profile_counts(family, n) == enumerated
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_profile_counts_give_family_sizes_n7(family):
+    assert sum(profile_counts(family, 7).values()) == FAMILY_SIZES_N7[family]
+
+
+def test_profile_counts_give_two_three_size_n8():
+    assert sum(profile_counts("two-three", 8).values()) == 217_968
+
+
+def test_enumeration_refused_above_limit():
+    with pytest.raises(ValueError, match="limited to n <= 8"):
+        enumerate_family("two-three", ENUMERATION_MAX_N + 1)
+    with pytest.raises(ValueError, match="limited to n <= 8"):
+        trees_on(tuple(range(1, ENUMERATION_MAX_N + 1)))

@@ -1,12 +1,16 @@
-"""Weights and the three volume routes against hand and table oracles."""
+"""Weights and the three volume routes against hand, table and recursion
+oracles."""
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cache
+from math import comb, factorial
 
 import pytest
 
-from wptrees.algebra import PI2, Polynomial, lsq
+from wptrees.algebra import PI2, Polynomial, lsq, mom
+from wptrees.genfun import f_substituted, symmetric_from_moments
 from wptrees.volumes import (
     ell_integral,
     full_decomposition_v0n,
@@ -135,3 +139,61 @@ def test_symmetry_guard_survives_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", code],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+# -- beyond the reference table ----------------------------------------------
+
+reduced = cache(v0n_reduced)
+
+
+def recursion_route(n):
+    return symmetric_from_moments(f_substituted(n), n)
+
+
+@pytest.mark.parametrize("route, n", [(v0n_graph_sum, 7), (full_decomposition_v0n, 7),
+                                      (reduced, 8)],
+                         ids=["graph-sum-7", "decomposition-7", "reduced-8"])
+def test_tree_routes_match_recursion_beyond_table(route, n):
+    assert route(n) == recursion_route(n)
+
+
+@cache
+def zograf_v(n: int) -> Fraction:
+    """Zograf's recursion for the Weil-Petersson volumes of M_{0,n}
+    (P. Zograf, Contemp. Math. 150, 1993), normalised to v_3 = 1."""
+    if n == 3:
+        return Fraction(1)
+    return Fraction(1, 2) * sum(
+        Fraction(i * (n - i - 2), n - 1) * comb(n - 4, i - 1) * comb(n, i + 1)
+        * zograf_v(i + 2) * zograf_v(n - i)
+        for i in range(1, n - 2))
+
+
+def zograf_constant_term(n: int) -> Polynomial:
+    """V_{0,n}(0) = 2^(n-3) / (n-3)! * v_n * pi^(2(n-3))."""
+    return P.monomial(Fraction(2 ** (n - 3), factorial(n - 3)) * zograf_v(n),
+                      [(PI2, n - 3)])
+
+
+def length_free_part(p: Polynomial, drop=()) -> Polynomial:
+    """The terms of p in pi^2 alone, after deleting the atoms in ``drop``."""
+    return P({tuple((a, e) for a, e in mono if a not in drop): c
+              for mono, c in p.items()
+              if all(a == PI2 or a in drop for a, _ in mono)})
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_zograf_constant_term_reduced_route(n):
+    assert length_free_part(reduced(n)) == zograf_constant_term(n)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
+def test_zograf_constant_term_recursion_route(n):
+    # symmetric_from_moments maps c * pi2^k * m0^n to c * pi2^k and every
+    # other moment monomial to terms with lengths, so V_{0,n}(0) is the
+    # m0^n part of the mu-average; reading it there skips the inversion,
+    # whose n! permutations per term dominate at n = 10.
+    constant = length_free_part(f_substituted(n), drop=(mom(0),))
+    if n <= 8:
+        assert constant == length_free_part(recursion_route(n))
+    assert constant == zograf_constant_term(n)
