@@ -51,6 +51,7 @@ __all__ = [
     "ghat",
     "Polynomial",
     "GradedSeries",
+    "multiset_permutations",
     "integrate_halfsquare",
     "poly_to_json_terms",
     "poly_from_json_terms",
@@ -140,6 +141,21 @@ def _mono_degree(m: Mono) -> int:
     return sum(e for _, e in m)
 
 
+def _mul_into(out: dict[Mono, Fraction], a, b) -> None:
+    """Add the product of the term lists ``a`` and ``b`` into ``out``.
+
+    Cancelled terms are left in place as zeros; :func:`_nonzero` drops them.
+    """
+    for ma, ca in a:
+        for mb, cb in b:
+            m = _mono_mul(ma, mb)
+            out[m] = out.get(m, 0) + ca * cb
+
+
+def _nonzero(terms: dict[Mono, Fraction]) -> dict[Mono, Fraction]:
+    return {m: c for m, c in terms.items() if c}
+
+
 def _mono_sort_key(m: Mono):
     # Graded order: total degree first; within a degree the pair list
     # (atom_key, -exponent) realizes descending lexicographic comparison.
@@ -159,6 +175,13 @@ class Polynomial:
                 if c != 0:
                     cleaned[m] = c
         object.__setattr__(self, "_terms", cleaned)
+
+    @staticmethod
+    def _of_terms(terms: dict[Mono, Fraction]) -> "Polynomial":
+        """Wrap a dict of nonzero Fraction coefficients without copying it."""
+        p = Polynomial.__new__(Polynomial)
+        object.__setattr__(p, "_terms", terms)
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -189,6 +212,20 @@ class Polynomial:
             raise ValueError("negative powers are not representable")
         mono = tuple(sorted(pairs, key=lambda ae: ae[0].sort_key()))
         return Polynomial({mono: Fraction(coeff)})
+
+    @staticmethod
+    def sum(polys: Iterable["Polynomial"]) -> "Polynomial":
+        """The sum of ``polys``, accumulated in place into one term dict.
+
+        Unlike a chain of ``+``, which copies the running total on every
+        addition, this costs one dict update per term summed.  Given a
+        generator, it keeps only one summand alive at a time.
+        """
+        out: dict[Mono, Fraction] = {}
+        for p in polys:
+            for m, c in p._terms.items():
+                out[m] = out.get(m, 0) + c
+        return Polynomial._of_terms(_nonzero(out))
 
     # -- basic queries -------------------------------------------------
 
@@ -247,16 +284,12 @@ class Polynomial:
                 out[m] = s
             else:
                 out.pop(m, None)
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "_terms", out)
-        return p
+        return Polynomial._of_terms(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "_terms", {m: -c for m, c in self._terms.items()})
-        return p
+        return Polynomial._of_terms({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = Polynomial._coerce(other)
@@ -272,17 +305,8 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         out: dict[Mono, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                m = _mono_mul(ma, mb)
-                s = out.get(m, Fraction(0)) + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "_terms", out)
-        return p
+        _mul_into(out, self._terms.items(), other._terms.items())
+        return Polynomial._of_terms(_nonzero(out))
 
     __rmul__ = __mul__
 
@@ -328,16 +352,13 @@ class Polynomial:
                 power_cache[key] = got
             return got
 
-        total = Polynomial.zero()
-        for m, c in self._terms.items():
-            term = Polynomial.const(c)
+        def term(m: Mono, c: Fraction) -> Polynomial:
+            out = Polynomial.const(c)
             for a, e in m:
-                if a in mapping:
-                    term = term * powered(a, e)
-                else:
-                    term = term * Polynomial.of_atom(a, e)
-            total = total + term
-        return total
+                out = out * (powered(a, e) if a in mapping else Polynomial.of_atom(a, e))
+            return out
+
+        return Polynomial.sum(term(m, c) for m, c in self._terms.items())
 
     # -- evaluation -----------------------------------------------------
 
@@ -454,8 +475,8 @@ def integrate_halfsquare(p: Polynomial, upper: Atom) -> Polynomial:
     """
     if upper == AUX:
         raise ValueError("upper bound must not be the integration symbol")
-    total = Polynomial.zero()
-    for m, c in p.items():
+
+    def antiderivative(m: Mono, c: Fraction) -> Polynomial:
         aux_exp = 0
         rest: list[tuple[Atom, int]] = []
         for a, e in m:
@@ -465,8 +486,9 @@ def integrate_halfsquare(p: Polynomial, upper: Atom) -> Polynomial:
                 rest.append((a, e))
         # c * u^j integrates to c * upper^(j+1) / (j+1); the 1/2 is global.
         coeff = Fraction(c, 2 * (aux_exp + 1))
-        total = total + Polynomial.monomial(coeff, rest) * Polynomial.of_atom(upper, aux_exp + 1)
-    return total
+        return Polynomial.monomial(coeff, rest) * Polynomial.of_atom(upper, aux_exp + 1)
+
+    return Polynomial.sum(antiderivative(m, c) for m, c in p.items())
 
 
 @dataclass(frozen=True)
@@ -474,8 +496,9 @@ class GradedSeries:
     """A polynomial truncated by total degree in the moment atoms.
 
     The grade of a term is its total degree in m_0, m_1, ...; every stored
-    term has grade <= grade_cap and ring operations re-truncate.  Operands
-    must share the same cap.
+    term has grade <= grade_cap.  Sums re-truncate; products never form a
+    term above the cap, since only term pairs whose grades add up to at most
+    grade_cap are multiplied.  Operands must share the same cap.
     """
 
     body: Polynomial
@@ -501,7 +524,14 @@ class GradedSeries:
 
     def __mul__(self, other: "GradedSeries") -> "GradedSeries":
         self._check(other)
-        return GradedSeries(self.body * other.body, self.grade_cap)
+        cap = self.grade_cap
+        out: dict[Mono, Fraction] = {}
+        others = _by_grade(other.body)
+        for ga, terms_a in _by_grade(self.body).items():
+            for gb, terms_b in others.items():
+                if ga + gb <= cap:
+                    _mul_into(out, terms_a, terms_b)
+        return GradedSeries(Polynomial._of_terms(_nonzero(out)), cap)
 
     def scale(self, c) -> "GradedSeries":
         return GradedSeries(self.body * Fraction(c), self.grade_cap)
@@ -518,9 +548,38 @@ class GradedSeries:
 
 def _truncate(p: Polynomial, cap: int) -> Polynomial:
     kept = {m: c for m, c in p.items() if p.moment_grade(m) <= cap}
-    if len(kept) == len(list(p.items())):
+    if len(kept) == len(p):
         return p
     return Polynomial(kept)
+
+
+def _by_grade(p: Polynomial) -> dict[int, list[tuple[Mono, Fraction]]]:
+    """The terms of p bucketed by moment grade."""
+    buckets: dict[int, list[tuple[Mono, Fraction]]] = {}
+    for m, c in p.items():
+        buckets.setdefault(p.moment_grade(m), []).append((m, c))
+    return buckets
+
+
+def multiset_permutations(items: Iterable) -> Iterator[tuple]:
+    """The distinct permutations of ``items``, in lexicographic order.
+
+    Walks next-permutation steps from the sorted order, so a multiset with
+    repeats costs one step per distinct arrangement, not one per permutation.
+    """
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
 
 
 # -- JSON serialization ------------------------------------------------
@@ -569,8 +628,7 @@ def poly_to_json_terms(p: Polynomial,
 
 def poly_from_json_terms(terms: list[dict]) -> Polynomial:
     """Inverse of :func:`poly_to_json_terms`."""
-    total = Polynomial.zero()
-    for t in terms:
+    def term(t: dict) -> Polynomial:
         pairs: list[tuple[Atom, int]] = []
         if t.get("pi2"):
             pairs.append((PI2, t["pi2"]))
@@ -582,5 +640,6 @@ def poly_from_json_terms(terms: list[dict]) -> Polynomial:
                 pairs.append((mom(k), e))
         if t.get("r"):
             pairs.append((AUX, t["r"]))
-        total = total + Polynomial.monomial(Fraction(t["coeff"]), pairs)
-    return total
+        return Polynomial.monomial(Fraction(t["coeff"]), pairs)
+
+    return Polynomial.sum(term(t) for t in terms)

@@ -38,7 +38,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
 
 from .algebra import (
@@ -50,6 +49,7 @@ from .algebra import (
     ghat,
     lsq,
     mom,
+    multiset_permutations,
     that,
 )
 from .trees import family_profiles
@@ -93,19 +93,19 @@ def z_series(r_order: int, ctx: MomentContext) -> GradedSeries:
     """Z expanded to order r^r_order, moments expressed in the m_k atoms."""
     if r_order < 1:
         raise ValueError("r_order must be >= 1")
-    body = Polynomial.zero()
+    terms = []
     for k in range(r_order):  # r^(k+1) term of the J1 part
         coeff = Fraction((-1) ** k * 2 ** k, factorial(k) * factorial(k + 1))
-        body = body + Polynomial.monomial(coeff, [(PI2, k), (AUX, k + 1)])
+        terms.append(Polynomial.monomial(coeff, [(PI2, k), (AUX, k + 1)]))
     for k in range(min(r_order, ctx.grade_cap) + 1):  # r^k term of the I0 part
         coeff = Fraction(-1, 2 ** k * factorial(k) ** 2)
-        body = body + Polynomial.monomial(coeff, [(mom(k), 1), (AUX, k)])
-    return GradedSeries(body, ctx.grade_cap)
+        terms.append(Polynomial.monomial(coeff, [(mom(k), 1), (AUX, k)]))
+    return GradedSeries(Polynomial.sum(terms), ctx.grade_cap)
 
 
 def _compose_aux(p: Polynomial, r: GradedSeries) -> GradedSeries:
     """Substitute the auxiliary variable by the series r, truncating."""
-    by_exp: dict[int, Polynomial] = {}
+    by_exp: dict[int, list[Polynomial]] = {}
     for mono, c in p.items():
         e = 0
         rest = []
@@ -114,14 +114,16 @@ def _compose_aux(p: Polynomial, r: GradedSeries) -> GradedSeries:
                 e = ex
             else:
                 rest.append((a, ex))
-        by_exp[e] = by_exp.get(e, Polynomial.zero()) + Polynomial.monomial(c, rest)
-    out = GradedSeries(Polynomial.zero(), r.grade_cap)
-    power = GradedSeries(Polynomial.one(), r.grade_cap)
-    for e in range(max(by_exp) + 1 if by_exp else 0):
+        by_exp.setdefault(e, []).append(Polynomial.monomial(c, rest))
+    cap = r.grade_cap
+    terms = []
+    power = GradedSeries(Polynomial.one(), cap)
+    for e in range(max(by_exp, default=-1) + 1):
+        if e:
+            power = power * r
         if e in by_exp:
-            out = out + power * GradedSeries(by_exp[e], r.grade_cap)
-        power = power * r
-    return out
+            terms.append((power * GradedSeries(Polynomial.sum(by_exp[e]), cap)).body)
+    return GradedSeries(Polynomial.sum(terms), cap)
 
 
 def _series_reciprocal(s: GradedSeries) -> GradedSeries:
@@ -189,15 +191,15 @@ def _d_gamma(p: Polynomial, k: int) -> Polynomial:
     """d/d gam_k; for k = 1 this acts on the inverse atom."""
     if k >= 2:
         return p.partial(ghat(k))
-    out = Polynomial.zero()
+    terms = []
     for mono, c in p.items():
         pairs = dict(mono)
         e = pairs.get(INV_GAMMA1, 0)
         if e == 0:
             continue
         pairs[INV_GAMMA1] = e + 1
-        out = out + Polynomial.monomial(c * (-e), pairs.items())
-    return out
+        terms.append(Polynomial.monomial(c * (-e), pairs.items()))
+    return Polynomial.sum(terms)
 
 
 def f_recursion(n: int) -> Polynomial:
@@ -211,13 +213,13 @@ def f_recursion(n: int) -> Polynomial:
         raise ValueError(f"need n >= 3, got {n}")
     f = Polynomial.monomial(-1, [(that(0), 3), (INV_GAMMA1, 1)])
     for m in range(3, n):
-        new = Polynomial.zero()
+        terms = []
         for k in range(m - 2):
             dg = _d_gamma(f, k + 1)
             dt = f.partial(that(k))
-            new = new + Polynomial.of_atom(that(k + 1)) * (dg - _T0_OVER_G1 * dt)
-            new = new - Polynomial.of_atom(ghat(k + 2)) * _T0_OVER_G1 * dg
-        f = new
+            terms.append(Polynomial.of_atom(that(k + 1)) * (dg - _T0_OVER_G1 * dt))
+            terms.append(-(Polynomial.of_atom(ghat(k + 2)) * _T0_OVER_G1 * dg))
+        f = Polynomial.sum(terms)
     return f
 
 
@@ -239,19 +241,20 @@ def f_from_trees(n: int) -> Polynomial:
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    total = Polynomial.zero()
-    for first, second in family_profiles("two-three", n):
-        sums1 = weight_sums(first, lambda p: (p.degree(1), p.edges), skip=(1,),
-                            t_weight=_t_atom, gamma_weight=_gamma_atom)
-        sums2 = weight_sums(second, lambda p: p.edges,
-                            t_weight=_t_atom, gamma_weight=_gamma_atom)
-        for (d1, e1), w1 in sums1.items():
-            for e2, w2 in sums2.items():
-                edges = e1 + e2
-                special = Polynomial.monomial(
-                    (-1) ** edges, [(that(d1), 1), (INV_GAMMA1, edges)])
-                total = total + special * w1 * w2
-    return total
+    def products():
+        for first, second in family_profiles("two-three", n):
+            sums1 = weight_sums(first, lambda p: (p.degree(1), p.edges), skip=(1,),
+                                t_weight=_t_atom, gamma_weight=_gamma_atom)
+            sums2 = weight_sums(second, lambda p: p.edges,
+                                t_weight=_t_atom, gamma_weight=_gamma_atom)
+            for (d1, e1), w1 in sums1.items():
+                for e2, w2 in sums2.items():
+                    edges = e1 + e2
+                    special = Polynomial.monomial(
+                        (-1) ** edges, [(that(d1), 1), (INV_GAMMA1, edges)])
+                    yield special * w1 * w2
+
+    return Polynomial.sum(products())
 
 
 def f_substituted(n: int) -> Polynomial:
@@ -278,7 +281,7 @@ def mu_average(p: Polynomial, subset, ctx: MomentContext) -> GradedSeries:
     every averaged length is guaranteed by the squared-length atoms.
     """
     subset = set(subset)
-    total = Polynomial.zero()
+    terms = []
     for mono, c in p.items():
         pairs: Counter = Counter()
         for a, e in mono:
@@ -289,8 +292,8 @@ def mu_average(p: Polynomial, subset, ctx: MomentContext) -> GradedSeries:
         for i in subset:
             if not any(a.kind == lsq(1).kind and a.index == i for a, _ in mono):
                 pairs[mom(0)] += 1
-        total = total + Polynomial.monomial(c, pairs.items())
-    return GradedSeries(total, ctx.grade_cap)
+        terms.append(Polynomial.monomial(c, pairs.items()))
+    return GradedSeries(Polynomial.sum(terms), ctx.grade_cap)
 
 
 def symmetric_from_moments(p: Polynomial, n: int) -> Polynomial:
@@ -299,10 +302,11 @@ def symmetric_from_moments(p: Polynomial, n: int) -> Polynomial:
     Each term must have total moment degree exactly n.  A moment monomial
     prod_k m_k^(c_k) with coefficient C is the average of the monomial orbit
     whose exponent multiset is {k with multiplicity c_k}; every monomial of
-    that orbit receives coefficient C * prod_k c_k! / n!.
+    that orbit receives coefficient C * prod_k c_k! / n!.  The orbit is
+    walked as the distinct permutations of that multiset, one step per
+    monomial.
     """
-    total = Polynomial.zero()
-    for mono, c in p.items():
+    def orbit(mono, c):
         orders: list[int] = []
         passthrough = []
         mult = Fraction(1)
@@ -316,8 +320,8 @@ def symmetric_from_moments(p: Polynomial, n: int) -> Polynomial:
             raise ValueError(
                 f"term has moment degree {len(orders)}, expected {n}")
         coeff = c * mult / factorial(n)
-        for assign in set(permutations(orders)):
-            pairs = list(passthrough) + [
-                (lsq(i + 1), a) for i, a in enumerate(assign) if a]
-            total = total + Polynomial.monomial(coeff, pairs)
-    return total
+        for assign in multiset_permutations(orders):
+            yield Polynomial.monomial(coeff, passthrough + [
+                (lsq(i + 1), a) for i, a in enumerate(assign) if a])
+
+    return Polynomial.sum(m for mono, c in p.items() for m in orbit(mono, c))

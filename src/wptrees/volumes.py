@@ -42,7 +42,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
-from .algebra import AUX, PI2, Polynomial, integrate_halfsquare, lsq
+from .algebra import AUX, PI2, Polynomial, integrate_halfsquare, lsq, multiset_permutations
 from .trees import Profile, family_profiles
 
 __all__ = [
@@ -130,12 +130,11 @@ def weight_sums(profiles, key, skip=(), t_weight=weight_t,
     One component's trees, grouped by what the special factor of a route
     reads off them (say the degree of a special boundary).
     """
-    sums: dict = {}
+    groups: dict = {}
     for p in profiles:
-        k = key(p)
-        term = tree_weight(p, skip, t_weight, gamma_weight) * p.count
-        sums[k] = sums[k] + term if k in sums else term
-    return sums
+        groups.setdefault(key(p), []).append(
+            tree_weight(p, skip, t_weight, gamma_weight) * p.count)
+    return {k: Polynomial.sum(terms) for k, terms in groups.items()}
 
 
 def _degree_of(label: int):
@@ -155,11 +154,11 @@ def htc_volume(n: int) -> Polynomial:
         raise ValueError(f"need n >= 3, got {n}")
     L1 = Polynomial.of_atom(lsq(1))
     L2 = Polynomial.of_atom(lsq(2))
-    total = Polynomial.zero()
-    for (profiles,) in family_profiles("htc", n):
-        for d2, w in weight_sums(profiles, _degree_of(2), skip=(2,)).items():
-            total = total + weight_t_tilde(d2 - 1, L2, L1) * w
-    return total * Fraction(1, 4)
+    return Polynomial.sum(
+        weight_t_tilde(d2 - 1, L2, L1) * w
+        for (profiles,) in family_profiles("htc", n)
+        for d2, w in weight_sums(profiles, _degree_of(2), skip=(2,)).items()
+    ) * Fraction(1, 4)
 
 
 def v0n_reduced(n: int) -> Polynomial:
@@ -176,14 +175,14 @@ def v0n_reduced(n: int) -> Polynomial:
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    total = Polynomial.zero()
-    for first, second in family_profiles("two-three", n):
-        part1 = Polynomial.zero()
-        for d1, w in weight_sums(first, _degree_of(1), skip=(1,)).items():
-            part1 = part1 + weight_t(d1, 1) * w
-        (part2,) = weight_sums(second, lambda p: None).values()
-        total = total + part1 * part2
-    total = total * Fraction(1, 8)
+    def products():
+        for first, second in family_profiles("two-three", n):
+            part1 = Polynomial.sum(weight_t(d1, 1) * w for d1, w in
+                                   weight_sums(first, _degree_of(1), skip=(1,)).items())
+            (part2,) = weight_sums(second, lambda p: None).values()
+            yield part1 * part2
+
+    total = Polynomial.sum(products()) * Fraction(1, 8)
     if not is_symmetric(total, n):
         raise ArithmeticError("reduced volume is not symmetric")
     return total
@@ -193,25 +192,20 @@ def _paired_sum(family: str, n: int, factor) -> Polynomial:
     """Sum over ``family`` of factor(deg(b1), deg(b2)) times the weights of
     every other vertex; ``factor`` is called once per distinct degree pair."""
     factor = lru_cache(maxsize=None)(factor)
-    total = Polynomial.zero()
-    for first, second in family_profiles(family, n):
-        sums1 = weight_sums(first, _degree_of(1), skip=(1, 2))
-        sums2 = weight_sums(second, _degree_of(2), skip=(1, 2))
-        for d1, w1 in sums1.items():
-            glued = Polynomial.zero()
-            for d2, w2 in sums2.items():
-                glued = glued + factor(d1, d2) * w2
-            total = total + w1 * glued
-    return total
+    def products():
+        for first, second in family_profiles(family, n):
+            sums1 = weight_sums(first, _degree_of(1), skip=(1, 2))
+            sums2 = weight_sums(second, _degree_of(2), skip=(1, 2))
+            for d1, w1 in sums1.items():
+                yield w1 * Polynomial.sum(factor(d1, d2) * w2 for d2, w2 in sums2.items())
+
+    return Polynomial.sum(products())
 
 
 def _alternating_pair(d1: int, d2: int) -> Polynomial:
     """sum_{m=0}^{d2-1} (-1)^m t_{d1+m}(L1) t_{d2-1-m}(L2)."""
-    pair = Polynomial.zero()
-    for m in range(d2):
-        piece = weight_t(d1 + m, 1) * weight_t(d2 - 1 - m, 2)
-        pair = pair + (piece if m % 2 == 0 else -piece)
-    return pair
+    return Polynomial.sum(weight_t(d1 + m, 1) * weight_t(d2 - 1 - m, 2) * (-1) ** m
+                          for m in range(d2))
 
 
 def v0n_graph_sum(n: int) -> Polynomial:
@@ -249,11 +243,8 @@ def ell_integral(a: int, b: int, atom1=None, atom2=None,
     P1 = Polynomial.of_atom(atom1 if atom1 is not None else lsq(1))
     P2 = Polynomial.of_atom(atom2 if atom2 is not None else lsq(2))
     if mode == "closed":
-        total = Polynomial.zero()
-        for m in range(b + 1):
-            piece = _t_of(a + 1 + m, P1) * _t_of(b - m, P2)
-            total = total + (piece if m % 2 == 0 else -piece)
-        return total * 2
+        return Polynomial.sum(_t_of(a + 1 + m, P1) * _t_of(b - m, P2) * (-1) ** m
+                              for m in range(b + 1)) * 2
     if mode == "integral":
         if a == -1:
             return weight_t_tilde(b, P2, P1) * 4
@@ -291,12 +282,11 @@ def _sym_sum(n: int, shape: tuple[int, ...], pi2_power: int, coeff) -> Polynomia
     the orbit sum runs over all distinct assignments to 1..n (each distinct
     monomial once).
     """
-    out = Polynomial.zero()
     padded = tuple(shape) + (0,) * (n - len(shape))
-    for perm in set(permutations(padded)):
-        pairs = [(PI2, pi2_power)] + [(lsq(i + 1), e) for i, e in enumerate(perm) if e]
-        out = out + Polynomial.monomial(Fraction(coeff), pairs)
-    return out
+    return Polynomial.sum(
+        Polynomial.monomial(coeff, [(PI2, pi2_power)]
+                            + [(lsq(i + 1), e) for i, e in enumerate(perm) if e])
+        for perm in multiset_permutations(padded))
 
 
 def known_v0n(n: int) -> Polynomial:
@@ -348,14 +338,12 @@ def is_symmetric(p: Polynomial, n: int, all_permutations: bool = False) -> bool:
     """
     atoms = [lsq(i) for i in range(1, n + 1)]
     if all_permutations:
-        for perm in permutations(range(n)):
-            mapping = {atoms[i]: Polynomial.of_atom(atoms[perm[i]]) for i in range(n)}
-            if p.substitute(mapping) != p:
-                return False
-        return True
-    for i in range(n - 1):
-        mapping = {atoms[i]: Polynomial.of_atom(atoms[i + 1]),
-                   atoms[i + 1]: Polynomial.of_atom(atoms[i])}
-        if p.substitute(mapping) != p:
-            return False
-    return True
+        renamings = ({atoms[i]: atoms[perm[i]] for i in range(n)}
+                     for perm in permutations(range(n)))
+    else:
+        renamings = ({atoms[i]: atoms[i + 1], atoms[i + 1]: atoms[i]}
+                     for i in range(n - 1))
+    # A renaming permutes the monomials, so p is invariant iff each renamed
+    # monomial carries the coefficient of the one it came from.
+    return all(p.coefficient((rename.get(a, a), e) for a, e in mono) == c
+               for rename in renamings for mono, c in p.items())

@@ -1,6 +1,7 @@
 """Exact arithmetic: ring axioms, calculus rules, serialization."""
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from wptrees.algebra import (
     integrate_halfsquare,
     lsq,
     mom,
+    multiset_permutations,
     poly_from_json_terms,
     poly_to_json_terms,
 )
@@ -112,6 +114,22 @@ def test_series_examples():
                           + atom_poly(PI2) * atom_poly(mom(0), 2))
 
 
+def test_sum_accumulates_without_zero_terms():
+    assert P.sum([]) == P.zero()
+    a = atom_poly(PI2) + atom_poly(lsq(1))
+    total = P.sum([a, -atom_poly(PI2), atom_poly(mom(0)), atom_poly(mom(0))])
+    assert total == atom_poly(lsq(1)) + P.const(2) * atom_poly(mom(0))
+    assert len(total) == 2 and all(c != 0 for _, c in total.items())
+    assert len(P.sum([a, -a])) == 0
+    assert a == atom_poly(PI2) + atom_poly(lsq(1))  # operands are not mutated
+
+
+@pytest.mark.parametrize("items", [(), (4,), (2, 2, 2), (3, 1, 2, 0), (0, 2, 1, 0, 2, 0)],
+                         ids=["empty", "single", "all-equal", "all-distinct", "mixed"])
+def test_multiset_permutations(items):
+    assert list(multiset_permutations(items)) == sorted(set(permutations(items)))
+
+
 def test_series_cap_mismatch():
     with pytest.raises(ValueError):
         GradedSeries(P.one(), 1) + GradedSeries(P.one(), 2)
@@ -150,6 +168,16 @@ def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+    assert P.sum([a, b, c]) == (a + b) + c
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3, 4])
+@given(polynomials(include_aux=True), polynomials(include_aux=True))
+@settings(max_examples=40, deadline=None)
+def test_graded_product_matches_truncated_product(cap, a, b):
+    # Operands mix pi2, r, lengths and moments, with grades up to 6 per term.
+    product = GradedSeries(a, cap) * GradedSeries(b, cap)
+    assert product.body == GradedSeries(a * b, cap).body
 
 
 @given(polynomials(), polynomials(), st.sampled_from(ATOMS))

@@ -29,16 +29,34 @@ README_GOLDEN = {
 }
 
 
+# The recursion route and the series roots, whose stdout must not change
+# byte for byte when their exact kernels do.
+MOMENT_GOLDEN = {
+    "vol-n8-recursion": "vol --n 8 --method recursion",
+    "gf-r7": "gf --target r --order 7",
+    "gf-h6-json": "gf --target h --order 6 --format json",
+}
+
+
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "wptrees.cli", *args],
                           capture_output=True, text=True)
 
 
-@pytest.mark.parametrize("name", README_GOLDEN)
-def test_readme_golden(name):
-    out = run_cli(*README_GOLDEN[name].split())
+def assert_golden(name, command):
+    out = run_cli(*command.split())
     assert out.returncode == 0
     assert out.stdout == (GOLDEN_DIR / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", README_GOLDEN)
+def test_readme_golden(name):
+    assert_golden(name, README_GOLDEN[name])
+
+
+@pytest.mark.parametrize("name", MOMENT_GOLDEN)
+def test_moment_route_golden(name):
+    assert_golden(name, MOMENT_GOLDEN[name])
 
 
 def test_all_methods_print_identical_polynomial():

@@ -64,10 +64,15 @@ def test_solve_r_grade_3():
     assert grade3 == expected
 
 
-@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 6, 9])
 def test_z_root_vanishes(cap):
     ctx = MomentContext(cap)
     assert z_residual(solve_r(ctx), ctx).is_zero()
+
+
+def test_graded_product_of_series_root():
+    r = solve_r(MomentContext(6))
+    assert (r * r).body == GradedSeries(r.body * r.body, 6).body
 
 
 def test_htc_genfun_low_grades():

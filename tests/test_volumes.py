@@ -111,6 +111,18 @@ def test_symmetry_n6_via_generators():
     assert is_symmetric(v0n_reduced(6), 6)
 
 
+@pytest.mark.parametrize("all_permutations", [False, True], ids=["generators", "all"])
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_symmetry_check_rejects_one_asymmetric_pair(all_permutations, j):
+    # Invariant under every adjacent transposition but (L_j, L_{j+1}).
+    n = 5
+    symmetric = P.sum(P.monomial(1, [(PI2, 1), (lsq(i), 1), (lsq(k), 1)])
+                      for i in range(1, n + 1) for k in range(i + 1, n + 1))
+    split = P.sum(P.monomial(1 if i <= j else 2, [(lsq(i), 2)]) for i in range(1, n + 1))
+    assert is_symmetric(symmetric, n, all_permutations)
+    assert not is_symmetric(symmetric + split, n, all_permutations)
+
+
 def test_positivity_at_positive_lengths():
     rng = random.Random(7)
     for n in (4, 5, 6):
@@ -190,10 +202,8 @@ def test_zograf_constant_term_reduced_route(n):
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
 def test_zograf_constant_term_recursion_route(n):
     # symmetric_from_moments maps c * pi2^k * m0^n to c * pi2^k and every
-    # other moment monomial to terms with lengths, so V_{0,n}(0) is the
-    # m0^n part of the mu-average; reading it there skips the inversion,
-    # whose n! permutations per term dominate at n = 10.
+    # other moment monomial to terms with lengths, so V_{0,n}(0) is also the
+    # m0^n part of the mu-average: both readings must give Zograf's value.
     constant = length_free_part(f_substituted(n), drop=(mom(0),))
-    if n <= 8:
-        assert constant == length_free_part(recursion_route(n))
+    assert constant == length_free_part(recursion_route(n))
     assert constant == zograf_constant_term(n)
