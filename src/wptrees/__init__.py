@@ -26,7 +26,6 @@ from .trees import (
     brute_force_enumerate,
     canonical_key,
     enumerate_family,
-    insert_boundary,
     plane_embedding_count,
 )
 from .volumes import (

@@ -393,27 +393,31 @@ class Polynomial:
         base = a.name()
         return base if e == 1 else f"{base}^{e}"
 
-    def text(self) -> str:
-        """Canonical plain-text form, e.g. ``2*pi2 + 1/2*L1^2``."""
+    def _render(self, atom_text, coeff_text, sep: str) -> str:
+        """Signed terms joined by `` + ``/`` - ``; ``atom_text(a, e)`` renders an
+        atom power, ``coeff_text(c)`` a positive coefficient, and ``sep``
+        joins the coefficient and the atom powers of a term."""
         if not self._terms:
             return "0"
-        chunks: list[str] = []
+        out = ""
         for m, c in self.sorted_terms():
-            sign = "-" if c < 0 else "+"
             mag = -c if c < 0 else c
-            atoms = "*".join(self._atom_text(a, e) for a, e in m)
+            atoms = sep.join(atom_text(a, e) for a, e in m)
             if not atoms:
-                body = str(mag)
+                body = coeff_text(mag)
             elif mag == 1:
                 body = atoms
             else:
-                body = f"{mag}*{atoms}"
-            chunks.append((sign, body))
-        first_sign, first_body = chunks[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in chunks[1:]:
-            out += f" {sign} {body}"
+                body = f"{coeff_text(mag)}{sep}{atoms}"
+            if out:
+                out += f" {'-' if c < 0 else '+'} {body}"
+            else:
+                out = f"-{body}" if c < 0 else body
         return out
+
+    def text(self) -> str:
+        """Canonical plain-text form, e.g. ``2*pi2 + 1/2*L1^2``."""
+        return self._render(self._atom_text, str, "*")
 
     @staticmethod
     def _atom_latex(a: Atom, e: int) -> str:
@@ -433,30 +437,14 @@ class Polynomial:
             base = "\\hat\\gamma_1^{-1}"
         return base if e == 1 else f"{base}^{{{e}}}"
 
+    @staticmethod
+    def _coeff_latex(c: Fraction) -> str:
+        if c.denominator == 1:
+            return str(c.numerator)
+        return f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
+
     def latex(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks = []
-        for m, c in self.sorted_terms():
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            atoms = " ".join(self._atom_latex(a, e) for a, e in m)
-            if mag.denominator == 1:
-                coeff = str(mag.numerator)
-            else:
-                coeff = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-            if not atoms:
-                body = coeff
-            elif mag == 1:
-                body = atoms
-            else:
-                body = f"{coeff} {atoms}"
-            chunks.append((sign, body))
-        first_sign, first_body = chunks[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in chunks[1:]:
-            out += f" {sign} {body}"
-        return out
+        return self._render(self._atom_latex, self._coeff_latex, " ")
 
     def __str__(self) -> str:
         return self.text()
@@ -533,9 +521,6 @@ class GradedSeries:
                     _mul_into(out, terms_a, terms_b)
         return GradedSeries(Polynomial._of_terms(_nonzero(out)), cap)
 
-    def scale(self, c) -> "GradedSeries":
-        return GradedSeries(self.body * Fraction(c), self.grade_cap)
-
     def is_zero(self) -> bool:
         return self.body.is_zero()
 
@@ -586,7 +571,6 @@ def multiset_permutations(items: Iterable) -> Iterator[tuple]:
 
 def poly_to_json_terms(p: Polynomial,
                        n_lengths: int | None = None,
-                       n_moments: int | None = None,
                        with_grade: bool = False) -> list[dict]:
     """Canonically ordered JSON term list.
 
@@ -607,7 +591,6 @@ def poly_to_json_terms(p: Polynomial,
             elif a.kind == _AUX:
                 has_aux = True
     nl = max_l if n_lengths is None else n_lengths
-    nm = (max_m + 1) if n_moments is None else n_moments
 
     out = []
     for mono, c in p.sorted_terms():
@@ -616,7 +599,7 @@ def poly_to_json_terms(p: Polynomial,
             "coeff": f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator),
             "pi2": exps.get(PI2, 0),
             "L": [exps.get(lsq(i), 0) for i in range(1, nl + 1)],
-            "m": [exps.get(mom(k), 0) for k in range(nm)],
+            "m": [exps.get(mom(k), 0) for k in range(max_m + 1)],
         }
         if has_aux:
             term["r"] = exps.get(AUX, 0)

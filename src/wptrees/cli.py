@@ -51,15 +51,18 @@ def _parse_lengths(text: str, n: int) -> list[Fraction]:
     return values
 
 
-def _substitute_lengths(poly: Polynomial, lengths: list[Fraction]) -> Polynomial:
-    mapping = {lsq(i + 1): Polynomial.const(v * v) for i, v in enumerate(lengths)}
-    return poly.substitute(mapping)
-
-
-def _print_poly(poly: Polynomial, fmt: str, meta: dict, n_lengths: int) -> None:
-    if fmt == "text":
+def _print_volume(poly: Polynomial, args, meta: dict, lengths) -> None:
+    """Print a volume polynomial, or its value at ``lengths`` when given (the
+    JSON then records the lengths and lists no L exponents)."""
+    n_lengths = args.n
+    if lengths:
+        poly = poly.substitute(
+            {lsq(i + 1): Polynomial.const(v * v) for i, v in enumerate(lengths)})
+        meta["lengths"] = [str(v) for v in lengths]
+        n_lengths = 0
+    if args.format == "text":
         print(poly.text())
-    elif fmt == "latex":
+    elif args.format == "latex":
         print(poly.latex())
     else:
         print(json.dumps({**meta, "terms": poly_to_json_terms(poly, n_lengths=n_lengths)}))
@@ -77,14 +80,9 @@ def _cmd_vol(args) -> int:
     poly = route(args.n)
     if args.n == 5:
         print(V05_COEFFICIENT_NOTE, file=sys.stderr)
-    meta = {"command": "vol", "n": args.n, "method": args.method}
-    n_lengths = args.n
-    if args.lengths:
-        lengths = _parse_lengths(args.lengths, args.n)
-        poly = _substitute_lengths(poly, lengths)
-        meta["lengths"] = [str(v) for v in lengths]
-        n_lengths = 0
-    _print_poly(poly, args.format, meta, n_lengths)
+    lengths = _parse_lengths(args.lengths, args.n) if args.lengths else None
+    _print_volume(poly, args, {"command": "vol", "n": args.n, "method": args.method},
+                  lengths)
     return 0
 
 
@@ -92,18 +90,13 @@ def _cmd_htc(args) -> int:
     if args.n < 3:
         raise ValueError("need --n >= 3")
     poly = htc_volume(args.n)
-    meta = {"command": "htc", "n": args.n, "assumption": HTC_ASSUMPTION}
-    n_lengths = args.n
-    if args.lengths:
-        lengths = _parse_lengths(args.lengths, args.n)
-        if not lengths[0] < lengths[1]:
-            raise ValueError(f"half-tight volumes assume {HTC_ASSUMPTION}")
-        poly = _substitute_lengths(poly, lengths)
-        meta["lengths"] = [str(v) for v in lengths]
-        n_lengths = 0
+    lengths = _parse_lengths(args.lengths, args.n) if args.lengths else None
+    if lengths and not lengths[0] < lengths[1]:
+        raise ValueError(f"half-tight volumes assume {HTC_ASSUMPTION}")
     if args.format == "text":
         print(f"# assumes {HTC_ASSUMPTION}", file=sys.stderr)
-    _print_poly(poly, args.format, meta, n_lengths)
+    _print_volume(poly, args, {"command": "htc", "n": args.n, "assumption": HTC_ASSUMPTION},
+                  lengths)
     return 0
 
 
@@ -112,7 +105,7 @@ def _cmd_gf(args) -> int:
         raise ValueError("need --order >= 1")
     ctx = MomentContext(args.order)
     series = {
-        "z": lambda: z_series(args.order, ctx),
+        "z": lambda: z_series(ctx),
         "r": lambda: solve_r(ctx),
         "h": lambda: htc_genfun(ctx),
     }[args.target]()

@@ -89,15 +89,13 @@ def t_moment(k: int) -> Polynomial:
     return Polynomial.of_atom(mom(k)) * Fraction(2, 4 ** k * factorial(k))
 
 
-def z_series(r_order: int, ctx: MomentContext) -> GradedSeries:
-    """Z expanded to order r^r_order, moments expressed in the m_k atoms."""
-    if r_order < 1:
-        raise ValueError("r_order must be >= 1")
+def z_series(ctx: MomentContext) -> GradedSeries:
+    """Z expanded to order r^grade_cap, moments expressed in the m_k atoms."""
     terms = []
-    for k in range(r_order):  # r^(k+1) term of the J1 part
+    for k in range(ctx.grade_cap):  # r^(k+1) term of the J1 part
         coeff = Fraction((-1) ** k * 2 ** k, factorial(k) * factorial(k + 1))
         terms.append(Polynomial.monomial(coeff, [(PI2, k), (AUX, k + 1)]))
-    for k in range(min(r_order, ctx.grade_cap) + 1):  # r^k term of the I0 part
+    for k in range(ctx.grade_cap + 1):  # r^k term of the I0 part
         coeff = Fraction(-1, 2 ** k * factorial(k) ** 2)
         terms.append(Polynomial.monomial(coeff, [(mom(k), 1), (AUX, k)]))
     return GradedSeries(Polynomial.sum(terms), ctx.grade_cap)
@@ -147,7 +145,7 @@ def solve_r(ctx: MomentContext) -> GradedSeries:
     gains at least one exact grade, so grade_cap + 1 steps always suffice.
     The residual is re-checked at the end as a guard.
     """
-    z = z_series(ctx.grade_cap, ctx).body
+    z = z_series(ctx).body
     z_prime = z.partial(AUX)
     r = GradedSeries(Polynomial.of_atom(mom(0)), ctx.grade_cap)
     for _ in range(ctx.grade_cap + 1):
@@ -163,7 +161,7 @@ def solve_r(ctx: MomentContext) -> GradedSeries:
 
 def z_residual(r: GradedSeries, ctx: MomentContext) -> GradedSeries:
     """Z evaluated at a series, truncated to the context grade."""
-    return _compose_aux(z_series(ctx.grade_cap, ctx).body, r)
+    return _compose_aux(z_series(ctx).body, r)
 
 
 def htc_genfun(ctx: MomentContext) -> GradedSeries:

@@ -41,14 +41,13 @@ from math import factorial
 import numpy as np
 
 from .algebra import PI2, Polynomial, lsq
-from .trees import DoubleTree, Tree, enumerate_family, plane_embedding_count
+from .trees import DoubleTree, Tree, canonical_key, enumerate_family, plane_embedding_count
 from .volumes import htc_volume, v0n_reduced
 
 __all__ = [
     "McReport",
     "polytope_dimension",
     "corner_markings",
-    "sample_angle_polytope",
     "mc_htc_volume",
     "mc_full_volume",
 ]
@@ -166,25 +165,6 @@ def _inner_edge_constraints(t: Tree) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def sample_angle_polytope(tree: Tree, rng: np.random.Generator):
-    """One uniform draw of all inner-vertex angle simplices.
-
-    Returns ``(angles, accepted)`` where ``angles`` maps each inner vertex to
-    its tuple of positive angles summing to pi (one slot per neighbor, in
-    sorted neighbor order) and ``accepted`` reports whether every inner-inner
-    edge satisfies its angle-sum constraint.
-    """
-    deg = tree.degrees()
-    angles = {}
-    for v in sorted(tree.inner_ids()):
-        g = rng.exponential(size=deg[v])
-        angles[v] = tuple(math.pi * x / g.sum() for x in g)
-    accepted = all(
-        angles[u][su] + angles[v][sv] < math.pi
-        for u, su, v, sv in _inner_edge_constraints(tree))
-    return angles, accepted
-
-
 def _simplex_volume(size, dim: int):
     """Lebesgue volume of the size-``size`` simplex on ``dim`` coordinates."""
     if dim == 1:
@@ -241,7 +221,7 @@ def _htc_tree_estimate(tree: Tree, n: int, L: dict[int, float], samples: int,
             const *= _simplex_volume(L[b] / 2.0, d) ** 2
     const *= _angle_constant(tree)
     constraints = _inner_edge_constraints(tree)
-    key = kind_key(tree)
+    key = canonical_key(tree).decode()
     if not constraints or not delaunay:
         return _TreeEstimate(key, "half-tight", const, 0.0, True)
 
@@ -300,13 +280,8 @@ def _full_tree_estimate(dt: DoubleTree, n: int, L: dict[int, float],
     var = 0.0
     if samples > 1:
         var = max(0.0, (totalsq - samples * mean * mean) / (samples - 1))
-    return _TreeEstimate(kind_key(dt), "full", mean,
+    return _TreeEstimate(canonical_key(dt).decode(), "full", mean,
                          math.sqrt(var / samples), False)
-
-
-def kind_key(t) -> str:
-    from .trees import canonical_key
-    return canonical_key(t).decode()
 
 
 @dataclass

@@ -17,16 +17,23 @@ Four families are enumerated, all over combinatorial (non-plane) trees:
 * ``two-three``  the elements of ``graph`` whose second component contains
                  label 3.
 
-The production enumerator grows trees by inserting boundary labels in
-ascending order; each insertion applies five local operations (subdivide an
-edge, replace an inner vertex, attach to a boundary vertex, attach to an
-inner vertex, attach to an edge through a new inner vertex).  Deleting the
-largest label and smoothing the result recovers the unique parent, so the
-construction is complete and duplicate-free; the enumerator checks this at
-run time and raises on a duplicate rather than assuming it.  An independent
-brute-force enumerator (exhaustive Pruefer sequences plus degree filtering)
-serves as the oracle for small n.  Enumeration keeps every tree in memory,
-so it is refused above ``ENUMERATION_MAX_N``.
+Every family is a split product: :func:`family_splits` lists the boundary
+label sets of the components, and once the labels are split each component
+is any tree on its labels, chosen independently of the other.  One assembler
+takes the product over every split and sorts the members by canonical key;
+it raises if two splits produce the same member.
+
+The production enumerator grows the trees on a label set (:func:`trees_on`)
+by inserting boundary labels in ascending order; each insertion applies five
+local operations (subdivide an edge, replace an inner vertex, attach to a
+boundary vertex, attach to an inner vertex, attach to an edge through a new
+inner vertex).  Deleting the largest label and smoothing the result recovers
+the unique parent, so the construction is complete and duplicate-free; the
+enumerator checks this at run time and raises on a duplicate rather than
+assuming it.  The brute-force oracle (exhaustive Pruefer sequences plus
+degree filtering) differs from it only in how it enumerates the trees of one
+component, and serves as the reference for small n.  Enumeration keeps every
+tree in memory, so it is refused above ``ENUMERATION_MAX_N``.
 
 Boundary-labeled trees are rigid (no nontrivial automorphisms fixing the
 labels), so counting needs no symmetry factors and the number of plane
@@ -57,7 +64,6 @@ __all__ = [
     "canonical_key",
     "plane_embedding_count",
     "insert_label",
-    "insert_boundary",
     "trees_on",
     "enumerate_family",
     "brute_force_enumerate",
@@ -143,12 +149,6 @@ class DoubleTree:
     def __post_init__(self):
         if 1 not in self.t1.boundary or 2 not in self.t2.boundary:
             raise ValueError("double tree needs label 1 in t1 and 2 in t2")
-
-    def all_boundary(self) -> tuple[int, ...]:
-        return tuple(sorted(self.t1.boundary + self.t2.boundary))
-
-    def component_of(self, label: int) -> Tree:
-        return self.t1 if label in self.t1.boundary else self.t2
 
 
 @lru_cache(maxsize=None)
@@ -254,14 +254,6 @@ def insert_label(t: Tree, label: int) -> list[Tree]:
     return children
 
 
-def insert_boundary(d: DoubleTree) -> list[DoubleTree]:
-    """All children of a double tree under insertion of the next label."""
-    label = max(d.all_boundary()) + 1
-    out = [DoubleTree(t1c, d.t2) for t1c in insert_label(d.t1, label)]
-    out += [DoubleTree(d.t1, t2c) for t2c in insert_label(d.t2, label)]
-    return out
-
-
 def _check_family(family: str, n: int) -> None:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -324,40 +316,26 @@ def family_splits(family: str, n: int):
             yield ((1,) + picked, (2,) + tuple(x for x in rest if x not in picked))
 
 
+def _assemble(family: str, n: int, component_trees) -> tuple:
+    """The members of ``family`` at n, sorted by canonical key: per split,
+    the product of ``component_trees(labels)`` over its components."""
+    out: dict[bytes, Tree | DoubleTree] = {}
+    for split in family_splits(family, n):
+        for parts in product(*(component_trees(labels) for labels in split)):
+            t = parts[0] if family == "htc" else DoubleTree(*parts)
+            key = canonical_key(t)
+            if key in out:
+                raise RuntimeError("family splits overlap")
+            out[key] = t
+    return tuple(t for _, t in sorted(out.items()))
+
+
 @lru_cache(maxsize=None)
 def enumerate_family(family: str, n: int) -> tuple:
     """Complete duplicate-free enumeration, sorted by canonical key."""
     _check_family(family, n)
     _check_enumeration_size(n)
-
-    if family == "htc":
-        return trees_on(tuple(range(2, n + 1)))
-
-    if family in ("full", "graph"):
-        out: dict[bytes, DoubleTree] = {}
-        for s1, s2 in family_splits(family, n):
-            for t1 in trees_on(s1):
-                for t2 in trees_on(s2):
-                    d = DoubleTree(t1, t2)
-                    key = canonical_key(d)
-                    if key in out:
-                        raise RuntimeError("family splits overlap")
-                    out[key] = d
-        return tuple(d for _, d in sorted(out.items()))
-
-    # two-three: grown by boundary insertion from its single n = 3 element.
-    seed = DoubleTree(Tree.single(1), Tree.edge(2, 3))
-    current = {canonical_key(seed): seed}
-    for _ in range(4, n + 1):
-        grown: dict[bytes, DoubleTree] = {}
-        for d in current.values():
-            for child in insert_boundary(d):
-                key = canonical_key(child)
-                if key in grown:
-                    raise RuntimeError("insertion collided across parents")
-                grown[key] = child
-        current = grown
-    return tuple(d for _, d in sorted(current.items()))
+    return _assemble(family, n, trees_on)
 
 
 # -- degree profiles ---------------------------------------------------------
@@ -459,11 +437,11 @@ def _prufer_edges(seq: tuple[int, ...], vertices: list[int]) -> list[tuple[int, 
     return edges
 
 
-def _brute_trees_on(labels: tuple[int, ...]) -> dict[bytes, Tree]:
+def _brute_trees_on(labels: tuple[int, ...]):
+    """The trees on ``labels``, from every Pruefer sequence of every size."""
     labels = tuple(sorted(labels))
     if len(labels) == 1:
-        t = Tree.single(labels[0])
-        return {canonical_key(t): t}
+        return (Tree.single(labels[0]),)
     found: dict[bytes, Tree] = {}
     for j in range(len(labels) - 1):
         inner = tuple(range(-1, -j - 1, -1))
@@ -480,7 +458,7 @@ def _brute_trees_on(labels: tuple[int, ...]) -> dict[bytes, Tree]:
                 continue
             t = Tree.make(labels, _prufer_edges(seq, vertices))
             found.setdefault(canonical_key(t), t)
-    return found
+    return found.values()
 
 
 def brute_force_enumerate(family: str, n: int) -> tuple:
@@ -488,13 +466,7 @@ def brute_force_enumerate(family: str, n: int) -> tuple:
     _check_family(family, n)
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force is limited to n <= {BRUTE_FORCE_MAX_N}")
-
-    found: dict[bytes, Tree | DoubleTree] = {}
-    for split in family_splits(family, n):
-        for parts in product(*(_brute_trees_on(s).values() for s in split)):
-            t = parts[0] if family == "htc" else DoubleTree(*parts)
-            found[canonical_key(t)] = t
-    return tuple(t for _, t in sorted(found.items()))
+    return _assemble(family, n, _brute_trees_on)
 
 
 # -- export ---------------------------------------------------------------

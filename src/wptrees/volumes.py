@@ -223,8 +223,7 @@ def v0n_graph_sum(n: int) -> Polynomial:
     return _paired_sum("graph", n, _alternating_pair) * Fraction(1, 8)
 
 
-def ell_integral(a: int, b: int, atom1=None, atom2=None,
-                 mode: str = "closed") -> Polynomial:
+def ell_integral(a: int, b: int, mode: str = "closed") -> Polynomial:
     """The gluing-length integral int_0^inf l dl ttilde_a(L1,l) ttilde_b(L2,l).
 
     Under ``HTC_ASSUMPTION`` this equals (mode ``closed``)
@@ -240,8 +239,8 @@ def ell_integral(a: int, b: int, atom1=None, atom2=None,
     """
     if a < -1 or b < 0:
         raise ValueError(f"need a >= -1 and b >= 0, got a={a}, b={b}")
-    P1 = Polynomial.of_atom(atom1 if atom1 is not None else lsq(1))
-    P2 = Polynomial.of_atom(atom2 if atom2 is not None else lsq(2))
+    P1 = Polynomial.of_atom(lsq(1))
+    P2 = Polynomial.of_atom(lsq(2))
     if mode == "closed":
         return Polynomial.sum(_t_of(a + 1 + m, P1) * _t_of(b - m, P2) * (-1) ** m
                               for m in range(b + 1)) * 2
@@ -250,8 +249,7 @@ def ell_integral(a: int, b: int, atom1=None, atom2=None,
             return weight_t_tilde(b, P2, P1) * 4
         u = Polynomial.of_atom(AUX)
         q = weight_t_tilde(a, P1, u) * weight_t_tilde(b, P2, u)
-        upper = atom1 if atom1 is not None else lsq(1)
-        return integrate_halfsquare(q, upper)
+        return integrate_halfsquare(q, lsq(1))
     raise ValueError(f"unknown mode {mode!r}")
 
 

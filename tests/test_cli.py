@@ -29,6 +29,17 @@ README_GOLDEN = {
 }
 
 
+# Outputs of code shared across commands: one assembler lists every tree
+# family, and one printer serves `vol` and `htc` with or without lengths.
+SHARED_PATH_GOLDEN = {
+    "trees-two-three-n5-list": "trees --family two-three --n 5 --list",
+    "trees-graph-n5-list": "trees --family graph --n 5 --list",
+    "vol-n4-lengths-json": "vol --n 4 --lengths 1,2,3,4 --format json",
+    "htc-n4-lengths-json": "htc --n 4 --lengths 1,2,3,4 --format json",
+    "htc-n5-latex": "htc --n 5 --format latex",
+}
+
+
 # The recursion route and the series roots, whose stdout must not change
 # byte for byte when their exact kernels do.
 MOMENT_GOLDEN = {
@@ -57,6 +68,11 @@ def test_readme_golden(name):
 @pytest.mark.parametrize("name", MOMENT_GOLDEN)
 def test_moment_route_golden(name):
     assert_golden(name, MOMENT_GOLDEN[name])
+
+
+@pytest.mark.parametrize("name", SHARED_PATH_GOLDEN)
+def test_shared_path_golden(name):
+    assert_golden(name, SHARED_PATH_GOLDEN[name])
 
 
 def test_all_methods_print_identical_polynomial():

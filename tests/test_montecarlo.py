@@ -13,7 +13,6 @@ from wptrees.montecarlo import (
     mc_full_volume,
     mc_htc_volume,
     polytope_dimension,
-    sample_angle_polytope,
 )
 from wptrees.trees import Tree, enumerate_family
 
@@ -53,16 +52,20 @@ def test_dimension_validation():
 
 
 def test_sample_angle_polytope():
-    rng = np.random.Generator(np.random.Philox(1))
+    # The vectorized sampler and acceptance mask that the estimators run.
     star = Tree.make((2, 3, 4), [(2, -1), (3, -1), (4, -1)])
-    for _ in range(20):
-        angles, accepted = sample_angle_polytope(star, rng)
-        assert accepted  # no inner-inner edges
-        assert math.isclose(sum(angles[-1]), math.pi)
-        assert all(a > 0 for a in angles[-1])
+    assert montecarlo._inner_edge_constraints(star) == []  # always accepted
     joined = trivalent_n5_tree()
-    results = [sample_angle_polytope(joined, rng)[1] for _ in range(400)]
-    assert 0 < sum(results) < 400  # the edge constraint is nontrivial
+    constraints = montecarlo._inner_edge_constraints(joined)
+    rng = np.random.Generator(np.random.Philox(1))
+    angles = montecarlo._sample_angles(joined, constraints, rng, 400)
+    assert sorted(angles) == [-2, -1]
+    for rows in angles.values():
+        assert rows.shape == (400, 3)
+        assert (rows > 0).all()
+        assert np.allclose(rows.sum(axis=1), math.pi)
+    accepted = montecarlo._acceptance_mask(constraints, angles)
+    assert 0 < accepted.sum() < 400  # the edge constraint is nontrivial
 
 
 def test_mc_htc_n3_exact():

@@ -7,6 +7,7 @@ from math import prod
 
 import pytest
 
+from wptrees import trees
 from wptrees.trees import (
     ENUMERATION_MAX_N,
     FAMILIES,
@@ -16,7 +17,6 @@ from wptrees.trees import (
     canonical_key,
     enumerate_family,
     family_profiles,
-    insert_boundary,
     insert_label,
     plane_embedding_count,
     tree_to_json,
@@ -92,26 +92,38 @@ def test_graph_is_isolated_union_full():
         assert keys(enumerate_family("two-three", n)) <= graph
 
 
-def test_insert_boundary_seed_children():
-    seed = enumerate_family("two-three", 3)[0]
-    children = insert_boundary(seed)
-    assert len(children) == 5
-    degree_of_new = sorted(
-        c.component_of(4).degree(4) for c in children)
-    # one subdivision (degree 2), three leaf attachments, one via a new
-    # inner vertex (degree 1); no inner vertex exists, so no replacement.
-    assert degree_of_new == [1, 1, 1, 1, 2]
-    new_inner = [c for c in children
-                 if c.component_of(4).neighbors(4) and c.component_of(4).neighbors(4)[0] < 0]
+def test_insert_label_seed_children():
+    # The n = 3 two-three member is the single vertex 1 beside the edge 2-3;
+    # label 4 enters either component, giving 4 + 1 children.
+    children = insert_label(Tree.edge(2, 3), 4)
+    assert len(children) == 4
+    # one subdivision (degree 2), two leaf attachments, one via a new inner
+    # vertex (degree 1); no inner vertex exists, so no replacement.
+    assert sorted(c.degree(4) for c in children) == [1, 1, 1, 2]
+    new_inner = [c for c in children if c.neighbors(4)[0] < 0]
     assert len(new_inner) == 1
+    assert insert_label(Tree.single(1), 4) == [Tree.edge(1, 4)]
 
 
-def test_insert_boundary_counts_match_oracle_n5():
-    parents = enumerate_family("two-three", 4)
-    children = [c for p in parents for c in insert_boundary(p)]
-    assert len(children) == len(brute_force_enumerate("two-three", 5))
+def test_insert_label_counts_match_oracle_n5():
+    children = [c for p in trees_on((2, 3, 4)) for c in insert_label(p, 5)]
     # injectivity across parents: all children distinct
     assert len(keys(children)) == len(children)
+    assert keys(children) == keys(trees_on((2, 3, 4, 5)))
+    assert keys(children) == keys(brute_force_enumerate("htc", 5))
+    # label 5 entering either component of a two-three member at n = 4
+    parents = enumerate_family("two-three", 4)
+    pairs = [DoubleTree(c, p.t2) for p in parents for c in insert_label(p.t1, 5)]
+    pairs += [DoubleTree(p.t1, c) for p in parents for c in insert_label(p.t2, 5)]
+    assert len(keys(pairs)) == len(pairs) == len(brute_force_enumerate("two-three", 5))
+
+
+def test_overlapping_splits_raise(monkeypatch):
+    monkeypatch.setattr(trees, "family_splits", lambda family, n: [((1,), (2, 3))] * 2)
+    with pytest.raises(RuntimeError, match="family splits overlap"):
+        trees._assemble("graph", 3, trees_on)
+    with pytest.raises(RuntimeError, match="family splits overlap"):
+        brute_force_enumerate("graph", 3)
 
 
 def test_insert_label_requires_new_label():
@@ -201,6 +213,11 @@ def test_profile_counts_match_enumeration(family, n):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_profile_counts_give_family_sizes_n7(family):
     assert sum(profile_counts(family, 7).values()) == FAMILY_SIZES_N7[family]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_enumeration_gives_family_sizes_n7(family):
+    assert len(enumerate_family(family, 7)) == FAMILY_SIZES_N7[family]
 
 
 def test_profile_counts_give_two_three_size_n8():
