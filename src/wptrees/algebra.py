@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -52,6 +53,7 @@ __all__ = [
     "Polynomial",
     "GradedSeries",
     "multiset_permutations",
+    "expand_orbits",
     "integrate_halfsquare",
     "poly_to_json_terms",
     "poly_from_json_terms",
@@ -565,6 +567,51 @@ def multiset_permutations(items: Iterable) -> Iterator[tuple]:
             j -= 1
         a[i], a[j] = a[j], a[i]
         a[i + 1:] = reversed(a[i + 1:])
+
+
+def _placements(exponents, k: int) -> Iterator[tuple]:
+    """``exponents`` with each distinct ordered choice of k of them in front."""
+    for head in set(permutations(exponents, k)):
+        rest = list(exponents)
+        for x in head:
+            rest.remove(x)
+        yield head + tuple(rest)
+
+
+def expand_orbits(n: int, orbits, fixed: int = 0, singled: int = 0) -> Polynomial:
+    """The sum of monomial orbits in the squared lengths L_1^2 .. L_n^2.
+
+    ``orbits`` yields ``(pairs, exponents, coefficient)``: the monomials
+    prod(pairs) * prod_i L_i^(2 e_i), where e keeps the first ``fixed``
+    ``exponents`` in place and runs over the distinct arrangements of the
+    rest, each with ``coefficient`` (if callable, its value at ``exponents``).
+    With ``singled`` = k > 0 the callable singles out labels 1..k and is
+    symmetric in the others by construction; it is read at every distinct
+    ordered choice of exponents for labels 1..k, and a disagreement raises
+    ``ArithmeticError``, so the orbit's symmetry is checked, not assumed.
+    """
+    atoms = [lsq(i) for i in range(1, n + 1)]
+    out: dict[Mono, Fraction] = {}
+    for pairs, exponents, coefficient in orbits:
+        if callable(coefficient):
+            values = {coefficient(a) for a in _placements(exponents, singled)}
+            if len(values) != 1:
+                raise ArithmeticError(
+                    "orbit coefficient depends on the placement of its exponents")
+            (coefficient,) = values
+        coefficient = Fraction(coefficient)
+        if not coefficient:
+            continue
+        pairs = sorted(((a, e) for a, e in pairs if e), key=lambda ae: ae[0].sort_key())
+        if any(a.kind == _LSQ for a, _ in pairs):
+            raise ValueError("orbit pairs must not hold squared-length atoms")
+        low = tuple(ae for ae in pairs if ae[0].kind < _LSQ)
+        high = tuple(ae for ae in pairs if ae[0].kind > _LSQ)
+        head = low + tuple((atoms[i], e) for i, e in enumerate(exponents[:fixed]) if e)
+        for tail in multiset_permutations(exponents[fixed:]):
+            mono = head + tuple((atoms[i], e) for i, e in enumerate(tail, fixed) if e) + high
+            out[mono] = out.get(mono, 0) + coefficient
+    return Polynomial._of_terms(_nonzero(out))
 
 
 # -- JSON serialization ------------------------------------------------

@@ -174,6 +174,9 @@ def _report_json(report) -> str:
 
 
 def _cmd_verify_mc(args) -> int:
+    if args.ablation and args.n <= 4:
+        raise ValueError("--ablation needs --n >= 5: no tree at n <= 4 has an "
+                         "inner-inner edge, so dropping the constraints changes nothing")
     lengths = _parse_lengths(args.lengths, args.n)
     report = mc_full_volume(args.n, lengths, args.samples, args.seed,
                             threads=args.threads)

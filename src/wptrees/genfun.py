@@ -24,8 +24,8 @@ The module provides
                     variables t0.., gam2.., invgam1, built by the
                     boundary-insertion operator;
 * ``f_from_trees``  the same polynomials read off directly from the
-                    ``two-three`` tree family (summed over its degree
-                    profiles);
+                    ``two-three`` tree family, one enumerated tree at a
+                    time (the reference for the recursion);
 * ``mu_average``    termwise replacement L_i^(2a) -> m_a over a label subset;
 * ``symmetric_from_moments``   the inverse of a full mu-average, recovering
                     the (symmetric) length polynomial.
@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .algebra import (
     AUX,
@@ -46,14 +46,14 @@ from .algebra import (
     PI2,
     GradedSeries,
     Polynomial,
+    expand_orbits,
     ghat,
     lsq,
     mom,
-    multiset_permutations,
     that,
 )
-from .trees import family_profiles
-from .volumes import weight_gamma, weight_sums
+from .trees import enumerate_family
+from .volumes import weight_gamma
 
 __all__ = [
     "MomentContext",
@@ -221,38 +221,26 @@ def f_recursion(n: int) -> Polynomial:
     return f
 
 
-def _t_atom(k: int, _label: int) -> Polynomial:
-    return Polynomial.of_atom(that(k))
-
-
-def _gamma_atom(k: int) -> Polynomial:
-    return Polynomial.of_atom(ghat(k))
-
-
 def f_from_trees(n: int) -> Polynomial:
-    """f_n read off the ``two-three`` family.
+    """f_n read off the ``two-three`` family, one double tree at a time.
 
     A double tree contributes prod_b t_{deg(b)-1} (with a half-edge added to
     boundary 1, so it contributes t_{deg(b1)}), prod_v gam_{deg(v)-1}, and
-    each edge contributes -invgam1; a component on N vertices has N - 1
-    edges.  The sum runs over degree profiles, as in :mod:`wptrees.volumes`.
+    each edge contributes -invgam1.  Enumeration is refused above
+    ``ENUMERATION_MAX_N``, and so is this sum.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    def products():
-        for first, second in family_profiles("two-three", n):
-            sums1 = weight_sums(first, lambda p: (p.degree(1), p.edges), skip=(1,),
-                                t_weight=_t_atom, gamma_weight=_gamma_atom)
-            sums2 = weight_sums(second, lambda p: p.edges,
-                                t_weight=_t_atom, gamma_weight=_gamma_atom)
-            for (d1, e1), w1 in sums1.items():
-                for e2, w2 in sums2.items():
-                    edges = e1 + e2
-                    special = Polynomial.monomial(
-                        (-1) ** edges, [(that(d1), 1), (INV_GAMMA1, edges)])
-                    yield special * w1 * w2
 
-    return Polynomial.sum(products())
+    def term(d):
+        edges = len(d.t1.edges) + len(d.t2.edges)
+        pairs = Counter({INV_GAMMA1: edges})
+        for t in (d.t1, d.t2):
+            for v, deg in t.degrees().items():
+                pairs[that(deg) if v == 1 else that(deg - 1) if v > 0 else ghat(deg - 1)] += 1
+        return Polynomial.monomial((-1) ** edges, pairs.items())
+
+    return Polynomial.sum(term(d) for d in enumerate_family("two-three", n))
 
 
 def f_substituted(n: int) -> Polynomial:
@@ -300,26 +288,18 @@ def symmetric_from_moments(p: Polynomial, n: int) -> Polynomial:
     Each term must have total moment degree exactly n.  A moment monomial
     prod_k m_k^(c_k) with coefficient C is the average of the monomial orbit
     whose exponent multiset is {k with multiplicity c_k}; every monomial of
-    that orbit receives coefficient C * prod_k c_k! / n!.  The orbit is
-    walked as the distinct permutations of that multiset, one step per
-    monomial.
+    that orbit receives coefficient C * prod_k c_k! / n!, and
+    :func:`~wptrees.algebra.expand_orbits` writes them out.
     """
-    def orbit(mono, c):
-        orders: list[int] = []
-        passthrough = []
-        mult = Fraction(1)
-        for a, e in mono:
-            if a.kind == mom(0).kind:
-                orders.extend([a.index] * e)
-                mult *= factorial(e)
-            else:
-                passthrough.append((a, e))
-        if len(orders) != n:
-            raise ValueError(
-                f"term has moment degree {len(orders)}, expected {n}")
-        coeff = c * mult / factorial(n)
-        for assign in multiset_permutations(orders):
-            yield Polynomial.monomial(coeff, passthrough + [
-                (lsq(i + 1), a) for i, a in enumerate(assign) if a])
+    def orbits():
+        for mono, c in p.items():
+            moments = [(a, e) for a, e in mono if a.kind == mom(0).kind]
+            orders = tuple(a.index for a, e in moments for _ in range(e))
+            if len(orders) != n:
+                raise ValueError(
+                    f"term has moment degree {len(orders)}, expected {n}")
+            mult = prod(factorial(e) for _, e in moments)
+            yield ([ae for ae in mono if ae not in moments], orders,
+                   c * mult / factorial(n))
 
-    return Polynomial.sum(m for mono, c in p.items() for m in orbit(mono, c))
+    return expand_orbits(n, orbits())

@@ -39,15 +39,16 @@ Boundary-labeled trees are rigid (no nontrivial automorphisms fixing the
 labels), so counting needs no symmetry factors and the number of plane
 embeddings of a tree factorizes as prod_v (deg(v) - 1)!.
 
-Sums whose summand depends only on vertex degrees need no trees at all: they
-run over degree profiles (:func:`family_profiles`).  A profile of a tree on
-the boundary labels B with j inner vertices fixes the degree d_b >= 1 of each
-b in B and the multiset of inner degrees (each >= 3); the N = |B| + j degrees
-sum to 2(N - 1).  By Pruefer, (N - 2)! / prod_v (d_v - 1)! trees on N labelled
-vertices have that degree sequence; rigidity makes the inner relabellings
-act freely, so dividing by prod_k mult_k! (the repeats in the inner multiset)
-counts the trees with anonymous inner vertices.  A single vertex has degree
-0 and count 1.
+Sums whose summand depends only on vertex degrees need no trees at all.  A
+tree on m boundary labels with j inner vertices has N = m + j vertices whose
+excesses deg(v) - 1 sum to N - 2; the inner excesses are >= 2.  By Pruefer,
+(N - 2)! / prod_v (deg(v) - 1)! trees on N labelled vertices have a given
+degree sequence; rigidity makes the inner relabellings act freely, so
+dividing by prod_k mult_k! (the repeats in the inner multiset) counts the
+trees with anonymous inner vertices.  :func:`prufer_counts` lists these
+counts per inner multiset for a given sum s of the boundary excesses, with
+the boundary part prod_b (deg(b) - 1)! left for the caller to divide out.  A
+lone vertex has degree 0 and count 1.
 """
 from __future__ import annotations
 
@@ -67,10 +68,9 @@ __all__ = [
     "trees_on",
     "enumerate_family",
     "brute_force_enumerate",
-    "Profile",
-    "tree_profiles",
     "family_splits",
-    "family_profiles",
+    "partitions",
+    "prufer_counts",
     "validate_tree",
     "tree_to_json",
     "FAMILIES",
@@ -338,82 +338,43 @@ def enumerate_family(family: str, n: int) -> tuple:
     return _assemble(family, n, trees_on)
 
 
-# -- degree profiles ---------------------------------------------------------
+# -- Pruefer counts -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Profile:
-    """The degree profile of the trees on the boundary labels ``boundary``.
-
-    ``degrees[i]`` is the degree of boundary vertex ``boundary[i]``, ``inner``
-    the inner degrees in nonincreasing order, and ``count`` the number of
-    trees (inner vertices anonymous) that have exactly this profile.
-    """
-
-    boundary: tuple[int, ...]
-    degrees: tuple[int, ...]
-    inner: tuple[int, ...]
-    count: int
-
-    def degree(self, label: int) -> int:
-        return self.degrees[self.boundary.index(label)]
-
-    @property
-    def edges(self) -> int:
-        return len(self.boundary) + len(self.inner) - 1
-
-
-def _inner_excesses(total: int, parts: int, cap: int):
-    """Nonincreasing tuples of ``parts`` integers in [2, cap] summing to <= total."""
+def partitions(total: int, parts: int, least: int = 1, cap: int | None = None):
+    """Nonincreasing tuples of ``parts`` integers in [least, cap] summing to
+    ``total`` (``cap`` defaults to ``total``)."""
     if parts == 0:
-        yield ()
+        if total == 0:
+            yield ()
         return
-    for first in range(min(cap, total - 2 * (parts - 1)), 1, -1):
-        for tail in _inner_excesses(total - first, parts - 1, first):
+    top = total if cap is None else cap
+    for first in range(min(top, total - least * (parts - 1)), least - 1, -1):
+        for tail in partitions(total - first, parts - 1, least, first):
             yield (first,) + tail
 
 
-def _compositions(total: int, parts: int):
-    """Tuples of ``parts`` nonnegative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for tail in _compositions(total - first, parts - 1):
-            yield (first,) + tail
+@lru_cache(maxsize=None)
+def prufer_counts(m: int, s: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(inner excesses, count) per inner multiset of the trees on m boundary
+    labels whose boundary excesses deg(b) - 1 sum to s.
 
-
-def tree_profiles(labels: tuple[int, ...]) -> tuple[Profile, ...]:
-    """Every degree profile of the trees on ``labels``, with its tree count.
-
-    With j inner vertices there are N = |labels| + j vertices whose excesses
-    d_v - 1 sum to N - 2; the count is the Pruefer multinomial divided by the
-    inner relabellings (see the module docstring).
+    With j inner vertices of excesses e_v >= 2 (nonincreasing) the count is
+    (m + j - 2)! / prod_v e_v! / prod_k mult_k!, and the trees whose boundary
+    excesses are e_b number count / prod_b e_b! (see the module docstring).
+    A lone vertex (m = 1) has degree 0, so excess -1.
     """
-    labels = tuple(sorted(labels))
-    if not labels:
-        raise ValueError("need at least one boundary label")
-    if len(labels) == 1:
-        return (Profile(labels, (0,), (), 1),)
+    if m == 1:
+        return (((), 1),) if s == -1 else ()
+    if s < 0:
+        return ()
     out = []
-    for j in range(len(labels) - 1):
-        slack = len(labels) + j - 2
-        for inner in _inner_excesses(slack, j, slack):
-            inner_div = prod(factorial(e) for e in inner) * prod(
-                factorial(m) for m in Counter(inner).values())
-            for excess in _compositions(slack - sum(inner), len(labels)):
-                count = factorial(slack) // (
-                    inner_div * prod(factorial(e) for e in excess))
-                out.append(Profile(labels, tuple(e + 1 for e in excess),
-                                   tuple(e + 1 for e in inner), count))
+    for j in range(m - 1):
+        slack = m + j - 2
+        for inner in partitions(slack - s, j, 2):
+            out.append((inner, factorial(slack) // (
+                prod(factorial(e) for e in inner)
+                * prod(factorial(k) for k in Counter(inner).values()))))
     return tuple(out)
-
-
-def family_profiles(family: str, n: int):
-    """For each split of ``family`` (see :func:`family_splits`), one tuple
-    of profiles per component.  Choosing one profile per component fixes a
-    set of family members, as many as the product of the chosen counts."""
-    for split in family_splits(family, n):
-        yield tuple(tree_profiles(labels) for labels in split)
 
 
 # -- independent brute-force oracle -------------------------------------

@@ -18,40 +18,46 @@ Per-vertex weights (with k = deg - 1 unless stated otherwise):
     ttilde_k(L,l) = 2 (L^2 - l^2)^k / (4^k k!)      for l < L, k >= 0
     gamma_k       = (-1)^k pi^(2k-2) / (k-1)!       for k >= 1
 
-The sums are over combinatorial trees, but a summand depends only on the
-tree's degree profile (the component split, the degree of each labelled
-boundary vertex and the multiset of inner degrees), so every route sums over
-profiles instead, each weighted by its exact tree count
-(N - 2)! / prod_v (deg(v)-1)! / prod_k mult_k!  (Pruefer, with the repeats
-mult_k of the inner multiset divided out; see :mod:`wptrees.trees`).  Within
-a split the components contribute independent factors, so each route
-groups a component's profiles by the degree its special factor reads and
-multiplies the grouped sums.  The plane-tree form with 1/(deg-1)! factors is
-equivalent because boundary-labeled trees are rigid and have exactly
-prod_v (deg(v)-1)! plane embeddings.  The side conditions l < L and L1 < L2
-are bookkeeping on intermediate objects only; the final V_{0,n} are
-symmetric in all lengths and the assumption drops out.
+The sums are over combinatorial trees, but no route builds a tree or
+multiplies a polynomial.  The coefficient of a monomial pi^(2p) prod_b
+L_b^(2 a_b) fixes every boundary degree, so it is a scalar sum over the
+splits of the family: the coefficient of the route's special factor
+(t_{deg(b1)}, ttilde or the gluing integral), the t-coefficients of the
+other boundaries, and per component G(m, s) / prod_b (deg(b) - 1)!.  That is
+the Pruefer-weighted gamma product of the trees on m boundary labels whose
+excesses deg(b) - 1 sum to s; its pi^2 power is m - 2 - s, and
 
-All arithmetic is exact and the prefactors 1/4, 1/8, 1/16 are applied once
-at the end, so the order of summation never changes a result.
+    G(m, s) = sum_j sum over inner excesses e_v >= 2 with sum e_v =
+              m + j - 2 - s of (m + j - 2)! prod_v (-1)^e_v / (e_v! (e_v - 1)!)
+              / prod_k mult_k!
+
+(see :func:`wptrees.trees.prufer_counts`).  Each route computes one
+coefficient per monomial orbit, and :func:`wptrees.algebra.expand_orbits`
+writes the monomials out.  The V routes are symmetric though their families
+single out labels (1, 2, 3 for ``two-three``, else 1, 2); the expander reads
+each orbit coefficient at every placement of its exponents on those labels
+and raises ``ArithmeticError`` on a mismatch, so symmetry is never assumed.
+The side conditions l < L and L1 < L2 are bookkeeping on intermediate
+objects only; the final V_{0,n} are symmetric in all lengths and the
+assumption drops out.
+
+All arithmetic is exact, so the order of summation never changes a result.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from math import factorial
+from itertools import permutations, product
+from math import comb, factorial, prod
 
-from .algebra import AUX, PI2, Polynomial, integrate_halfsquare, lsq, multiset_permutations
-from .trees import Profile, family_profiles
+from .algebra import AUX, PI2, Polynomial, expand_orbits, integrate_halfsquare, lsq
+from .trees import family_splits, partitions, prufer_counts
 
 __all__ = [
     "HTC_ASSUMPTION",
     "weight_t",
     "weight_t_tilde",
     "weight_gamma",
-    "tree_weight",
-    "weight_sums",
     "htc_volume",
     "v0n_reduced",
     "v0n_graph_sum",
@@ -72,17 +78,17 @@ V05_COEFFICIENT_NOTE = (
 )
 
 
-def _t_of(k: int, base: Polynomial) -> Polynomial:
-    """t_k evaluated on a squared quantity: 2 * base^k / (4^k k!)."""
+def _t(k: int) -> Fraction:
+    """The coefficient 2 / (4^k k!) of t_k."""
     if k < 0:
         raise ValueError(f"t_k needs k >= 0, got {k}")
-    return (base ** k) * Fraction(2, 4 ** k * factorial(k))
+    return Fraction(2, 4 ** k * factorial(k))
 
 
 @lru_cache(maxsize=None)
 def weight_t(k: int, index: int) -> Polynomial:
     """t_k(L_index) as a polynomial in the atom L_index^2."""
-    return _t_of(k, Polynomial.of_atom(lsq(index)))
+    return Polynomial.monomial(_t(k), [(lsq(index), k)])
 
 
 def weight_t_tilde(k: int, high: Polynomial, low: Polynomial) -> Polynomial:
@@ -93,7 +99,7 @@ def weight_t_tilde(k: int, high: Polynomial, low: Polynomial) -> Polynomial:
     """
     if k < 0:
         raise ValueError(f"ttilde_k needs k >= 0, got {k}")
-    return _t_of(k, high - low)
+    return (high - low) ** k * _t(k)
 
 
 @lru_cache(maxsize=None)
@@ -105,41 +111,96 @@ def weight_gamma(k: int) -> Polynomial:
     return Polynomial.of_atom(PI2, k - 1) * coeff
 
 
-def tree_weight(p: Profile, skip=(), t_weight=weight_t,
-                gamma_weight=weight_gamma) -> Polynomial:
-    """prod_{b not in skip} t_{deg(b)-1}(L_b) * prod_v gamma_{deg(v)-1}.
+# -- the scalar core -----------------------------------------------------
 
-    The product of the per-vertex weights of every boundary vertex outside
-    ``skip`` and every inner vertex v of a tree with degree profile ``p``.
-    ``t_weight(k, b)`` and ``gamma_weight(k)`` supply the two weights, so the
-    same product serves counting atoms as well.
-    """
-    out = Polynomial.one()
-    for b, d in zip(p.boundary, p.degrees):
-        if b not in skip:
-            out = out * t_weight(d - 1, b)
-    for d in p.inner:
-        out = out * gamma_weight(d - 1)
-    return out
+@lru_cache(maxsize=None)
+def _component(m: int, s: int, e: int = 0) -> Fraction:
+    """G(m, s) / e! (see the module docstring) for a component whose special
+    boundary has excess e; a lone vertex (m = 1) has degree 0, so e = s = -1."""
+    if e < 0 and m > 1:
+        return Fraction(0)
+    return sum((Fraction(count * (-1) ** sum(inner), prod(factorial(x - 1) for x in inner))
+                for inner, count in prufer_counts(m, s)), Fraction(0)) / factorial(max(e, 0))
 
 
-def weight_sums(profiles, key, skip=(), t_weight=weight_t,
-                gamma_weight=weight_gamma) -> dict:
-    """key(p) -> sum of p.count * tree_weight(p, skip, ...) over ``profiles``.
-
-    One component's trees, grouped by what the special factor of a route
-    reads off them (say the degree of a special boundary).
-    """
-    groups: dict = {}
-    for p in profiles:
-        groups.setdefault(key(p), []).append(
-            tree_weight(p, skip, t_weight, gamma_weight) * p.count)
-    return {k: Polynomial.sum(terms) for k, terms in groups.items()}
+def _others(exponents) -> Fraction:
+    """prod_b t_{a_b} / a_b! over plain boundaries, whose excess is a_b."""
+    return prod((_t(a) / factorial(a) for a in exponents), start=Fraction(1))
 
 
-def _degree_of(label: int):
-    return lambda p: p.degree(label)
+def _representatives(n: int, fixed: int = 0):
+    """One exponent tuple per orbit of L-degree <= n - 3: any ``fixed``
+    leading exponents, then a partition of the rest padded with zeros."""
+    for total in range(n - 2):
+        for lead in product(range(total + 1), repeat=fixed):
+            rest = total - sum(lead)
+            for k in range(min(rest, n - fixed) + 1):
+                for part in partitions(rest, k):
+                    yield lead + part + (0,) * (n - fixed - k)
 
+
+def _orbit_sum(n: int, coefficient, fixed: int = 0, singled: int = 0) -> Polynomial:
+    """The volume with coefficient(a) on pi^(2(n - 3 - sum a)) prod_b L_b^(2 a_b)."""
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    return expand_orbits(n, ((((PI2, n - 3 - sum(a)),), a, coefficient)
+                             for a in _representatives(n, fixed)), fixed, singled)
+
+
+def _htc_coefficient(n: int):
+    """H_n's coefficients: ttilde_k(L2, L1) has k = a_1 + a_2 and puts
+    C(k, a_1) (-1)^a_1 on L1^(2 a_1)."""
+    def coefficient(a):
+        k = a[0] + a[1]
+        tilde = _t(k) * comb(k, a[0]) * (-1) ** a[0]
+        return tilde * _component(n - 1, k + sum(a[2:]), k) * _others(a[2:]) / 4
+    return coefficient
+
+
+def _reduced_coefficient(n: int):
+    """The reduced route's coefficients: t_{deg(b1)}(L1) has deg(b1) = a_1."""
+    splits = list(family_splits("two-three", n))
+
+    def coefficient(a):
+        total = Fraction(0)
+        for s1, s2 in splits:
+            first = _component(len(s1), a[0] - 1 + sum(a[b - 1] for b in s1[1:]), a[0] - 1)
+            if first:
+                total += first * _component(len(s2), sum(a[b - 1] for b in s2))
+        return total * _t(a[0]) * _others(a[1:]) / 8
+    return coefficient
+
+
+def _paired_coefficient(family: str, n: int, mode: str):
+    """The coefficients of the sum over ``family`` with the pair factor
+    ell_integral(deg(b1) - 1, deg(b2) - 1, mode), of L-degree deg(b1) + deg(b2) - 1."""
+    splits = list(family_splits(family, n))
+
+    def coefficient(a):
+        a1, a2 = a[0], a[1]
+        total = Fraction(0)
+        for s1, s2 in splits:
+            rest1 = sum(a[b - 1] for b in s1[1:])
+            rest2 = sum(a[b - 1] for b in s2[1:])
+            for d1 in range(a1 + 1):
+                d2 = a1 + a2 + 1 - d1
+                first = _component(len(s1), d1 - 1 + rest1, d1 - 1)
+                if first:
+                    pair = ell_integral(d1 - 1, d2 - 1, mode).coefficient(
+                        ((lsq(1), a1), (lsq(2), a2)))
+                    total += first * _component(len(s2), d2 - 1 + rest2, d2 - 1) * pair
+        return total * _others(a[2:]) / 16
+    return coefficient
+
+
+def _decomposition_coefficient(n: int):
+    """H_n plus the glued pairs of the ``full`` family, integral mode."""
+    htc = _htc_coefficient(n)
+    glued = _paired_coefficient("full", n, "integral")
+    return lambda a: htc(a) + glued(a)
+
+
+# -- the routes ------------------------------------------------------------
 
 def htc_volume(n: int) -> Polynomial:
     """H_n as an exact polynomial in pi^2, L_1^2, ..., L_n^2.
@@ -150,15 +211,7 @@ def htc_volume(n: int) -> Polynomial:
 
     Valid under ``HTC_ASSUMPTION``.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    L1 = Polynomial.of_atom(lsq(1))
-    L2 = Polynomial.of_atom(lsq(2))
-    return Polynomial.sum(
-        weight_t_tilde(d2 - 1, L2, L1) * w
-        for (profiles,) in family_profiles("htc", n)
-        for d2, w in weight_sums(profiles, _degree_of(2), skip=(2,)).items()
-    ) * Fraction(1, 4)
+    return _orbit_sum(n, _htc_coefficient(n), fixed=2)
 
 
 def v0n_reduced(n: int) -> Polynomial:
@@ -169,43 +222,10 @@ def v0n_reduced(n: int) -> Polynomial:
               * prod_v gamma_{deg(v)-1}.
 
     The result is symmetric in all lengths even though the family singles
-    out labels 1, 2, 3; symmetry is checked (via the transpositions that
-    generate the full permutation group) and a failure raises
-    ``ArithmeticError``, so it is never assumed.
+    out labels 1, 2, 3; each orbit coefficient is checked at every placement
+    of its exponents on them, and a mismatch raises ``ArithmeticError``.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    def products():
-        for first, second in family_profiles("two-three", n):
-            part1 = Polynomial.sum(weight_t(d1, 1) * w for d1, w in
-                                   weight_sums(first, _degree_of(1), skip=(1,)).items())
-            (part2,) = weight_sums(second, lambda p: None).values()
-            yield part1 * part2
-
-    total = Polynomial.sum(products()) * Fraction(1, 8)
-    if not is_symmetric(total, n):
-        raise ArithmeticError("reduced volume is not symmetric")
-    return total
-
-
-def _paired_sum(family: str, n: int, factor) -> Polynomial:
-    """Sum over ``family`` of factor(deg(b1), deg(b2)) times the weights of
-    every other vertex; ``factor`` is called once per distinct degree pair."""
-    factor = lru_cache(maxsize=None)(factor)
-    def products():
-        for first, second in family_profiles(family, n):
-            sums1 = weight_sums(first, _degree_of(1), skip=(1, 2))
-            sums2 = weight_sums(second, _degree_of(2), skip=(1, 2))
-            for d1, w1 in sums1.items():
-                yield w1 * Polynomial.sum(factor(d1, d2) * w2 for d2, w2 in sums2.items())
-
-    return Polynomial.sum(products())
-
-
-def _alternating_pair(d1: int, d2: int) -> Polynomial:
-    """sum_{m=0}^{d2-1} (-1)^m t_{d1+m}(L1) t_{d2-1-m}(L2)."""
-    return Polynomial.sum(weight_t(d1 + m, 1) * weight_t(d2 - 1 - m, 2) * (-1) ** m
-                          for m in range(d2))
+    return _orbit_sum(n, _reduced_coefficient(n), singled=3)
 
 
 def v0n_graph_sum(n: int) -> Polynomial:
@@ -214,15 +234,15 @@ def v0n_graph_sum(n: int) -> Polynomial:
     V_{0,n} = 1/8 * sum over the ``graph`` family, with the pair of special
     boundaries contributing
         sum_{m=0}^{deg(b2)-1} (-1)^m t_{deg(b1)+m}(L1) t_{deg(b2)-1-m}(L2),
-    all other boundaries t_{deg-1} and inner vertices gamma_{deg-1}.
-    An isolated vertex 1 has degree 0.  Derived under ``HTC_ASSUMPTION``;
-    the result is symmetric so the condition drops out.
+    half of ``ell_integral(deg(b1) - 1, deg(b2) - 1)``, all other boundaries
+    t_{deg-1} and inner vertices gamma_{deg-1}.  An isolated vertex 1 has
+    degree 0.  Derived under ``HTC_ASSUMPTION``; the result is symmetric
+    (checked on labels 1, 2) so the condition drops out.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    return _paired_sum("graph", n, _alternating_pair) * Fraction(1, 8)
+    return _orbit_sum(n, _paired_coefficient("graph", n, "closed"), singled=2)
 
 
+@lru_cache(maxsize=None)
 def ell_integral(a: int, b: int, mode: str = "closed") -> Polynomial:
     """The gluing-length integral int_0^inf l dl ttilde_a(L1,l) ttilde_b(L2,l).
 
@@ -242,7 +262,7 @@ def ell_integral(a: int, b: int, mode: str = "closed") -> Polynomial:
     P1 = Polynomial.of_atom(lsq(1))
     P2 = Polynomial.of_atom(lsq(2))
     if mode == "closed":
-        return Polynomial.sum(_t_of(a + 1 + m, P1) * _t_of(b - m, P2) * (-1) ** m
+        return Polynomial.sum(weight_t(a + 1 + m, 1) * weight_t(b - m, 2) * (-1) ** m
                               for m in range(b + 1)) * 2
     if mode == "integral":
         if a == -1:
@@ -261,30 +281,24 @@ def full_decomposition_v0n(n: int) -> Polynomial:
               * prod_{b != 1,2} t_{deg(b)-1}(L_b) * prod_v gamma_{deg(v)-1},
 
     with the l-integral evaluated in ``integral`` mode (actual integration,
-    independent of the closed form used by the graph sum), once per
-    distinct degree pair.  Must equal :func:`v0n_reduced` exactly.
+    independent of the closed form used by the graph sum).  Must equal
+    :func:`v0n_reduced` exactly; symmetry is checked on labels 1, 2.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    glued = _paired_sum("full", n, lambda d1, d2: ell_integral(
-        d1 - 1, d2 - 1, mode="integral"))
-    return htc_volume(n) + glued * Fraction(1, 16)
+    return _orbit_sum(n, _decomposition_coefficient(n), singled=2)
 
 
 # -- oracle data and invariants ------------------------------------------
 
-def _sym_sum(n: int, shape: tuple[int, ...], pi2_power: int, coeff) -> Polynomial:
-    """coeff * pi^(2 pi2_power) * sum of the monomial orbit of ``shape``.
-
-    ``shape`` lists squared-length exponents for distinct boundary indices;
-    the orbit sum runs over all distinct assignments to 1..n (each distinct
-    monomial once).
-    """
-    padded = tuple(shape) + (0,) * (n - len(shape))
-    return Polynomial.sum(
-        Polynomial.monomial(coeff, [(PI2, pi2_power)]
-                            + [(lsq(i + 1), e) for i, e in enumerate(perm) if e])
-        for perm in multiset_permutations(padded))
+# n -> (exponent shape, pi^2 power, coefficient) per orbit.
+_KNOWN_V0N = {
+    3: [((), 0, 1)],
+    4: [((), 1, 2), ((1,), 0, Fraction(1, 2))],
+    5: [((), 2, 10), ((1,), 1, 3), ((2,), 0, Fraction(1, 8)),
+        ((1, 1), 0, Fraction(1, 2))],
+    6: [((), 3, Fraction(244, 3)), ((1,), 2, 26), ((2,), 1, Fraction(3, 2)),
+        ((1, 1), 1, 6), ((3,), 0, Fraction(1, 48)), ((2, 1), 0, Fraction(3, 16)),
+        ((1, 1, 1), 0, Fraction(3, 4))],
+}
 
 
 def known_v0n(n: int) -> Polynomial:
@@ -293,25 +307,10 @@ def known_v0n(n: int) -> Polynomial:
     The n = 5 row carries coefficient 3*pi^2 on sum_i L_i^2; see
     ``V05_COEFFICIENT_NOTE``.
     """
-    if n == 3:
-        return Polynomial.one()
-    if n == 4:
-        return (_sym_sum(4, (), 1, 2)
-                + _sym_sum(4, (1,), 0, Fraction(1, 2)))
-    if n == 5:
-        return (_sym_sum(5, (), 2, 10)
-                + _sym_sum(5, (1,), 1, 3)
-                + _sym_sum(5, (2,), 0, Fraction(1, 8))
-                + _sym_sum(5, (1, 1), 0, Fraction(1, 2)))
-    if n == 6:
-        return (_sym_sum(6, (), 3, Fraction(244, 3))
-                + _sym_sum(6, (1,), 2, 26)
-                + _sym_sum(6, (2,), 1, Fraction(3, 2))
-                + _sym_sum(6, (1, 1), 1, 6)
-                + _sym_sum(6, (3,), 0, Fraction(1, 48))
-                + _sym_sum(6, (2, 1), 0, Fraction(3, 16))
-                + _sym_sum(6, (1, 1, 1), 0, Fraction(3, 4)))
-    raise ValueError(f"no reference form for n = {n}")
+    if n not in _KNOWN_V0N:
+        raise ValueError(f"no reference form for n = {n}")
+    return expand_orbits(n, ((((PI2, p),), shape + (0,) * (n - len(shape)), c)
+                             for shape, p, c in _KNOWN_V0N[n]))
 
 
 def is_homogeneous(p: Polynomial, degree: int) -> bool:

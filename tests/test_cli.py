@@ -177,6 +177,22 @@ def test_verify_mc_small_run():
     assert abs(report["z_score"]) < 3
 
 
+@pytest.mark.parametrize("n, lengths", [(3, "1,2,1"), (4, "1,2,1,1")])
+def test_verify_mc_ablation_refused_below_n5(monkeypatch, capsys, n, lengths):
+    # No tree at n <= 4 has an inner-inner edge, so the ablation could only
+    # repeat the constrained run; it is refused before any sampling.
+    def sampled(*args, **kwargs):
+        raise AssertionError("mc_full_volume was called")
+
+    monkeypatch.setattr(cli, "mc_full_volume", sampled)
+    code = cli.main(["--threads", "2", "verify", "mc", "--n", str(n), "--lengths", lengths,
+                     "--samples", "20000", "--seed", "3", "--ablation"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--ablation needs --n >= 5" in captured.err
+
+
 def test_byte_stable_output():
     a = run_cli("vol", "--n", "5", "--format", "json")
     b = run_cli("vol", "--n", "5", "--format", "json")

@@ -3,7 +3,7 @@ and the Pruefer counts of the degree profiles."""
 import json
 from collections import Counter
 from itertools import product
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -16,9 +16,11 @@ from wptrees.trees import (
     brute_force_enumerate,
     canonical_key,
     enumerate_family,
-    family_profiles,
+    family_splits,
     insert_label,
+    partitions,
     plane_embedding_count,
+    prufer_counts,
     tree_to_json,
     trees_on,
     validate_tree,
@@ -191,14 +193,60 @@ def tree_profile(t: Tree) -> tuple:
             tuple(sorted((deg[v] for v in t.inner_ids()), reverse=True)))
 
 
+def compositions(total, parts):
+    """Tuples of ``parts`` nonnegative integers summing to ``total``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for tail in compositions(total - first, parts - 1):
+            yield (first,) + tail
+
+
+def component_profiles(labels) -> Counter:
+    """Profile -> tree count on ``labels``, from the Pruefer counts per
+    (m, s, inner multiset), divided by prod_b (deg(b) - 1)! per boundary
+    degree vector."""
+    m = len(labels)
+    if m == 1:
+        return Counter({(labels, (0,), inner): count
+                        for inner, count in prufer_counts(1, -1)})
+    out = Counter()
+    for s in range(m - 1):
+        for inner, count in prufer_counts(m, s):
+            for excess in compositions(s, m):
+                trees, rest = divmod(count, prod(factorial(e) for e in excess))
+                assert rest == 0
+                out[labels, tuple(e + 1 for e in excess), tuple(e + 1 for e in inner)] += trees
+    return out
+
+
 def profile_counts(family, n) -> Counter:
     """Profile key -> Pruefer count, over every member of the family."""
     out = Counter()
-    for components in family_profiles(family, n):
-        for ps in product(*components):
-            key = tuple((p.boundary, p.degrees, p.inner) for p in ps)
-            out[key] += prod(p.count for p in ps)
+    for split in family_splits(family, n):
+        for parts in product(*(component_profiles(labels).items() for labels in split)):
+            out[tuple(key for key, _ in parts)] += prod(count for _, count in parts)
     return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_prufer_counts_vanish_outside_the_excess_range(m):
+    # Boundary excesses of a tree on m >= 2 labels sum to 0 .. m - 2; a
+    # lone vertex has excess -1.
+    allowed = [-1] if m == 1 else list(range(m - 1))
+    assert [s for s in range(-3, m + 3) if prufer_counts(m, s)] == allowed
+
+
+def test_partitions_match_brute_force():
+    for total in range(8):
+        for parts in range(5):
+            for least in (1, 2):
+                expected = sorted(
+                    (c for c in product(range(least, total + 1), repeat=parts)
+                     if sum(c) == total and list(c) == sorted(c, reverse=True)),
+                    reverse=True)
+                assert list(partitions(total, parts, least)) == expected
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -9,8 +9,10 @@ from math import comb, factorial
 
 import pytest
 
+from wptrees import volumes
 from wptrees.algebra import PI2, Polynomial, lsq, mom
 from wptrees.genfun import f_substituted, symmetric_from_moments
+from wptrees.trees import enumerate_family
 from wptrees.volumes import (
     ell_integral,
     full_decomposition_v0n,
@@ -22,6 +24,7 @@ from wptrees.volumes import (
     v0n_reduced,
     weight_gamma,
     weight_t,
+    weight_t_tilde,
 )
 
 P = Polynomial
@@ -141,16 +144,82 @@ def test_known_table_bounds():
 
 def test_symmetry_guard_survives_optimize():
     # Under ``python -O`` a bare assert would vanish; the guard must not.
+    # Each symmetric route gets its coefficient function corrupted at one
+    # placement, L1^2 alone at n = 4, which its guard reads; the routes run
+    # clean again once the function is restored.
     code = ("import wptrees.volumes as v\n"
-            "v.is_symmetric = lambda p, n: False\n"
-            "try:\n"
-            "    v.v0n_reduced(4)\n"
-            "except ArithmeticError:\n"
-            "    raise SystemExit(0)\n"
-            "raise SystemExit(1)\n")
+            "def corrupt(build):\n"
+            "    def built(*args):\n"
+            "        f = build(*args)\n"
+            "        return lambda a: f(a) + (a == (1, 0, 0, 0))\n"
+            "    return built\n"
+            "routes = [(v.v0n_reduced, '_reduced_coefficient'),\n"
+            "          (v.v0n_graph_sum, '_paired_coefficient'),\n"
+            "          (v.full_decomposition_v0n, '_decomposition_coefficient')]\n"
+            "for route, name in routes:\n"
+            "    build = getattr(v, name)\n"
+            "    setattr(v, name, corrupt(build))\n"
+            "    try:\n"
+            "        route(4)\n"
+            "    except ArithmeticError:\n"
+            "        setattr(v, name, build)\n"
+            "        route(4)\n"
+            "        continue\n"
+            "    raise SystemExit(route.__name__)\n")
     out = subprocess.run([sys.executable, "-O", "-c", code],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+# -- the defining per-tree sums --------------------------------------------
+
+def tree_weight(t, skip=()):
+    """prod_{b not in skip} t_{deg(b)-1}(L_b) * prod_v gamma_{deg(v)-1}."""
+    out = P.one()
+    for v, d in t.degrees().items():
+        if v < 0:
+            out = out * weight_gamma(d - 1)
+        elif v not in skip:
+            out = out * weight_t(d - 1, v)
+    return out
+
+
+def alternating_pair(d1, d2):
+    """sum_{m=0}^{d2-1} (-1)^m t_{d1+m}(L1) t_{d2-1-m}(L2)."""
+    return P.sum(weight_t(d1 + m, 1) * weight_t(d2 - 1 - m, 2) * (-1) ** m
+                 for m in range(d2))
+
+
+def per_tree_htc(n):
+    L1, L2 = P.of_atom(lsq(1)), P.of_atom(lsq(2))
+    return P.sum(weight_t_tilde(t.degree(2) - 1, L2, L1) * tree_weight(t, (2,))
+                 for t in enumerate_family("htc", n)) * Fraction(1, 4)
+
+
+def per_tree_pairs(family, n, pair):
+    return P.sum(pair(d.t1.degree(1), d.t2.degree(2))
+                 * tree_weight(d.t1, (1,)) * tree_weight(d.t2, (2,))
+                 for d in enumerate_family(family, n))
+
+
+PER_TREE = {
+    "htc": (htc_volume, per_tree_htc),
+    "reduced": (v0n_reduced, lambda n: P.sum(
+        weight_t(d.t1.degree(1), 1) * tree_weight(d.t1, (1,)) * tree_weight(d.t2)
+        for d in enumerate_family("two-three", n)) * Fraction(1, 8)),
+    "graph-sum": (v0n_graph_sum, lambda n: per_tree_pairs(
+        "graph", n, alternating_pair) * Fraction(1, 8)),
+    "decomposition": (full_decomposition_v0n, lambda n: per_tree_htc(n) + per_tree_pairs(
+        "full", n, lambda d1, d2: ell_integral(d1 - 1, d2 - 1, mode="integral"))
+        * Fraction(1, 16)),
+}
+
+
+@pytest.mark.parametrize("route", PER_TREE)
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_routes_equal_per_tree_sums(route, n):
+    computed, per_tree = PER_TREE[route]
+    assert computed(n) == per_tree(n)
 
 
 # -- beyond the reference table ----------------------------------------------
@@ -194,7 +263,7 @@ def length_free_part(p: Polynomial, drop=()) -> Polynomial:
               if all(a == PI2 or a in drop for a, _ in mono)})
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
 def test_zograf_constant_term_reduced_route(n):
     assert length_free_part(reduced(n)) == zograf_constant_term(n)
 
@@ -207,3 +276,38 @@ def test_zograf_constant_term_recursion_route(n):
     constant = length_free_part(f_substituted(n), drop=(mom(0),))
     assert constant == length_free_part(recursion_route(n))
     assert constant == zograf_constant_term(n)
+
+
+def moment_orbits(n):
+    """f_substituted(n) read as orbit coefficients: a moment monomial
+    C pi^(2p) prod_k m_k^(c_k) gives C prod_k c_k! / n! to the orbit
+    (p, exponents in nonincreasing order)."""
+    out = {}
+    for mono, c in f_substituted(n).items():
+        p, exponents, mult = 0, [], 1
+        for a, e in mono:
+            if a == PI2:
+                p = e
+            else:
+                exponents += [a.index] * e
+                mult *= factorial(e)
+        out[p, tuple(sorted(exponents, reverse=True))] = c * mult / factorial(n)
+    return out
+
+
+ORBIT_ROUTES = {
+    "reduced": volumes._reduced_coefficient,
+    "graph-sum": lambda n: volumes._paired_coefficient("graph", n, "closed"),
+    "decomposition": volumes._decomposition_coefficient,
+}
+
+
+@pytest.mark.parametrize("route, n", [("reduced", n) for n in (9, 10, 11, 12)]
+                         + [(r, n) for r in ("graph-sum", "decomposition") for n in (9, 10)])
+def test_orbit_coefficients_match_recursion(route, n):
+    # One coefficient per orbit, read at the representative the routes
+    # expand from; every nonzero one must be the recursion's.
+    coefficient = ORBIT_ROUTES[route](n)
+    orbits = {(n - 3 - sum(a), a): c for a in volumes._representatives(n)
+              if (c := coefficient(a))}
+    assert orbits == moment_orbits(n)
