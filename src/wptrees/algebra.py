@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
     "Atom",
@@ -63,15 +63,11 @@ __all__ = [
 _PI2, _LSQ, _MOM, _AUX, _THAT, _GHAT, _INVG1 = range(7)
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    """A formal variable of the ring, ordered by (kind, index)."""
+class Atom(NamedTuple):
+    """A formal variable of the ring; as a tuple it orders by (kind, index)."""
 
     kind: int
     index: int = 0
-
-    def sort_key(self) -> tuple[int, int]:
-        return (self.kind, self.index)
 
     def name(self) -> str:
         if self.kind == _PI2:
@@ -122,7 +118,7 @@ def ghat(k: int) -> Atom:
     return Atom(_GHAT, k)
 
 
-# A monomial: atoms sorted by sort_key, exponents >= 1.
+# A monomial: (atom, exponent) pairs in ascending atom order, exponents >= 1.
 Mono = tuple[tuple[Atom, int], ...]
 
 _EMPTY_MONO: Mono = ()
@@ -136,7 +132,7 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     merged: dict[Atom, int] = dict(a)
     for atom, e in b:
         merged[atom] = merged.get(atom, 0) + e
-    return tuple(sorted(merged.items(), key=lambda ae: ae[0].sort_key()))
+    return tuple(sorted(merged.items()))
 
 
 def _mono_degree(m: Mono) -> int:
@@ -158,10 +154,10 @@ def _nonzero(terms: dict[Mono, Fraction]) -> dict[Mono, Fraction]:
     return {m: c for m, c in terms.items() if c}
 
 
-def _mono_sort_key(m: Mono):
+def _mono_order(m: Mono):
     # Graded order: total degree first; within a degree the pair list
-    # (atom_key, -exponent) realizes descending lexicographic comparison.
-    return (_mono_degree(m), tuple((a.sort_key(), -e) for a, e in m))
+    # (atom, -exponent) realizes descending lexicographic comparison.
+    return (_mono_degree(m), tuple((a, -e) for a, e in m))
 
 
 class Polynomial:
@@ -212,7 +208,7 @@ class Polynomial:
         pairs = [(a, e) for a, e in pairs if e != 0]
         if any(e < 0 for _, e in pairs):
             raise ValueError("negative powers are not representable")
-        mono = tuple(sorted(pairs, key=lambda ae: ae[0].sort_key()))
+        mono = tuple(sorted(pairs))
         return Polynomial({mono: Fraction(coeff)})
 
     @staticmethod
@@ -245,11 +241,10 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
         """Terms in the canonical graded order (byte-stable)."""
-        return sorted(self._terms.items(), key=lambda mc: _mono_sort_key(mc[0]))
+        return sorted(self._terms.items(), key=lambda mc: _mono_order(mc[0]))
 
     def coefficient(self, pairs: Iterable[tuple[Atom, int]]) -> Fraction:
-        mono = tuple(sorted(((a, e) for a, e in pairs if e != 0),
-                            key=lambda ae: ae[0].sort_key()))
+        mono = tuple(sorted((a, e) for a, e in pairs if e != 0))
         return self._terms.get(mono, Fraction(0))
 
     def moment_grade(self, mono: Mono) -> int:
@@ -602,7 +597,7 @@ def expand_orbits(n: int, orbits, fixed: int = 0, singled: int = 0) -> Polynomia
         coefficient = Fraction(coefficient)
         if not coefficient:
             continue
-        pairs = sorted(((a, e) for a, e in pairs if e), key=lambda ae: ae[0].sort_key())
+        pairs = sorted((a, e) for a, e in pairs if e)
         if any(a.kind == _LSQ for a, _ in pairs):
             raise ValueError("orbit pairs must not hold squared-length atoms")
         low = tuple(ae for ae in pairs if ae[0].kind < _LSQ)

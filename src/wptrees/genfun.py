@@ -17,7 +17,8 @@ The module provides
                     Z(r) = sum_{k>=0} (-1)^k 2^k pi^(2k) r^(k+1) / (k!(k+1)!)
                            - sum_{k>=0} m_k r^k / (2^k (k!)^2);
 * ``solve_r``       the unique series root R = m_0 + O(grade 2) of Z(R) = 0,
-                    found by Newton iteration on truncated series;
+                    found by the fixed-point iteration R <- R - Z(R) on
+                    truncated series;
 * ``htc_genfun``    H(L1, L2) = sum_{k>=0} 2^(-k) R^(k+1) (L2^2 - L1^2)^k
                     / (k! (k+1)!);
 * ``f_recursion``   the polynomial sequence f_3, f_4, ... in the counting
@@ -124,39 +125,24 @@ def _compose_aux(p: Polynomial, r: GradedSeries) -> GradedSeries:
     return GradedSeries(Polynomial.sum(terms), cap)
 
 
-def _series_reciprocal(s: GradedSeries) -> GradedSeries:
-    """1/s for a series with grade-0 part exactly 1."""
-    if s.grade_part(0) != Polynomial.one():
-        raise ArithmeticError("series reciprocal needs unit grade-0 part")
-    one = GradedSeries(Polynomial.one(), s.grade_cap)
-    u = one - s
-    inv = one
-    power = one
-    for _ in range(s.grade_cap):
-        power = power * u
-        inv = inv + power
-    return inv
-
-
 def solve_r(ctx: MomentContext) -> GradedSeries:
     """The series root R of Z(R) = 0 with R = m_0 + (grade >= 2).
 
-    Newton iteration on truncated series, starting from m_0; every step
-    gains at least one exact grade, so grade_cap + 1 steps always suffice.
-    The residual is re-checked at the end as a guard.
+    Fixed-point iteration R <- R - Z(R) on truncated series, starting from
+    m_0.  Z(r) = r - m_0 + r * (grade >= 1) + r^2 * (...), so the step map
+    r - Z(r) has derivative 1 - Z'(R) of grade >= 1 at any R of grade >= 1:
+    an error of grade g becomes one of grade >= g + 1.  Every step thus
+    gains at least one exact grade, and grade_cap + 1 steps always suffice;
+    a residual still nonzero after them raises ``ArithmeticError``.
     """
     z = z_series(ctx).body
-    z_prime = z.partial(AUX)
     r = GradedSeries(Polynomial.of_atom(mom(0)), ctx.grade_cap)
-    for _ in range(ctx.grade_cap + 1):
+    for _ in range(ctx.grade_cap + 2):
         residual = _compose_aux(z, r)
         if residual.is_zero():
             return r
-        step = residual * _series_reciprocal(_compose_aux(z_prime, r))
-        r = r - step
-    if not _compose_aux(z, r).is_zero():
-        raise ArithmeticError("root iteration did not reach a zero residual")
-    return r
+        r = r - residual
+    raise ArithmeticError("root iteration did not reach a zero residual")
 
 
 def z_residual(r: GradedSeries, ctx: MomentContext) -> GradedSeries:

@@ -152,6 +152,30 @@ def test_enumeration_above_limit_exits_2_fast(capsys):
     assert elapsed < 0.5  # refused before any tree is built
 
 
+TOO_BIG = str(cli.VOLUME_MAX_N + 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["vol", "--n", TOO_BIG],
+    ["vol", "--n", TOO_BIG, "--method", "recursion"],
+    ["htc", "--n", TOO_BIG],
+    ["verify", "identities", "--max-n", TOO_BIG],
+])
+def test_volume_size_above_limit_refused(monkeypatch, capsys, argv):
+    # A size that cannot finish is refused before any route is entered.
+    def computed(*args, **kwargs):
+        raise AssertionError("a volume route was called")
+
+    for name in ("v0n_reduced", "v0n_graph_sum", "full_decomposition_v0n",
+                 "f_substituted", "htc_volume", "identity_checks"):
+        monkeypatch.setattr(cli, name, computed)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"volumes are limited to n <= {cli.VOLUME_MAX_N}" in captured.err
+
+
 def test_internal_key_error_is_not_invalid_input(monkeypatch):
     def broken(n):
         raise KeyError("unbound atom")

@@ -1,4 +1,6 @@
 """Series root, half-tight generating function, and the insertion recursion."""
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -54,8 +56,10 @@ def test_solve_r_grade_2():
 
 
 def test_solve_r_grade_3():
-    # One more Newton step by hand on Z(R) = 0:
-    # R_3 = 5/3 pi^4 m0^3 + 3/2 pi^2 m0^2 m1 + 1/4 m0 m1^2 + 1/16 m0^2 m2.
+    # Z(R) = 0 reads R = m0 + m1 R/2 + (pi^2 + m2/16) R^2 - pi^4 R^3/3 + ...
+    # Its grade-3 part, with R_1 = m0 and R_2 = 1/2 m0 m1 + pi^2 m0^2, is
+    # R_3 = m1 R_2/2 + 2 pi^2 R_1 R_2 + m2 R_1^2/16 - pi^4 R_1^3/3
+    #     = 5/3 pi^4 m0^3 + 3/2 pi^2 m0^2 m1 + 1/4 m0 m1^2 + 1/16 m0^2 m2.
     grade3 = solve_r(MomentContext(3)).grade_part(3)
     expected = (P.monomial(Fraction(5, 3), [(PI2, 2), (mom(0), 3)])
                 + P.monomial(Fraction(3, 2), [(PI2, 1), (mom(0), 2), (mom(1), 1)])
@@ -64,10 +68,31 @@ def test_solve_r_grade_3():
     assert grade3 == expected
 
 
-@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 6, 9])
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 6, 9, 10])
 def test_z_root_vanishes(cap):
     ctx = MomentContext(cap)
     assert z_residual(solve_r(ctx), ctx).is_zero()
+
+
+def test_root_guard_survives_optimize():
+    # Under ``python -O`` a bare assert would vanish; the guard must not.
+    # With a nonzero residual at every step the iteration never settles, so
+    # it must raise; it solves cleanly again once the composition is restored.
+    code = ("import wptrees.genfun as g\n"
+            "compose = g._compose_aux\n"
+            "g._compose_aux = lambda p, r: g.GradedSeries(g.Polynomial.one(), r.grade_cap)\n"
+            "ctx = g.MomentContext(3)\n"
+            "try:\n"
+            "    g.solve_r(ctx)\n"
+            "except ArithmeticError:\n"
+            "    g._compose_aux = compose\n"
+            "    if not g.z_residual(g.solve_r(ctx), ctx).is_zero():\n"
+            "        raise SystemExit('no root after the patch was undone')\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('solve_r returned despite a nonzero residual')\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_graded_product_of_series_root():
