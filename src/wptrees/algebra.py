@@ -267,9 +267,6 @@ class Polynomial:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
     def __add__(self, other) -> "Polynomial":
         other = Polynomial._coerce(other)
         if other is NotImplemented:

@@ -42,6 +42,11 @@ from .volumes import (
 # ``vol --n 12`` takes about 11 s and 350 MB, ``vol --n 13`` 50 s and 1.8 GB.
 VOLUME_MAX_N = 13
 
+# The largest series order measured to finish: ``gf --target h`` takes 7 s at
+# order 14 and 171 s (146 MB) at order 20 on the same VM, about 3x per two
+# orders.
+GF_MAX_ORDER = 20
+
 
 def _check_volume_size(n: int, flag: str = "--n") -> None:
     """Refuse, before any work, a volume size that cannot finish."""
@@ -116,6 +121,9 @@ def _cmd_htc(args) -> int:
 def _cmd_gf(args) -> int:
     if args.order < 1:
         raise ValueError("need --order >= 1")
+    if args.order > GF_MAX_ORDER:
+        raise ValueError(f"series are limited to --order <= {GF_MAX_ORDER}, "
+                         f"got --order {args.order}")
     ctx = MomentContext(args.order)
     series = {
         "z": lambda: z_series(ctx),

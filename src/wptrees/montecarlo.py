@@ -24,10 +24,12 @@ Conventions, matching the exact engine:
 * A combinatorial tree enters with its plane-embedding count as an integer
   multiplicity, since the polytope only depends on the combinatorial tree.
 
-One seed drives everything: per-tree streams are spawned from a counter-based
-Philox generator in canonical tree order, so a report depends only on
-(seed, samples) and not on the worker-thread count.  Chunk sums use numpy's
-pairwise summation; cross-chunk accumulation uses math.fsum.
+One seed drives everything: ``_streams`` spawns one counter-based Philox
+generator per sampled tree in canonical tree order (half-tight trees first,
+then glued pairs), so a report depends only on (seed, samples) and not on the
+worker-thread count.  It is also the only place numpy is imported, so the
+exact commands never load it.  Chunk sums use numpy's pairwise summation;
+cross-chunk accumulation uses math.fsum.
 """
 from __future__ import annotations
 
@@ -36,11 +38,10 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
-import numpy as np
-
-from .algebra import PI2, Polynomial, lsq
+from .algebra import PI2, lsq
 from .trees import DoubleTree, Tree, canonical_key, enumerate_family, plane_embedding_count
 from .volumes import htc_volume, v0n_reduced
 
@@ -151,7 +152,16 @@ def _rank(rows: list[dict[int, int]], ncols: int) -> int:
 
 # -- sampling ---------------------------------------------------------------
 
-def _is_top_dimensional(t: Tree) -> bool:
+def _streams(seed: int, count: int) -> list:
+    """One Philox generator per child of ``SeedSequence(seed)``, in order."""
+    import numpy as np
+    return [np.random.Generator(np.random.Philox(s))
+            for s in np.random.SeedSequence(seed).spawn(count)]
+
+
+def _is_top_dimensional(t: Tree | DoubleTree) -> bool:
+    if isinstance(t, DoubleTree):
+        return _is_top_dimensional(t.t1) and _is_top_dimensional(t.t2)
     deg = t.degrees()
     return all(deg[v] == 3 for v in t.inner_ids())
 
@@ -180,7 +190,7 @@ def _angle_constant(t: Tree) -> float:
     return out
 
 
-def _acceptance_mask(constraints, angles_by_vertex) -> np.ndarray:
+def _acceptance_mask(constraints, angles_by_vertex):
     acc = None
     for u, su, v, sv in constraints:
         ok = angles_by_vertex[u][:, su] + angles_by_vertex[v][:, sv] < math.pi
@@ -209,7 +219,7 @@ class _TreeEstimate:
 
 
 def _htc_tree_estimate(tree: Tree, n: int, L: dict[int, float], samples: int,
-                       seed_seq, delaunay: bool) -> _TreeEstimate:
+                       rng, delaunay: bool) -> _TreeEstimate:
     deg = tree.degrees()
     const = float(plane_embedding_count(tree)) * 2.0 ** (n - 3)
     for b in tree.boundary:
@@ -225,7 +235,6 @@ def _htc_tree_estimate(tree: Tree, n: int, L: dict[int, float], samples: int,
     if not constraints or not delaunay:
         return _TreeEstimate(key, "half-tight", const, 0.0, True)
 
-    rng = np.random.Generator(np.random.Philox(seed_seq))
     accepted = 0
     done = 0
     while done < samples:
@@ -240,7 +249,7 @@ def _htc_tree_estimate(tree: Tree, n: int, L: dict[int, float], samples: int,
 
 
 def _full_tree_estimate(dt: DoubleTree, n: int, L: dict[int, float],
-                        samples: int, seed_seq, delaunay: bool) -> _TreeEstimate:
+                        samples: int, rng, delaunay: bool) -> _TreeEstimate:
     lmax = min(L[1], L[2])
     base = float(plane_embedding_count(dt)) * 2.0 ** (n - 4)
     for t in (dt.t1, dt.t2):
@@ -254,7 +263,6 @@ def _full_tree_estimate(dt: DoubleTree, n: int, L: dict[int, float],
     cons1 = _inner_edge_constraints(dt.t1)
     cons2 = _inner_edge_constraints(dt.t2)
 
-    rng = np.random.Generator(np.random.Philox(seed_seq))
     chunk_sums: list[float] = []
     chunk_sumsq: list[float] = []
     done = 0
@@ -271,8 +279,8 @@ def _full_tree_estimate(dt: DoubleTree, n: int, L: dict[int, float],
                 if cons:
                     angles = _sample_angles(t, cons, rng, m)
                     vals = vals * _acceptance_mask(cons, angles)
-        chunk_sums.append(float(np.sum(vals)))
-        chunk_sumsq.append(float(np.sum(vals * vals)))
+        chunk_sums.append(float(vals.sum()))
+        chunk_sumsq.append(float((vals * vals).sum()))
         done += m
     total = math.fsum(chunk_sums)
     totalsq = math.fsum(chunk_sumsq)
@@ -352,6 +360,24 @@ def _combine(jobs, reference: float, samples: int, seed: int,
                     _zscore(total, reference, se), per_tree)
 
 
+_ESTIMATORS = {"htc": _htc_tree_estimate, "full": _full_tree_estimate}
+
+
+def _sample(families, reference_route, n: int, lengths, samples: int, seed: int,
+            threads: int, delaunay: bool) -> McReport:
+    """Sample the top-dimensional members of ``families`` in order, one
+    stream each, against ``reference_route(n)`` evaluated at the lengths."""
+    L = _check_lengths(n, lengths)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    members = [(family, m) for family in families
+               for m in enumerate_family(family, n) if _is_top_dimensional(m)]
+    jobs = [partial(_ESTIMATORS[family], m, n, L, samples, rng, delaunay)
+            for (family, m), rng in zip(members, _streams(seed, len(members)))]
+    reference = reference_route(n).eval_float(_bindings(lengths))
+    return _combine(jobs, reference, samples, seed, threads)
+
+
 def mc_htc_volume(n: int, lengths, samples: int, seed: int,
                   threads: int = 1, delaunay: bool = True) -> McReport:
     """Estimate H_n(L) by sampling the top-dimensional half-tight polytopes.
@@ -359,17 +385,7 @@ def mc_htc_volume(n: int, lengths, samples: int, seed: int,
     ``delaunay=False`` drops the per-edge rejection test (an ablation used
     to demonstrate that the constraints carry real volume).
     """
-    L = _check_lengths(n, lengths)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    trees = [t for t in enumerate_family("htc", n) if _is_top_dimensional(t)]
-    seeds = np.random.SeedSequence(seed).spawn(len(trees))
-    jobs = [
-        (lambda t=t, s=s: _htc_tree_estimate(t, n, L, samples, s, delaunay))
-        for t, s in zip(trees, seeds)
-    ]
-    reference = htc_volume(n).eval_float(_bindings(lengths))
-    return _combine(jobs, reference, samples, seed, threads)
+    return _sample(("htc",), htc_volume, n, lengths, samples, seed, threads, delaunay)
 
 
 def mc_full_volume(n: int, lengths, samples: int, seed: int,
@@ -378,19 +394,5 @@ def mc_full_volume(n: int, lengths, samples: int, seed: int,
 
     The reference is the exact reduced tree sum evaluated at the lengths.
     """
-    L = _check_lengths(n, lengths)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    htc_trees = [t for t in enumerate_family("htc", n) if _is_top_dimensional(t)]
-    full_trees = [d for d in enumerate_family("full", n)
-                  if _is_top_dimensional(d.t1) and _is_top_dimensional(d.t2)]
-    seeds = np.random.SeedSequence(seed).spawn(len(htc_trees) + len(full_trees))
-    jobs = [
-        (lambda t=t, s=s: _htc_tree_estimate(t, n, L, samples, s, delaunay))
-        for t, s in zip(htc_trees, seeds[:len(htc_trees)])
-    ] + [
-        (lambda d=d, s=s: _full_tree_estimate(d, n, L, samples, s, delaunay))
-        for d, s in zip(full_trees, seeds[len(htc_trees):])
-    ]
-    reference = v0n_reduced(n).eval_float(_bindings(lengths))
-    return _combine(jobs, reference, samples, seed, threads)
+    return _sample(("htc", "full"), v0n_reduced, n, lengths, samples, seed, threads,
+                   delaunay)

@@ -115,6 +115,14 @@ def test_series_examples():
                           + atom_poly(PI2) * atom_poly(mom(0), 2))
 
 
+def test_polynomial_is_unhashable():
+    # A constant polynomial equals its number, so no hash could agree with
+    # both; the class has value equality and no hash.
+    assert P.const(2) == 2
+    with pytest.raises(TypeError):
+        hash(P.const(2))
+
+
 def test_sum_accumulates_without_zero_terms():
     assert P.sum([]) == P.zero()
     a = atom_poly(PI2) + atom_poly(lsq(1))

@@ -153,6 +153,7 @@ def test_enumeration_above_limit_exits_2_fast(capsys):
 
 
 TOO_BIG = str(cli.VOLUME_MAX_N + 1)
+TOO_LONG = str(cli.GF_MAX_ORDER + 1)
 
 
 @pytest.mark.parametrize("argv", [
@@ -160,20 +161,56 @@ TOO_BIG = str(cli.VOLUME_MAX_N + 1)
     ["vol", "--n", TOO_BIG, "--method", "recursion"],
     ["htc", "--n", TOO_BIG],
     ["verify", "identities", "--max-n", TOO_BIG],
+    ["gf", "--target", "r", "--order", TOO_LONG],
+    ["gf", "--target", "h", "--order", TOO_LONG],
+    ["gf", "--target", "z", "--order", TOO_LONG],
 ])
 def test_volume_size_above_limit_refused(monkeypatch, capsys, argv):
-    # A size that cannot finish is refused before any route is entered.
+    # A size that cannot finish is refused before any route or series is entered.
     def computed(*args, **kwargs):
-        raise AssertionError("a volume route was called")
+        raise AssertionError("a volume route or series was called")
 
     for name in ("v0n_reduced", "v0n_graph_sum", "full_decomposition_v0n",
-                 "f_substituted", "htc_volume", "identity_checks"):
+                 "f_substituted", "htc_volume", "identity_checks",
+                 "z_series", "solve_r", "htc_genfun"):
         monkeypatch.setattr(cli, name, computed)
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert f"volumes are limited to n <= {cli.VOLUME_MAX_N}" in captured.err
+    if argv[0] == "gf":
+        assert f"series are limited to --order <= {cli.GF_MAX_ORDER}" in captured.err
+    else:
+        assert f"volumes are limited to n <= {cli.VOLUME_MAX_N}" in captured.err
+
+
+# Run in a fresh interpreter, since the test session has numpy loaded.  The
+# script's last stdout line reports what each step loaded.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import wptrees
+state = {"submodules": sorted(m for m in sys.modules if m.startswith("wptrees."))}
+from wptrees import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    state["vol"] = cli.main(["vol", "--n", "4"])
+    state["numpy_after_vol"] = "numpy" in sys.modules
+    state["mc"] = cli.main(["verify", "mc", "--n", "5", "--lengths", "1,2,1,1,1",
+                            "--samples", "2000", "--seed", "3", "--sigma", "100"])
+    state["numpy_after_mc"] = "numpy" in sys.modules
+print(json.dumps(state))
+"""
+
+
+def test_numpy_is_loaded_only_to_sample():
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    state = json.loads(out.stdout.splitlines()[-1])
+    assert state["submodules"] == []  # `import wptrees` loads no submodule
+    assert state["vol"] == 0
+    assert not state["numpy_after_vol"]
+    assert state["mc"] == 0
+    assert state["numpy_after_mc"]
 
 
 def test_internal_key_error_is_not_invalid_input(monkeypatch):
