@@ -24,12 +24,14 @@ Conventions, matching the exact engine:
 * A combinatorial tree enters with its plane-embedding count as an integer
   multiplicity, since the polytope only depends on the combinatorial tree.
 
-One seed drives everything: ``_streams`` spawns one counter-based Philox
-generator per sampled tree in canonical tree order (half-tight trees first,
-then glued pairs), so a report depends only on (seed, samples) and not on the
-worker-thread count.  It is also the only place numpy is imported, so the
-exact commands never load it.  Chunk sums use numpy's pairwise summation;
-cross-chunk accumulation uses math.fsum.
+One seed drives everything: the sampled tree at index i in canonical tree
+order (half-tight trees first, then glued pairs) draws from a counter-based
+Philox generator on child i of ``SeedSequence(seed)``, so a report depends
+only on (seed, samples) and not on the worker-thread count.  ``_stream``
+builds that generator inside the job, when the job first draws; a tree whose
+volume is exact builds none.  It is also the only place numpy is imported,
+so the exact commands never load it.  Chunk sums use numpy's pairwise
+summation; cross-chunk accumulation uses math.fsum.
 """
 from __future__ import annotations
 
@@ -152,11 +154,17 @@ def _rank(rows: list[dict[int, int]], ncols: int) -> int:
 
 # -- sampling ---------------------------------------------------------------
 
-def _streams(seed: int, count: int) -> list:
-    """One Philox generator per child of ``SeedSequence(seed)``, in order."""
+def _stream(seed: int, i: int):
+    """The Philox generator on child ``i`` of ``SeedSequence(seed)``, the
+    same stream as ``SeedSequence(seed).spawn(count)[i]``."""
     import numpy as np
-    return [np.random.Generator(np.random.Philox(s))
-            for s in np.random.SeedSequence(seed).spawn(count)]
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
+
+
+def _chunks(samples: int):
+    """Draw counts of at most ``_CHUNK`` that add up to ``samples``."""
+    return (min(_CHUNK, samples - done) for done in range(0, samples, _CHUNK))
 
 
 def _is_top_dimensional(t: Tree | DoubleTree) -> bool:
@@ -209,17 +217,8 @@ def _sample_angles(t: Tree, constraints, rng, m: int):
     return out
 
 
-@dataclass
-class _TreeEstimate:
-    key: str
-    kind: str
-    estimate: float
-    std_error: float
-    exact: bool
-
-
 def _htc_tree_estimate(tree: Tree, n: int, L: dict[int, float], samples: int,
-                       rng, delaunay: bool) -> _TreeEstimate:
+                       stream, delaunay: bool) -> dict:
     deg = tree.degrees()
     const = float(plane_embedding_count(tree)) * 2.0 ** (n - 3)
     for b in tree.boundary:
@@ -231,25 +230,22 @@ def _htc_tree_estimate(tree: Tree, n: int, L: dict[int, float], samples: int,
             const *= _simplex_volume(L[b] / 2.0, d) ** 2
     const *= _angle_constant(tree)
     constraints = _inner_edge_constraints(tree)
-    key = canonical_key(tree).decode()
+    row = {"key": canonical_key(tree).decode(), "kind": "half-tight"}
     if not constraints or not delaunay:
-        return _TreeEstimate(key, "half-tight", const, 0.0, True)
+        return row | {"estimate": const, "std_error": 0.0, "exact": True}
 
+    rng = stream()
     accepted = 0
-    done = 0
-    while done < samples:
-        m = min(_CHUNK, samples - done)
+    for m in _chunks(samples):
         angles = _sample_angles(tree, constraints, rng, m)
         accepted += int(_acceptance_mask(constraints, angles).sum())
-        done += m
     p = accepted / samples
-    est = const * p
     se = abs(const) * math.sqrt(p * (1.0 - p) / samples)
-    return _TreeEstimate(key, "half-tight", est, se, False)
+    return row | {"estimate": const * p, "std_error": se, "exact": False}
 
 
 def _full_tree_estimate(dt: DoubleTree, n: int, L: dict[int, float],
-                        samples: int, rng, delaunay: bool) -> _TreeEstimate:
+                        samples: int, stream, delaunay: bool) -> dict:
     lmax = min(L[1], L[2])
     base = float(plane_embedding_count(dt)) * 2.0 ** (n - 4)
     for t in (dt.t1, dt.t2):
@@ -263,11 +259,10 @@ def _full_tree_estimate(dt: DoubleTree, n: int, L: dict[int, float],
     cons1 = _inner_edge_constraints(dt.t1)
     cons2 = _inner_edge_constraints(dt.t2)
 
+    rng = stream()
     chunk_sums: list[float] = []
     chunk_sumsq: list[float] = []
-    done = 0
-    while done < samples:
-        m = min(_CHUNK, samples - done)
+    for m in _chunks(samples):
         ell = rng.uniform(0.0, lmax, size=m)
         vals = base * lmax * ell
         vals = vals * _simplex_volume((L[1] - ell) / 2.0, d1)
@@ -281,15 +276,14 @@ def _full_tree_estimate(dt: DoubleTree, n: int, L: dict[int, float],
                     vals = vals * _acceptance_mask(cons, angles)
         chunk_sums.append(float(vals.sum()))
         chunk_sumsq.append(float((vals * vals).sum()))
-        done += m
     total = math.fsum(chunk_sums)
     totalsq = math.fsum(chunk_sumsq)
     mean = total / samples
     var = 0.0
     if samples > 1:
         var = max(0.0, (totalsq - samples * mean * mean) / (samples - 1))
-    return _TreeEstimate(canonical_key(dt).decode(), "full", mean,
-                         math.sqrt(var / samples), False)
+    return {"key": canonical_key(dt).decode(), "kind": "full", "estimate": mean,
+            "std_error": math.sqrt(var / samples), "exact": False}
 
 
 @dataclass
@@ -330,7 +324,10 @@ def _check_lengths(n: int, lengths) -> dict[int, float]:
         raise ValueError(f"need n >= 3, got {n}")
     if len(lengths) != n:
         raise ValueError(f"need {n} lengths, got {len(lengths)}")
-    L = {i: float(v) for i, v in enumerate(lengths, start=1)}
+    try:
+        L = {i: float(v) for i, v in enumerate(lengths, start=1)}
+    except OverflowError:
+        raise ValueError("lengths must be below the binary64 maximum") from None
     if any(v <= 0 for v in L.values()):
         raise ValueError("lengths must be positive")
     if not L[1] < L[2]:
@@ -344,20 +341,13 @@ def _combine(jobs, reference: float, samples: int, seed: int,
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            estimates = list(pool.map(lambda f: f(), jobs))
+            rows = list(pool.map(lambda f: f(), jobs))
     else:
-        estimates = [f() for f in jobs]
-    total = math.fsum(e.estimate for e in estimates)
-    se = math.sqrt(math.fsum(e.std_error ** 2 for e in estimates))
-    per_tree = [{
-        "key": e.key,
-        "kind": e.kind,
-        "estimate": e.estimate,
-        "std_error": e.std_error,
-        "exact": e.exact,
-    } for e in estimates]
+        rows = [f() for f in jobs]
+    total = math.fsum(r["estimate"] for r in rows)
+    se = math.sqrt(math.fsum(r["std_error"] ** 2 for r in rows))
     return McReport(total, se, samples, seed, reference,
-                    _zscore(total, reference, se), per_tree)
+                    _zscore(total, reference, se), rows)
 
 
 _ESTIMATORS = {"htc": _htc_tree_estimate, "full": _full_tree_estimate}
@@ -370,11 +360,17 @@ def _sample(families, reference_route, n: int, lengths, samples: int, seed: int,
     L = _check_lengths(n, lengths)
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    try:
+        reference = reference_route(n).eval_float(_bindings(lengths))
+    except OverflowError:
+        raise ValueError("the exact reference overflows binary64") from None
     members = [(family, m) for family in families
                for m in enumerate_family(family, n) if _is_top_dimensional(m)]
-    jobs = [partial(_ESTIMATORS[family], m, n, L, samples, rng, delaunay)
-            for (family, m), rng in zip(members, _streams(seed, len(members)))]
-    reference = reference_route(n).eval_float(_bindings(lengths))
+    jobs = [partial(_ESTIMATORS[family], m, n, L, samples, partial(_stream, seed, i),
+                    delaunay)
+            for i, (family, m) in enumerate(members)]
     return _combine(jobs, reference, samples, seed, threads)
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -121,6 +122,64 @@ def test_mc_thread_count_invariance():
     four = mc_full_volume(5, lengths, samples=20_000, seed=5, threads=4)
     assert one.estimate == four.estimate
     assert one.std_error == four.std_error
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_mc_streams_are_spawned_children(monkeypatch, n):
+    # Job i draws from child i of SeedSequence(seed).spawn(count), whichever
+    # thread runs it.  Compared run against run, not against a golden file:
+    # chunk sums may differ in the last bit across numpy builds and CPUs.
+    lengths = [1.0, 2.0, 1.0, 1.0, 1.0, 2.0][:n]
+    for threads in (1, 2):
+        shipped = mc_full_volume(n, lengths, samples=300, seed=8, threads=threads)
+        children = np.random.SeedSequence(8).spawn(len(shipped.per_tree))
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_stream", lambda seed, i: np.random.Generator(
+                np.random.Philox(children[i])))
+            spawned = mc_full_volume(n, lengths, samples=300, seed=8, threads=threads)
+        assert spawned == shipped
+
+
+@pytest.mark.parametrize("delaunay", [True, False])
+def test_mc_stream_built_only_to_draw(monkeypatch, delaunay):
+    calls = []
+    stream = montecarlo._stream
+
+    def recording(seed, i):
+        calls.append(i)
+        return stream(seed, i)
+
+    monkeypatch.setattr(montecarlo, "_stream", recording)
+    report = mc_full_volume(5, [1.0, 2.0, 1.0, 1.0, 1.0], samples=100, seed=4,
+                            delaunay=delaunay)
+    assert calls == [i for i, row in enumerate(report.per_tree) if not row["exact"]]
+    assert any(row["exact"] for row in report.per_tree)
+
+
+def test_mc_negative_seed_refused_without_draws(capsys):
+    # No member is sampled at n = 3, so the seed is checked up front.
+    argv = ["verify", "mc", "--n", "3", "--lengths", "1,2,1", "--samples", "10",
+            "--seed", "-1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("lengths", ["1,1e100,1,1,1", "1,1e400,1,1,1"])
+def test_mc_overflowing_lengths_refused(monkeypatch, capsys, lengths):
+    def drawn(seed, i):
+        raise AssertionError("a member was sampled")
+
+    monkeypatch.setattr(montecarlo, "_stream", drawn)
+    with pytest.raises(ValueError, match="binary64"):
+        mc_full_volume(5, [Fraction(v) for v in lengths.split(",")], samples=100, seed=1)
+    argv = ["verify", "mc", "--n", "5", "--lengths", lengths, "--samples", "100",
+            "--seed", "1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "binary64" in captured.err
 
 
 def test_mc_worker_pool_is_capped(monkeypatch, capsys):
