@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 
 from .algebra import PI2, Polynomial, mom
 from .genfun import (
@@ -35,7 +35,7 @@ from .volumes import (
     v0n_reduced,
 )
 
-__all__ = ["identity_checks"]
+__all__ = ["identity_checks", "zograf_v"]
 
 
 def identity_checks(max_n: int) -> dict:
@@ -43,9 +43,10 @@ def identity_checks(max_n: int) -> dict:
 
     Each family of checks runs for n = 3 .. max_n, capped where the
     reference data or the running time ends: the table at n = 6, the
-    recursion identity at n = 7, the dimension formula at n = 5.  The
-    reduced and half-tight volumes are computed once per n and shared by
-    every check of one registry.
+    recursion identity at n = 7, the dimension formula at n = 5.  Zograf's
+    constant terms run from n = 4 with no cap, an oracle independent of
+    the tree routes past the table.  The reduced and half-tight volumes are
+    computed once per n and shared by every check of one registry.
     """
     checks = {}
     table_n = range(3, min(max_n, 6) + 1)
@@ -66,6 +67,8 @@ def identity_checks(max_n: int) -> dict:
         # transpositions beyond.
         checks[f"symmetry-{n}"] = lambda n=n: is_symmetric(
             reduced(n), n, all_permutations=n <= 5)
+    for n in range(4, max_n + 1):
+        checks[f"zograf-{n}"] = lambda n=n: _check_zograf(reduced(n), n)
 
     checks["ell-integral-grid"] = lambda: all(
         ell_integral(a, b) == ell_integral(a, b, mode="integral")
@@ -91,6 +94,26 @@ def identity_checks(max_n: int) -> dict:
     for n in range(3, min(max_n, 5) + 1):
         checks[f"dimension-formula-{n}"] = lambda n=n: _check_dimensions(n)
     return checks
+
+
+@cache
+def zograf_v(n: int) -> Fraction:
+    """Zograf's recursion for the Weil-Petersson volumes of M_{0,n}
+    (P. Zograf, Contemp. Math. 150, 1993), normalised to v_3 = 1."""
+    if n == 3:
+        return Fraction(1)
+    return Fraction(1, 2) * sum(
+        Fraction(i * (n - i - 2), n - 1) * comb(n - 4, i - 1) * comb(n, i + 1)
+        * zograf_v(i + 2) * zograf_v(n - i)
+        for i in range(1, n - 2))
+
+
+def _check_zograf(volume: Polynomial, n: int) -> bool:
+    """The pi-only part of V_{0,n} is 2^(n-3) / (n-3)! * v_n * pi^(2(n-3))."""
+    pi_only = Polynomial({mono: c for mono, c in volume.items()
+                          if all(a == PI2 for a, _ in mono)})
+    return pi_only == Polynomial.monomial(
+        Fraction(2 ** (n - 3), factorial(n - 3)) * zograf_v(n), [(PI2, n - 3)])
 
 
 def _z_root(cap: int) -> bool:

@@ -94,10 +94,10 @@ def _cmd_vol(args) -> int:
         "decomposition": full_decomposition_v0n,
         "recursion": lambda n: symmetric_from_moments(f_substituted(n), n),
     }[args.method]
+    lengths = _parse_lengths(args.lengths, args.n) if args.lengths else None
     poly = route(args.n)
     if args.n == 5:
         print(V05_COEFFICIENT_NOTE, file=sys.stderr)
-    lengths = _parse_lengths(args.lengths, args.n) if args.lengths else None
     _print_volume(poly, args, {"command": "vol", "n": args.n, "method": args.method},
                   lengths)
     return 0
@@ -107,10 +107,10 @@ def _cmd_htc(args) -> int:
     if args.n < 3:
         raise ValueError("need --n >= 3")
     _check_volume_size(args.n)
-    poly = htc_volume(args.n)
     lengths = _parse_lengths(args.lengths, args.n) if args.lengths else None
     if lengths and not lengths[0] < lengths[1]:
         raise ValueError(f"half-tight volumes assume {HTC_ASSUMPTION}")
+    poly = htc_volume(args.n)
     if args.format == "text":
         print(f"# assumes {HTC_ASSUMPTION}", file=sys.stderr)
     _print_volume(poly, args, {"command": "htc", "n": args.n, "assumption": HTC_ASSUMPTION},

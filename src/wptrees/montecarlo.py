@@ -29,9 +29,11 @@ order (half-tight trees first, then glued pairs) draws from a counter-based
 Philox generator on child i of ``SeedSequence(seed)``, so a report depends
 only on (seed, samples) and not on the worker-thread count.  ``_stream``
 builds that generator inside the job, when the job first draws; a tree whose
-volume is exact builds none.  It is also the only place numpy is imported,
+volume is exact builds none.  Only it and the glued estimator import numpy,
 so the exact commands never load it.  Chunk sums use numpy's pairwise
-summation; cross-chunk accumulation uses math.fsum.
+summation; cross-chunk accumulation uses math.fsum.  Lengths at which a
+sampled value, its square or a sum of squares overflows binary64 are
+refused with ``ValueError``.
 """
 from __future__ import annotations
 
@@ -246,6 +248,7 @@ def _htc_tree_estimate(tree: Tree, n: int, L: dict[int, float], samples: int,
 
 def _full_tree_estimate(dt: DoubleTree, n: int, L: dict[int, float],
                         samples: int, stream, delaunay: bool) -> dict:
+    import numpy as np
     lmax = min(L[1], L[2])
     base = float(plane_embedding_count(dt)) * 2.0 ** (n - 4)
     for t in (dt.t1, dt.t2):
@@ -262,20 +265,22 @@ def _full_tree_estimate(dt: DoubleTree, n: int, L: dict[int, float],
     rng = stream()
     chunk_sums: list[float] = []
     chunk_sumsq: list[float] = []
-    for m in _chunks(samples):
-        ell = rng.uniform(0.0, lmax, size=m)
-        vals = base * lmax * ell
-        vals = vals * _simplex_volume((L[1] - ell) / 2.0, d1)
-        vals = vals * _simplex_volume((L[1] + ell) / 2.0, d1)
-        vals = vals * _simplex_volume((L[2] - ell) / 2.0, d2)
-        vals = vals * _simplex_volume((L[2] + ell) / 2.0, d2)
-        if delaunay:
-            for t, cons in ((dt.t1, cons1), (dt.t2, cons2)):
-                if cons:
-                    angles = _sample_angles(t, cons, rng, m)
-                    vals = vals * _acceptance_mask(cons, angles)
-        chunk_sums.append(float(vals.sum()))
-        chunk_sumsq.append(float((vals * vals).sum()))
+    # An overflowing value or square raises FloatingPointError (see _sample).
+    with np.errstate(over="raise"):
+        for m in _chunks(samples):
+            ell = rng.uniform(0.0, lmax, size=m)
+            vals = base * lmax * ell
+            vals = vals * _simplex_volume((L[1] - ell) / 2.0, d1)
+            vals = vals * _simplex_volume((L[1] + ell) / 2.0, d1)
+            vals = vals * _simplex_volume((L[2] - ell) / 2.0, d2)
+            vals = vals * _simplex_volume((L[2] + ell) / 2.0, d2)
+            if delaunay:
+                for t, cons in ((dt.t1, cons1), (dt.t2, cons2)):
+                    if cons:
+                        angles = _sample_angles(t, cons, rng, m)
+                        vals = vals * _acceptance_mask(cons, angles)
+            chunk_sums.append(float(vals.sum()))
+            chunk_sumsq.append(float((vals * vals).sum()))
     total = math.fsum(chunk_sums)
     totalsq = math.fsum(chunk_sumsq)
     mean = total / samples
@@ -371,7 +376,11 @@ def _sample(families, reference_route, n: int, lengths, samples: int, seed: int,
     jobs = [partial(_ESTIMATORS[family], m, n, L, samples, partial(_stream, seed, i),
                     delaunay)
             for i, (family, m) in enumerate(members)]
-    return _combine(jobs, reference, samples, seed, threads)
+    try:
+        return _combine(jobs, reference, samples, seed, threads)
+    except (FloatingPointError, OverflowError):
+        raise ValueError("the sampled volumes or their squares overflow binary64 "
+                         "at these lengths") from None
 
 
 def mc_htc_volume(n: int, lengths, samples: int, seed: int,

@@ -7,10 +7,8 @@ boundary lengths:
                   shortest curve separating boundary 1 from boundary 2
                   (valid under the side condition 0 < L1 < L2);
 * ``V_{0,n}(L)``  genus-zero volumes, via three independent routes that must
-                  agree exactly: a reduced sum over the ``two-three`` family,
-                  a sum over the ``graph`` family, and the half-tight + full
-                  decomposition whose gluing length l is integrated out
-                  symbolically.
+                  agree exactly (see below); the decomposition integrates its
+                  gluing length l out symbolically.
 
 Per-vertex weights (with k = deg - 1 unless stated otherwise):
 
@@ -19,13 +17,24 @@ Per-vertex weights (with k = deg - 1 unless stated otherwise):
     gamma_k       = (-1)^k pi^(2k-2) / (k-1)!       for k >= 1
 
 The sums are over combinatorial trees, but no route builds a tree or
-multiplies a polynomial.  The coefficient of a monomial pi^(2p) prod_b
+multiplies a polynomial.  A route is a special factor at boundaries 1 and 2
+summed over a list of splits (s1, s2), the boundary labels of the two
+components (1 in s1, 2 in s2):
+
+    reduced        t_{deg(b1)}(L1) t_{deg(b2)-1}(L2) / 8      over ``two-three``
+    graph-sum      ell_integral(deg(b1) - 1, deg(b2) - 1) / 16  over ``graph``
+    decomposition  the same in ``integral`` mode              over ``graph``
+    H_n            the same in ``integral`` mode              over ((1,), 2..n)
+
+H_n is the lone-vertex gluing: a boundary 1 of degree 0 is the separating
+curve itself (a = -1 in :func:`ell_integral`), and ``graph`` is ``full``
+plus that isolated split.  The coefficient of a monomial pi^(2p) prod_b
 L_b^(2 a_b) fixes every boundary degree, so it is a scalar sum over the
-splits of the family: the coefficient of the route's special factor
-(t_{deg(b1)}, ttilde or the gluing integral), the t-coefficients of the
-other boundaries, and per component G(m, s) / prod_b (deg(b) - 1)!.  That is
-the Pruefer-weighted gamma product of the trees on m boundary labels whose
-excesses deg(b) - 1 sum to s; its pi^2 power is m - 2 - s, and
+splits and the special factor's terms (e1, e2, weight), e_b = deg(b) - 1:
+the weight, the t-coefficients of the other boundaries, and per component
+G(m, s) / prod_b (deg(b) - 1)!.  That is the Pruefer-weighted gamma product
+of the trees on m boundary labels whose excesses deg(b) - 1 sum to s; its
+pi^2 power is m - 2 - s, and
 
     G(m, s) = sum_j sum over inner excesses e_v >= 2 with sum e_v =
               m + j - 2 - s of (m + j - 2)! prod_v (-1)^e_v / (e_v! (e_v - 1)!)
@@ -46,9 +55,9 @@ All arithmetic is exact, so the order of summation never changes a result.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations, product
-from math import comb, factorial, prod
+from math import factorial, prod
 
 from .algebra import AUX, PI2, Polynomial, expand_orbits, integrate_halfsquare, lsq
 from .trees import family_splits, partitions, prufer_counts
@@ -114,18 +123,13 @@ def weight_gamma(k: int) -> Polynomial:
 # -- the scalar core -----------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _component(m: int, s: int, e: int = 0) -> Fraction:
+def _component(m: int, s: int, e: int) -> Fraction:
     """G(m, s) / e! (see the module docstring) for a component whose special
     boundary has excess e; a lone vertex (m = 1) has degree 0, so e = s = -1."""
     if e < 0 and m > 1:
         return Fraction(0)
     return sum((Fraction(count * (-1) ** sum(inner), prod(factorial(x - 1) for x in inner))
                 for inner, count in prufer_counts(m, s)), Fraction(0)) / factorial(max(e, 0))
-
-
-def _others(exponents) -> Fraction:
-    """prod_b t_{a_b} / a_b! over plain boundaries, whose excess is a_b."""
-    return prod((_t(a) / factorial(a) for a in exponents), start=Fraction(1))
 
 
 def _representatives(n: int, fixed: int = 0):
@@ -147,57 +151,48 @@ def _orbit_sum(n: int, coefficient, fixed: int = 0, singled: int = 0) -> Polynom
                              for a in _representatives(n, fixed)), fixed, singled)
 
 
-def _htc_coefficient(n: int):
-    """H_n's coefficients: ttilde_k(L2, L1) has k = a_1 + a_2 and puts
-    C(k, a_1) (-1)^a_1 on L1^(2 a_1)."""
-    def coefficient(a):
-        k = a[0] + a[1]
-        tilde = _t(k) * comb(k, a[0]) * (-1) ** a[0]
-        return tilde * _component(n - 1, k + sum(a[2:]), k) * _others(a[2:]) / 4
-    return coefficient
-
-
-def _reduced_coefficient(n: int):
-    """The reduced route's coefficients: t_{deg(b1)}(L1) has deg(b1) = a_1."""
-    splits = list(family_splits("two-three", n))
+def _split_sum(splits, factor):
+    """A route's coefficient function: over the terms (e1, e2, weight) of
+    factor(a_1, a_2), weight() times the sum over the splits of both
+    components' G(m, s) / e!, read only where that sum is nonzero (a lone
+    vertex 1 has e1 = -1 alone, so H_n integrates no other gluing term)."""
+    splits = list(splits)
 
     def coefficient(a):
         total = Fraction(0)
-        for s1, s2 in splits:
-            first = _component(len(s1), a[0] - 1 + sum(a[b - 1] for b in s1[1:]), a[0] - 1)
-            if first:
-                total += first * _component(len(s2), sum(a[b - 1] for b in s2))
-        return total * _t(a[0]) * _others(a[1:]) / 8
-    return coefficient
-
-
-def _paired_coefficient(family: str, n: int, mode: str):
-    """The coefficients of the sum over ``family`` with the pair factor
-    ell_integral(deg(b1) - 1, deg(b2) - 1, mode), of L-degree deg(b1) + deg(b2) - 1."""
-    splits = list(family_splits(family, n))
-
-    def coefficient(a):
-        a1, a2 = a[0], a[1]
-        total = Fraction(0)
-        for s1, s2 in splits:
-            rest1 = sum(a[b - 1] for b in s1[1:])
-            rest2 = sum(a[b - 1] for b in s2[1:])
-            for d1 in range(a1 + 1):
-                d2 = a1 + a2 + 1 - d1
-                first = _component(len(s1), d1 - 1 + rest1, d1 - 1)
+        for e1, e2, weight in factor(a[0], a[1]):
+            part = 0
+            for s1, s2 in splits:
+                first = _component(len(s1), e1 + sum(a[b - 1] for b in s1[1:]), e1)
                 if first:
-                    pair = ell_integral(d1 - 1, d2 - 1, mode).coefficient(
-                        ((lsq(1), a1), (lsq(2), a2)))
-                    total += first * _component(len(s2), d2 - 1 + rest2, d2 - 1) * pair
-        return total * _others(a[2:]) / 16
+                    part += first * _component(len(s2), e2 + sum(a[b - 1] for b in s2[1:]), e2)
+            if part:
+                total += part * weight()
+        # t_{a_b} / a_b! per plain boundary b, whose excess is a_b
+        return prod((_t(x) / factorial(x) for x in a[2:]), start=total)
     return coefficient
 
 
-def _decomposition_coefficient(n: int):
-    """H_n plus the glued pairs of the ``full`` family, integral mode."""
-    htc = _htc_coefficient(n)
-    glued = _paired_coefficient("full", n, "integral")
-    return lambda a: htc(a) + glued(a)
+@lru_cache(maxsize=None)
+def _reduced(a1: int, a2: int) -> tuple:
+    """t_{deg(b1)}(L1) t_{deg(b2)-1}(L2) / 8 has deg(b1) = a_1, deg(b2) = a_2 + 1."""
+    weight = _t(a1) * _t(a2) / 8
+    return ((a1 - 1, a2, lambda: weight),)
+
+
+@lru_cache(maxsize=None)
+def _glued(mode: str, a1: int, a2: int) -> tuple:
+    """ell_integral(e1, e2, mode) / 16 has L-degree e1 + e2 + 1: one term per
+    excess e1 = deg(b1) - 1 < a_1."""
+    k = a1 + a2 - 1
+    return tuple((e1, k - e1, partial(_gluing, mode, e1, k - e1, a1, a2))
+                 for e1 in range(-1, a1))
+
+
+@lru_cache(maxsize=None)
+def _gluing(mode: str, e1: int, e2: int, a1: int, a2: int) -> Fraction:
+    """The coefficient of L1^(2 a_1) L2^(2 a_2) in ell_integral(e1, e2, mode) / 16."""
+    return ell_integral(e1, e2, mode).coefficient(((lsq(1), a1), (lsq(2), a2))) / 16
 
 
 # -- the routes ------------------------------------------------------------
@@ -211,7 +206,8 @@ def htc_volume(n: int) -> Polynomial:
 
     Valid under ``HTC_ASSUMPTION``.
     """
-    return _orbit_sum(n, _htc_coefficient(n), fixed=2)
+    lone = ((1,), tuple(range(2, n + 1)))  # the isolated split
+    return _orbit_sum(n, _split_sum([lone], partial(_glued, "integral")), fixed=2)
 
 
 def v0n_reduced(n: int) -> Polynomial:
@@ -225,7 +221,7 @@ def v0n_reduced(n: int) -> Polynomial:
     out labels 1, 2, 3; each orbit coefficient is checked at every placement
     of its exponents on them, and a mismatch raises ``ArithmeticError``.
     """
-    return _orbit_sum(n, _reduced_coefficient(n), singled=3)
+    return _orbit_sum(n, _split_sum(family_splits("two-three", n), _reduced), singled=3)
 
 
 def v0n_graph_sum(n: int) -> Polynomial:
@@ -239,7 +235,8 @@ def v0n_graph_sum(n: int) -> Polynomial:
     degree 0.  Derived under ``HTC_ASSUMPTION``; the result is symmetric
     (checked on labels 1, 2) so the condition drops out.
     """
-    return _orbit_sum(n, _paired_coefficient("graph", n, "closed"), singled=2)
+    return _orbit_sum(n, _split_sum(family_splits("graph", n), partial(_glued, "closed")),
+                      singled=2)
 
 
 @lru_cache(maxsize=None)
@@ -284,7 +281,8 @@ def full_decomposition_v0n(n: int) -> Polynomial:
     independent of the closed form used by the graph sum).  Must equal
     :func:`v0n_reduced` exactly; symmetry is checked on labels 1, 2.
     """
-    return _orbit_sum(n, _decomposition_coefficient(n), singled=2)
+    return _orbit_sum(n, _split_sum(family_splits("graph", n), partial(_glued, "integral")),
+                      singled=2)
 
 
 # -- oracle data and invariants ------------------------------------------

@@ -116,3 +116,11 @@ def test_criterion_10_invariants():
         capture_output=True, text=True).stdout
     ok = ok and first == second and json.loads(first)["terms"]
     report(10, "homogeneity n-3, full symmetry, byte-stable serialization", ok)
+
+
+def test_criterion_11_zograf_constant_terms():
+    start = time.monotonic()
+    ok = passes(10, [f"zograf-{n}" for n in range(4, 11)])
+    elapsed = time.monotonic() - start
+    report(11, f"pi-only part of V_0n = Zograf's v_n, n=4..10 ({elapsed:.1f}s < 60s)",
+           ok and elapsed < 60)

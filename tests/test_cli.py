@@ -37,6 +37,7 @@ SHARED_PATH_GOLDEN = {
     "vol-n4-lengths-json": "vol --n 4 --lengths 1,2,3,4 --format json",
     "htc-n4-lengths-json": "htc --n 4 --lengths 1,2,3,4 --format json",
     "htc-n5-latex": "htc --n 5 --format latex",
+    "htc-n8": "htc --n 8",
 }
 
 
@@ -156,6 +157,18 @@ TOO_BIG = str(cli.VOLUME_MAX_N + 1)
 TOO_LONG = str(cli.GF_MAX_ORDER + 1)
 
 
+@pytest.fixture
+def no_routes(monkeypatch):
+    """Make every volume route and series fail if it is entered."""
+    def computed(*args, **kwargs):
+        raise AssertionError("a volume route or series was called")
+
+    for name in ("v0n_reduced", "v0n_graph_sum", "full_decomposition_v0n",
+                 "f_substituted", "htc_volume", "identity_checks",
+                 "z_series", "solve_r", "htc_genfun"):
+        monkeypatch.setattr(cli, name, computed)
+
+
 @pytest.mark.parametrize("argv", [
     ["vol", "--n", TOO_BIG],
     ["vol", "--n", TOO_BIG, "--method", "recursion"],
@@ -165,15 +178,8 @@ TOO_LONG = str(cli.GF_MAX_ORDER + 1)
     ["gf", "--target", "h", "--order", TOO_LONG],
     ["gf", "--target", "z", "--order", TOO_LONG],
 ])
-def test_volume_size_above_limit_refused(monkeypatch, capsys, argv):
+def test_volume_size_above_limit_refused(no_routes, capsys, argv):
     # A size that cannot finish is refused before any route or series is entered.
-    def computed(*args, **kwargs):
-        raise AssertionError("a volume route or series was called")
-
-    for name in ("v0n_reduced", "v0n_graph_sum", "full_decomposition_v0n",
-                 "f_substituted", "htc_volume", "identity_checks",
-                 "z_series", "solve_r", "htc_genfun"):
-        monkeypatch.setattr(cli, name, computed)
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -182,6 +188,29 @@ def test_volume_size_above_limit_refused(monkeypatch, capsys, argv):
         assert f"series are limited to --order <= {cli.GF_MAX_ORDER}" in captured.err
     else:
         assert f"volumes are limited to n <= {cli.VOLUME_MAX_N}" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["vol", "--n", "11", "--lengths", "1,2"], "expected 11 comma-separated lengths, got 2"),
+    (["vol", "--n", "5", "--method", "decomposition", "--lengths", "1,2"],
+     "expected 5 comma-separated lengths, got 2"),
+    (["vol", "--n", "5", "--lengths", "1,2,0,1,1"], "lengths must be positive"),
+    (["htc", "--n", "6", "--lengths", "1,2,3"], "expected 6 comma-separated lengths, got 3"),
+    (["htc", "--n", "5", "--lengths", "1,2,-1,1,1", "--format", "json"],
+     "lengths must be positive"),
+    (["htc", "--n", "5", "--lengths", "2,1,1,1,1"], "half-tight volumes assume 0 < L1 < L2"),
+    (["htc", "--n", "4", "--lengths", "3,3,1,1", "--format", "latex"],
+     "half-tight volumes assume 0 < L1 < L2"),
+], ids=["vol-count-n11", "vol-count-n5", "vol-nonpositive", "htc-count", "htc-nonpositive",
+        "htc-l1-above-l2", "htc-l1-equals-l2"])
+def test_bad_lengths_refused_before_any_route(no_routes, capsys, argv, message):
+    # Lengths are checked before the volume is computed, so a bad list
+    # costs no route time and gets no V_{0,5} note ahead of the error.
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 # Run in a fresh interpreter, since the test session has numpy loaded.  The

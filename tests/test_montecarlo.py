@@ -182,6 +182,21 @@ def test_mc_overflowing_lengths_refused(monkeypatch, capsys, lengths):
     assert "binary64" in captured.err
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_mc_overflowing_squares_refused(capsys, recwarn, threads):
+    # At lengths near 1e40 the glued samples are finite but their squares
+    # are not: the run is refused as invalid input once sampled, with no
+    # numpy warning and no report built on overflowed sums.
+    argv = ["--threads", threads, "verify", "mc", "--n", "5",
+            "--lengths", "1e40,2e40,1e40,1e40,1e40", "--samples", "100", "--seed", "1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the sampled volumes or their squares overflow "
+                            "binary64 at these lengths\n")
+    assert not recwarn.list
+
+
 def test_mc_worker_pool_is_capped(monkeypatch, capsys):
     recorded = []
 

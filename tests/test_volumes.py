@@ -4,15 +4,16 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from functools import cache
-from math import comb, factorial
+from functools import cache, partial
+from math import factorial
 
 import pytest
 
 from wptrees import volumes
 from wptrees.algebra import PI2, Polynomial, lsq, mom
+from wptrees.checks import zograf_v
 from wptrees.genfun import f_substituted, symmetric_from_moments
-from wptrees.trees import enumerate_family
+from wptrees.trees import enumerate_family, family_splits
 from wptrees.volumes import (
     ell_integral,
     full_decomposition_v0n,
@@ -144,25 +145,20 @@ def test_known_table_bounds():
 
 def test_symmetry_guard_survives_optimize():
     # Under ``python -O`` a bare assert would vanish; the guard must not.
-    # Each symmetric route gets its coefficient function corrupted at one
-    # placement, L1^2 alone at n = 4, which its guard reads; the routes run
-    # clean again once the function is restored.
+    # The split-sum core gets its coefficient functions corrupted at one
+    # placement, L1^2 alone at n = 4, which each symmetric route's guard
+    # reads; each route runs clean again once the core is restored.
     code = ("import wptrees.volumes as v\n"
-            "def corrupt(build):\n"
-            "    def built(*args):\n"
-            "        f = build(*args)\n"
-            "        return lambda a: f(a) + (a == (1, 0, 0, 0))\n"
-            "    return built\n"
-            "routes = [(v.v0n_reduced, '_reduced_coefficient'),\n"
-            "          (v.v0n_graph_sum, '_paired_coefficient'),\n"
-            "          (v.full_decomposition_v0n, '_decomposition_coefficient')]\n"
-            "for route, name in routes:\n"
-            "    build = getattr(v, name)\n"
-            "    setattr(v, name, corrupt(build))\n"
+            "core = v._split_sum\n"
+            "def corrupt(splits, factor):\n"
+            "    f = core(splits, factor)\n"
+            "    return lambda a: f(a) + (a == (1, 0, 0, 0))\n"
+            "for route in (v.v0n_reduced, v.v0n_graph_sum, v.full_decomposition_v0n):\n"
+            "    v._split_sum = corrupt\n"
             "    try:\n"
             "        route(4)\n"
             "    except ArithmeticError:\n"
-            "        setattr(v, name, build)\n"
+            "        v._split_sum = core\n"
             "        route(4)\n"
             "        continue\n"
             "    raise SystemExit(route.__name__)\n")
@@ -238,18 +234,6 @@ def test_tree_routes_match_recursion_beyond_table(route, n):
     assert route(n) == recursion_route(n)
 
 
-@cache
-def zograf_v(n: int) -> Fraction:
-    """Zograf's recursion for the Weil-Petersson volumes of M_{0,n}
-    (P. Zograf, Contemp. Math. 150, 1993), normalised to v_3 = 1."""
-    if n == 3:
-        return Fraction(1)
-    return Fraction(1, 2) * sum(
-        Fraction(i * (n - i - 2), n - 1) * comb(n - 4, i - 1) * comb(n, i + 1)
-        * zograf_v(i + 2) * zograf_v(n - i)
-        for i in range(1, n - 2))
-
-
 def zograf_constant_term(n: int) -> Polynomial:
     """V_{0,n}(0) = 2^(n-3) / (n-3)! * v_n * pi^(2(n-3))."""
     return P.monomial(Fraction(2 ** (n - 3), factorial(n - 3)) * zograf_v(n),
@@ -296,9 +280,11 @@ def moment_orbits(n):
 
 
 ORBIT_ROUTES = {
-    "reduced": volumes._reduced_coefficient,
-    "graph-sum": lambda n: volumes._paired_coefficient("graph", n, "closed"),
-    "decomposition": volumes._decomposition_coefficient,
+    "reduced": lambda n: volumes._split_sum(family_splits("two-three", n), volumes._reduced),
+    "graph-sum": lambda n: volumes._split_sum(family_splits("graph", n),
+                                              partial(volumes._glued, "closed")),
+    "decomposition": lambda n: volumes._split_sum(family_splits("graph", n),
+                                                  partial(volumes._glued, "integral")),
 }
 
 
