@@ -6,13 +6,15 @@ enumeration), ``verify identities`` (the exact cross-check battery) and
 ``verify mc`` (Monte Carlo validation).  Output is byte-stable: polynomials
 render in canonical term order, floats print with 17 significant digits,
 and a ``--threads`` value never changes the output.  Exit codes: 0 success,
-1 verification failure, 2 invalid input.
+1 verification failure, 2 invalid input, 141 (128 + SIGPIPE) when the reader
+closes stdout early.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -289,7 +291,13 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ValueError("need --threads >= 1")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Send the interpreter's final flush of stdout to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,9 +18,11 @@ Conventions, matching the exact engine:
   (L_i-l)/2 and (L_i+l)/2 for boundaries 1 and 2 of a glued pair at gluing
   length l.
 * The half-tight measure is 2^(n-3) times Lebesgue.  The glued measure is
-  2^(n-4) dl dtau times Lebesgue; the twist tau is integrated exactly (its
-  fiber has length l) and l is sampled uniformly on (0, min(L1, L2)), giving
-  the unbiased weight min(L1, L2) * l per sample.
+  2^(n-4) dl dtau times Lebesgue.  Neither the twist tau nor the gluing
+  length l enters an angle, so both are integrated exactly: the fiber of
+  tau has length l, and l times the four simplex volumes of boundaries 1
+  and 2 is a polynomial in l of degree 2(d1 + d2) - 3, integrated over
+  (0, min(L1, L2)) by the (d1 + d2 - 1)-point Gauss-Legendre rule.
 * A combinatorial tree enters with its plane-embedding count as an integer
   multiplicity, since the polytope only depends on the combinatorial tree.
 
@@ -28,12 +30,13 @@ One seed drives everything: the sampled tree at index i in canonical tree
 order (half-tight trees first, then glued pairs) draws from a counter-based
 Philox generator on child i of ``SeedSequence(seed)``, so a report depends
 only on (seed, samples) and not on the worker-thread count.  ``_stream``
-builds that generator inside the job, when the job first draws; a tree whose
-volume is exact builds none.  Only it and the glued estimator import numpy,
-so the exact commands never load it.  Chunk sums use numpy's pairwise
-summation; cross-chunk accumulation uses math.fsum.  Lengths at which a
-sampled value, its square or a sum of squares overflows binary64 are
-refused with ``ValueError``.
+builds that generator inside the job, when the job first draws; a tree with
+no inner-inner edge is exact and builds none.  Only it and the quadrature
+nodes import numpy, so the exact commands never load it.  A sampled row is
+its constant, computed before any draw, times the fraction of draws that
+meet every constraint; no sampled value is squared, so lengths at which the
+sum of the constants overflows binary64 are refused, before any draw, with
+``ValueError``.
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import factorial
 
 from .algebra import PI2, lsq
@@ -169,11 +172,12 @@ def _chunks(samples: int):
     return (min(_CHUNK, samples - done) for done in range(0, samples, _CHUNK))
 
 
-def _is_top_dimensional(t: Tree | DoubleTree) -> bool:
-    if isinstance(t, DoubleTree):
-        return _is_top_dimensional(t.t1) and _is_top_dimensional(t.t2)
-    deg = t.degrees()
-    return all(deg[v] == 3 for v in t.inner_ids())
+def _sides(member: Tree | DoubleTree) -> tuple[Tree, ...]:
+    return (member.t1, member.t2) if isinstance(member, DoubleTree) else (member,)
+
+
+def _is_top_dimensional(member: Tree | DoubleTree) -> bool:
+    return all(d == 3 for t in _sides(member) for v, d in t.degrees().items() if v < 0)
 
 
 def _inner_edge_constraints(t: Tree) -> list[tuple[int, int, int, int]]:
@@ -185,119 +189,111 @@ def _inner_edge_constraints(t: Tree) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def _simplex_volume(size, dim: int):
+def _simplex_volume(size: float, dim: int) -> float:
     """Lebesgue volume of the size-``size`` simplex on ``dim`` coordinates."""
-    if dim == 1:
-        return size ** 0  # scalar 1 or an array of ones
     return size ** (dim - 1) / factorial(dim - 1)
 
 
 def _angle_constant(t: Tree) -> float:
     deg = t.degrees()
-    out = 1.0
-    for v in t.inner_ids():
-        out *= math.pi ** (deg[v] - 1) / factorial(deg[v] - 1)
-    return out
+    return math.prod(math.pi ** (deg[v] - 1) / factorial(deg[v] - 1) for v in t.inner_ids())
 
 
-def _acceptance_mask(constraints, angles_by_vertex):
-    acc = None
-    for u, su, v, sv in constraints:
-        ok = angles_by_vertex[u][:, su] + angles_by_vertex[v][:, sv] < math.pi
-        acc = ok if acc is None else (acc & ok)
-    return acc
+@lru_cache(maxsize=None)
+def _gauss_legendre(count: int) -> tuple[tuple[float, float], ...]:
+    """(node, weight) pairs of the ``count``-point Gauss-Legendre rule on
+    [-1, 1], exact for polynomials of degree up to 2 count - 1."""
+    import numpy as np
+    nodes, weights = np.polynomial.legendre.leggauss(count)
+    return tuple(zip(nodes.tolist(), weights.tolist()))
 
 
-def _sample_angles(t: Tree, constraints, rng, m: int):
-    """Uniform simplex points via normalized exponential spacings."""
+def _gluing_mean(L1: float, L2: float, d1: int, d2: int) -> float:
+    """E_l[min(L1, L2) l S((L1-l)/2, d1) S((L1+l)/2, d1) S((L2-l)/2, d2)
+    S((L2+l)/2, d2)] for l uniform on (0, min(L1, L2)), S the simplex volume:
+    a polynomial of degree 2(d1 + d2) - 3, so this rule is exact."""
+    lmax = min(L1, L2)
+    terms = []
+    for x, w in _gauss_legendre(d1 + d2 - 1):
+        ell = lmax * (x + 1.0) / 2.0
+        for size, d in ((L1 - ell, d1), (L1 + ell, d1), (L2 - ell, d2), (L2 + ell, d2)):
+            w *= _simplex_volume(size / 2.0, d)
+        terms.append(w * lmax * ell)
+    return math.fsum(terms) / 2.0
+
+
+def _constant(member: Tree | DoubleTree, n: int, L: dict[int, float]) -> float:
+    """The member's volume without its Delaunay constraints: plane-embedding
+    count x measure factor x boundary simplex volumes x angle constants, and
+    for a glued pair the exact mean over the gluing length."""
+    glued = isinstance(member, DoubleTree)
+    const = float(plane_embedding_count(member)) * 2.0 ** (n - 4 if glued else n - 3)
+    for t in _sides(member):
+        deg = t.degrees()
+        for b in t.boundary:
+            if glued and b in (1, 2):
+                continue
+            if b == 2:
+                const *= _simplex_volume((L[2] - L[1]) / 2.0, deg[b])
+                const *= _simplex_volume((L[2] + L[1]) / 2.0, deg[b])
+            else:
+                const *= _simplex_volume(L[b] / 2.0, deg[b]) ** 2
+        const *= _angle_constant(t)
+    if glued:
+        const *= _gluing_mean(L[1], L[2], member.t1.degree(1), member.t2.degree(2))
+    return const
+
+
+def _sample_angles(t: Tree, constraints, rng, m: int) -> dict:
+    """Uniform simplex points via normalized exponential spacings, one
+    (m, deg) draw per constrained vertex in vertex order, kept at the
+    constrained slots: {(vertex, slot): angles}."""
     deg = t.degrees()
-    needed = sorted({u for u, _, _, _ in constraints} | {v for _, _, v, _ in constraints})
+    slots: dict[int, set[int]] = {}
+    for u, su, v, sv in constraints:
+        slots.setdefault(u, set()).add(su)
+        slots.setdefault(v, set()).add(sv)
     out = {}
-    for v in needed:
+    for v in sorted(slots):
         g = rng.exponential(size=(m, deg[v]))
-        out[v] = math.pi * g / g.sum(axis=1, keepdims=True)
+        total = sum((g[:, j] for j in range(1, deg[v])), g[:, 0])  # = g.sum(axis=1)
+        for j in slots[v]:
+            out[v, j] = math.pi * g[:, j] / total
     return out
 
 
-def _htc_tree_estimate(tree: Tree, n: int, L: dict[int, float], samples: int,
-                       stream, delaunay: bool) -> dict:
-    deg = tree.degrees()
-    const = float(plane_embedding_count(tree)) * 2.0 ** (n - 3)
-    for b in tree.boundary:
-        d = deg[b]
-        if b == 2:
-            const *= _simplex_volume((L[2] - L[1]) / 2.0, d)
-            const *= _simplex_volume((L[2] + L[1]) / 2.0, d)
-        else:
-            const *= _simplex_volume(L[b] / 2.0, d) ** 2
-    const *= _angle_constant(tree)
-    constraints = _inner_edge_constraints(tree)
-    row = {"key": canonical_key(tree).decode(), "kind": "half-tight"}
-    if not constraints or not delaunay:
+def _estimate(member: Tree | DoubleTree, const: float, samples: int, stream,
+              delaunay: bool) -> dict:
+    """The report row of one member: ``const`` times the sampled probability
+    that every side meets its Delaunay constraints, exact without any."""
+    row = {"key": canonical_key(member).decode(),
+           "kind": "full" if isinstance(member, DoubleTree) else "half-tight"}
+    sides = [(t, cons) for t in _sides(member) if (cons := _inner_edge_constraints(t))]
+    if not sides or not delaunay:
         return row | {"estimate": const, "std_error": 0.0, "exact": True}
 
     rng = stream()
     accepted = 0
     for m in _chunks(samples):
-        angles = _sample_angles(tree, constraints, rng, m)
-        accepted += int(_acceptance_mask(constraints, angles).sum())
+        ok = True
+        for t, cons in sides:
+            angles = _sample_angles(t, cons, rng, m)
+            for u, su, v, sv in cons:
+                ok = ok & (angles[u, su] + angles[v, sv] < math.pi)
+        accepted += int(ok.sum())
     p = accepted / samples
     se = abs(const) * math.sqrt(p * (1.0 - p) / samples)
     return row | {"estimate": const * p, "std_error": se, "exact": False}
-
-
-def _full_tree_estimate(dt: DoubleTree, n: int, L: dict[int, float],
-                        samples: int, stream, delaunay: bool) -> dict:
-    import numpy as np
-    lmax = min(L[1], L[2])
-    base = float(plane_embedding_count(dt)) * 2.0 ** (n - 4)
-    for t in (dt.t1, dt.t2):
-        deg = t.degrees()
-        for b in t.boundary:
-            if b not in (1, 2):
-                base *= _simplex_volume(L[b] / 2.0, deg[b]) ** 2
-        base *= _angle_constant(t)
-    d1 = dt.t1.degree(1)
-    d2 = dt.t2.degree(2)
-    cons1 = _inner_edge_constraints(dt.t1)
-    cons2 = _inner_edge_constraints(dt.t2)
-
-    rng = stream()
-    chunk_sums: list[float] = []
-    chunk_sumsq: list[float] = []
-    # An overflowing value or square raises FloatingPointError (see _sample).
-    with np.errstate(over="raise"):
-        for m in _chunks(samples):
-            ell = rng.uniform(0.0, lmax, size=m)
-            vals = base * lmax * ell
-            vals = vals * _simplex_volume((L[1] - ell) / 2.0, d1)
-            vals = vals * _simplex_volume((L[1] + ell) / 2.0, d1)
-            vals = vals * _simplex_volume((L[2] - ell) / 2.0, d2)
-            vals = vals * _simplex_volume((L[2] + ell) / 2.0, d2)
-            if delaunay:
-                for t, cons in ((dt.t1, cons1), (dt.t2, cons2)):
-                    if cons:
-                        angles = _sample_angles(t, cons, rng, m)
-                        vals = vals * _acceptance_mask(cons, angles)
-            chunk_sums.append(float(vals.sum()))
-            chunk_sumsq.append(float((vals * vals).sum()))
-    total = math.fsum(chunk_sums)
-    totalsq = math.fsum(chunk_sumsq)
-    mean = total / samples
-    var = 0.0
-    if samples > 1:
-        var = max(0.0, (totalsq - samples * mean * mean) / (samples - 1))
-    return {"key": canonical_key(dt).decode(), "kind": "full", "estimate": mean,
-            "std_error": math.sqrt(var / samples), "exact": False}
 
 
 @dataclass
 class McReport:
     """A Monte Carlo estimate next to its exact reference.
 
-    ``z_score`` is (estimate - reference) / std_error; when the estimate is
-    exact (zero standard error) it is 0 for agreement to a relative 1e-9 and
-    infinite otherwise.
+    ``z_score`` is (estimate - reference) / hypot(std_error, r), where
+    r = 64 eps rows (sum |row estimate| + |reference|) bounds the rounding
+    of both; when the estimate is exact (zero standard error) it is 0 for
+    agreement to a relative 1e-9 and infinite otherwise.
     """
 
     estimate: float
@@ -309,9 +305,9 @@ class McReport:
     per_tree: list = field(default_factory=list)
 
 
-def _zscore(estimate: float, reference: float, std_error: float) -> float:
+def _zscore(estimate: float, reference: float, std_error: float, rounding: float) -> float:
     if std_error > 0.0:
-        return (estimate - reference) / std_error
+        return (estimate - reference) / math.hypot(std_error, rounding)
     if math.isclose(estimate, reference, rel_tol=1e-9, abs_tol=1e-12):
         return 0.0
     return math.copysign(math.inf, estimate - reference)
@@ -350,12 +346,11 @@ def _combine(jobs, reference: float, samples: int, seed: int,
     else:
         rows = [f() for f in jobs]
     total = math.fsum(r["estimate"] for r in rows)
-    se = math.sqrt(math.fsum(r["std_error"] ** 2 for r in rows))
+    se = math.hypot(*(r["std_error"] for r in rows))
+    scale = 64 * len(rows) * math.ulp(1.0)
+    rounding = scale * math.fsum(abs(r["estimate"]) for r in rows) + scale * abs(reference)
     return McReport(total, se, samples, seed, reference,
-                    _zscore(total, reference, se), rows)
-
-
-_ESTIMATORS = {"htc": _htc_tree_estimate, "full": _full_tree_estimate}
+                    _zscore(total, reference, se, rounding), rows)
 
 
 def _sample(families, reference_route, n: int, lengths, samples: int, seed: int,
@@ -371,16 +366,19 @@ def _sample(families, reference_route, n: int, lengths, samples: int, seed: int,
         reference = reference_route(n).eval_float(_bindings(lengths))
     except OverflowError:
         raise ValueError("the exact reference overflows binary64") from None
-    members = [(family, m) for family in families
+    members = [m for family in families
                for m in enumerate_family(family, n) if _is_top_dimensional(m)]
-    jobs = [partial(_ESTIMATORS[family], m, n, L, samples, partial(_stream, seed, i),
-                    delaunay)
-            for i, (family, m) in enumerate(members)]
+    # Every row and sum lies between 0 and the sum of the constants.
     try:
-        return _combine(jobs, reference, samples, seed, threads)
-    except (FloatingPointError, OverflowError):
-        raise ValueError("the sampled volumes or their squares overflow binary64 "
-                         "at these lengths") from None
+        consts = [_constant(m, n, L) for m in members]
+        finite = math.isfinite(math.fsum(consts))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError("the per-tree volumes overflow binary64 at these lengths")
+    jobs = [partial(_estimate, m, const, samples, partial(_stream, seed, i), delaunay)
+            for i, (m, const) in enumerate(zip(members, consts))]
+    return _combine(jobs, reference, samples, seed, threads)
 
 
 def mc_htc_volume(n: int, lengths, samples: int, seed: int,

@@ -242,6 +242,18 @@ def test_numpy_is_loaded_only_to_sample():
     assert state["numpy_after_mc"]
 
 
+def test_closed_stdout_exits_quietly_with_141():
+    # 140 KB of output: the reader has closed the pipe long before it ends.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wptrees.cli", "vol", "--n", "9", "--method", "recursion"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(50)) == 50
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 141
+    assert err == b""
+
+
 def test_internal_key_error_is_not_invalid_input(monkeypatch):
     def broken(n):
         raise KeyError("unbound atom")
