@@ -161,6 +161,8 @@ def _cmd_trees(args) -> int:
 # -- verification -----------------------------------------------------------
 
 def _cmd_verify_identities(args) -> int:
+    if args.max_n < 3:
+        raise ValueError("need --max-n >= 3")
     _check_volume_size(args.max_n, "--max-n")
     failures = 0
     for name, thunk in identity_checks(args.max_n).items():
@@ -201,6 +203,9 @@ def _cmd_verify_mc(args) -> int:
     if args.ablation and args.n <= 4:
         raise ValueError("--ablation needs --n >= 5: no tree at n <= 4 has an "
                          "inner-inner edge, so dropping the constraints changes nothing")
+    for flag, sigma in (("--sigma", args.sigma), ("--ablation-sigma", args.ablation_sigma)):
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise ValueError(f"need a finite {flag} > 0, got {sigma}")
     lengths = _parse_lengths(args.lengths, args.n)
     report = mc_full_volume(args.n, lengths, args.samples, args.seed,
                             threads=args.threads)

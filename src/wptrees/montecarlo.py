@@ -80,7 +80,8 @@ def polytope_dimension(tree: Tree, ideal=None, mode: str = "formula") -> int:
     per-boundary simplex sums) by exact rank computation over the rationals.
     """
     ideal = dict(ideal or {})
-    deg = tree.degrees()
+    adj = tree.adjacency()
+    deg = {v: len(nbrs) for v, nbrs in adj.items()}
     n = len(tree.boundary) + 1
     for b, i in ideal.items():
         if b not in tree.boundary:
@@ -89,11 +90,8 @@ def polytope_dimension(tree: Tree, ideal=None, mode: str = "formula") -> int:
             raise ValueError("each boundary vertex needs a non-ideal corner")
 
     if mode == "formula":
-        value = 2 * n - 6
-        for v in tree.inner_ids():
-            value += 3 - deg[v]
-        value -= sum(ideal.values())
-        return value
+        return (2 * n - 6 + sum(3 - d for v, d in deg.items() if v < 0)
+                - sum(ideal.values()))
 
     if mode != "rank":
         raise ValueError(f"unknown mode {mode!r}")
@@ -104,14 +102,14 @@ def polytope_dimension(tree: Tree, ideal=None, mode: str = "formula") -> int:
         return columns.setdefault(key, len(columns))
 
     rows: list[dict[int, int]] = []
-    for v in sorted(tree.vertices()):
-        for u in tree.neighbors(v):
+    for v in sorted(adj):
+        for u in adj[v]:
             col(("phi", v, u))
     for b in tree.boundary:
-        for u in tree.neighbors(b):  # boundary slots pinned to zero
+        for u in adj[b]:  # boundary slots pinned to zero
             rows.append({col(("phi", b, u)): 1})
-    for v in sorted(tree.inner_ids()):  # angle sum per inner vertex
-        rows.append({col(("phi", v, u)): 1 for u in tree.neighbors(v)})
+    for v in sorted(v for v in adj if v < 0):  # angle sum per inner vertex
+        rows.append({col(("phi", v, u)): 1 for u in adj[v]})
     for b in tree.boundary:
         nonid = deg[b] - ideal.get(b, 0)
         rows.append({col(("w", b, j)): 1 for j in range(deg[b])})
@@ -182,21 +180,14 @@ def _is_top_dimensional(member: Tree | DoubleTree) -> bool:
 
 def _inner_edge_constraints(t: Tree) -> list[tuple[int, int, int, int]]:
     """(u, slot_u, v, slot_v) per edge with both endpoints inner."""
-    out = []
-    for a, b in sorted(t.edges):
-        if a < 0 and b < 0:
-            out.append((a, t.neighbors(a).index(b), b, t.neighbors(b).index(a)))
-    return out
+    edges = [(a, b) for a, b in sorted(t.edges) if a < 0 and b < 0]
+    adj = t.adjacency() if edges else {}
+    return [(a, adj[a].index(b), b, adj[b].index(a)) for a, b in edges]
 
 
 def _simplex_volume(size: float, dim: int) -> float:
     """Lebesgue volume of the size-``size`` simplex on ``dim`` coordinates."""
     return size ** (dim - 1) / factorial(dim - 1)
-
-
-def _angle_constant(t: Tree) -> float:
-    deg = t.degrees()
-    return math.prod(math.pi ** (deg[v] - 1) / factorial(deg[v] - 1) for v in t.inner_ids())
 
 
 @lru_cache(maxsize=None)
@@ -228,19 +219,22 @@ def _constant(member: Tree | DoubleTree, n: int, L: dict[int, float]) -> float:
     for a glued pair the exact mean over the gluing length."""
     glued = isinstance(member, DoubleTree)
     const = float(plane_embedding_count(member)) * 2.0 ** (n - 4 if glued else n - 3)
+    glue = []  # degrees of boundary 1 in t1 and boundary 2 in t2
     for t in _sides(member):
         deg = t.degrees()
         for b in t.boundary:
             if glued and b in (1, 2):
+                glue.append(deg[b])
                 continue
             if b == 2:
                 const *= _simplex_volume((L[2] - L[1]) / 2.0, deg[b])
                 const *= _simplex_volume((L[2] + L[1]) / 2.0, deg[b])
             else:
                 const *= _simplex_volume(L[b] / 2.0, deg[b]) ** 2
-        const *= _angle_constant(t)
+        const *= math.prod(math.pi ** (d - 1) / factorial(d - 1)
+                           for v, d in deg.items() if v < 0)
     if glued:
-        const *= _gluing_mean(L[1], L[2], member.t1.degree(1), member.t2.degree(2))
+        const *= _gluing_mean(L[1], L[2], *glue)
     return const
 
 

@@ -32,8 +32,9 @@ the unique parent, so the construction is complete and duplicate-free; the
 enumerator checks this at run time and raises on a duplicate rather than
 assuming it.  The brute-force oracle (exhaustive Pruefer sequences plus
 degree filtering) differs from it only in how it enumerates the trees of one
-component, and serves as the reference for small n.  Enumeration keeps every
-tree in memory, so it is refused above ``ENUMERATION_MAX_N``.
+component, and serves as the reference for small n.  Nothing is cached
+between calls: the caller holds the trees, for one call, all in memory at
+once, so enumeration is refused above ``ENUMERATION_MAX_N``.
 
 Boundary-labeled trees are rigid (no nontrivial automorphisms fixing the
 labels), so counting needs no symmetry factors and the number of plane
@@ -55,7 +56,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import factorial, prod
 
@@ -80,8 +81,8 @@ __all__ = [
 
 FAMILIES = ("two-three", "graph", "htc", "full")
 BRUTE_FORCE_MAX_N = 7
-# Every enumerated tree stays cached: two-three at n = 8 is 217,968 trees and
-# 433 MB, and each further label multiplies both by about 25.
+# The caller holds every tree of one call: two-three at n = 8 is 217,968 trees
+# and 384 MB, and each further label multiplies both by about 25.
 ENUMERATION_MAX_N = 8
 
 
@@ -109,34 +110,34 @@ class Tree:
     def edge(a: int, b: int) -> "Tree":
         return Tree.make((a, b), [(a, b)])
 
-    def vertices(self) -> set[int]:
-        out = set(self.boundary)
+    def adjacency(self) -> dict[int, list[int]]:
+        """Vertex -> ascending neighbours, built afresh in one pass over the edges."""
+        adj: dict[int, list[int]] = {b: [] for b in self.boundary}
         for a, b in self.edges:
-            out.add(a)
-            out.add(b)
-        return out
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+        for nbrs in adj.values():
+            nbrs.sort()
+        return adj
+
+    def vertices(self) -> set[int]:
+        return set(self.adjacency())
 
     def inner_ids(self) -> set[int]:
-        return {v for v in self.vertices() if v < 0}
+        return {v for v in self.adjacency() if v < 0}
 
     def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
+        return self.adjacency().get(v, [])
 
     def degree(self, v: int) -> int:
-        return sum(1 for a, b in self.edges if a == v or b == v)
+        return len(self.neighbors(v))
 
     def degrees(self) -> dict[int, int]:
-        deg = {v: 0 for v in self.vertices()}
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
+        return {v: len(nbrs) for v, nbrs in self.adjacency().items()}
+
+    @cached_property
+    def _key(self) -> bytes:
+        return _encode(self.adjacency(), min(self.boundary), None)
 
 
 @dataclass(frozen=True)
@@ -150,18 +151,20 @@ class DoubleTree:
         if 1 not in self.t1.boundary or 2 not in self.t2.boundary:
             raise ValueError("double tree needs label 1 in t1 and 2 in t2")
 
+    @cached_property
+    def _key(self) -> bytes:
+        return b"D[" + self.t1._key + b"|" + self.t2._key + b"]"
 
-@lru_cache(maxsize=None)
+
 def canonical_key(t: Tree | DoubleTree) -> bytes:
-    """Isomorphism-invariant key; equal iff the labeled graphs are equal."""
-    if isinstance(t, DoubleTree):
-        return b"D[" + canonical_key(t.t1) + b"|" + canonical_key(t.t2) + b"]"
-    return _encode(t, min(t.boundary), None)
+    """Isomorphism-invariant key; equal iff the labeled graphs are equal.
+    Kept on the tree once computed."""
+    return t._key
 
 
-def _encode(t: Tree, v: int, parent: int | None) -> bytes:
-    """Canonical bytes of the subtree of t at v, seen from ``parent``."""
-    kids = sorted(_encode(t, u, v) for u in t.neighbors(v) if u != parent)
+def _encode(adj: dict[int, list[int]], v: int, parent: int | None) -> bytes:
+    """Canonical bytes of the subtree at v, seen from ``parent``."""
+    kids = sorted(_encode(adj, u, v) for u in adj[v] if u != parent)
     tag = b"B%d" % v if v > 0 else b"I"
     return tag + b"(" + b",".join(kids) + b")"
 
@@ -179,37 +182,31 @@ def plane_embedding_count(t: Tree | DoubleTree) -> int:
 
 def validate_tree(t: Tree) -> None:
     """Raise if t is not connected, acyclic, with inner degrees >= 3."""
-    verts = t.vertices()
+    adj = t.adjacency()
     if len(set(t.boundary)) != len(t.boundary):
         raise ValueError("duplicate boundary labels")
-    if len(t.edges) != len(verts) - 1:
+    if len(t.edges) != len(adj) - 1:
         raise ValueError("edge count does not match a tree")
-    if len(verts) > 1:
-        seen = {next(iter(verts))}
+    if len(adj) > 1:
+        seen = {next(iter(adj))}
         frontier = list(seen)
         while frontier:
             v = frontier.pop()
-            for u in t.neighbors(v):
+            for u in adj[v]:
                 if u not in seen:
                     seen.add(u)
                     frontier.append(u)
-        if seen != verts:
+        if seen != adj.keys():
             raise ValueError("tree is not connected")
-    deg = t.degrees()
-    for v in t.inner_ids():
-        if deg[v] < 3:
-            raise ValueError(f"inner vertex of degree {deg[v]} < 3")
-    inner_bound = len(t.boundary) - 2
-    if len(t.inner_ids()) > max(0, inner_bound):
+    inner = [v for v in adj if v < 0]
+    for v in inner:
+        if len(adj[v]) < 3:
+            raise ValueError(f"inner vertex of degree {len(adj[v])} < 3")
+    if len(inner) > max(0, len(t.boundary) - 2):
         raise ValueError("too many inner vertices")
 
 
 # -- constructive enumeration by label insertion ------------------------
-
-def _fresh_inner(t: Tree) -> int:
-    inner = t.inner_ids()
-    return (min(inner) - 1) if inner else -1
-
 
 def insert_label(t: Tree, label: int) -> list[Tree]:
     """All trees obtained by adding one new boundary vertex ``label``.
@@ -222,6 +219,8 @@ def insert_label(t: Tree, label: int) -> list[Tree]:
     if label in t.boundary:
         raise ValueError(f"label {label} already present")
     new_boundary = t.boundary + (label,)
+    inner = t.inner_ids()
+    fresh = (min(inner) - 1) if inner else -1
     children: list[Tree] = []
 
     for e in t.edges:  # (1)
@@ -229,7 +228,7 @@ def insert_label(t: Tree, label: int) -> list[Tree]:
         edges = (t.edges - {e}) | {_norm_edge(a, label), _norm_edge(label, b)}
         children.append(Tree.make(new_boundary, edges))
 
-    for w in t.inner_ids():  # (2)
+    for w in inner:  # (2)
         edges = frozenset(
             _norm_edge(label if a == w else a, label if b == w else b)
             for a, b in t.edges)
@@ -238,14 +237,13 @@ def insert_label(t: Tree, label: int) -> list[Tree]:
     for b in t.boundary:  # (3)
         children.append(Tree.make(new_boundary, t.edges | {_norm_edge(b, label)}))
 
-    for v in t.inner_ids():  # (4)
+    for v in inner:  # (4)
         children.append(Tree.make(new_boundary, t.edges | {_norm_edge(v, label)}))
 
     for e in t.edges:  # (5)
         a, b = e
-        w = _fresh_inner(t)
-        edges = (t.edges - {e}) | {_norm_edge(a, w), _norm_edge(w, b),
-                                   _norm_edge(w, label)}
+        edges = (t.edges - {e}) | {_norm_edge(a, fresh), _norm_edge(fresh, b),
+                                   _norm_edge(fresh, label)}
         children.append(Tree.make(new_boundary, edges))
 
     keys = [canonical_key(c) for c in children]
@@ -268,7 +266,6 @@ def _check_enumeration_size(n: int) -> None:
             f"n <= {ENUMERATION_MAX_N}, got n = {n}")
 
 
-@lru_cache(maxsize=None)
 def trees_on(labels: tuple[int, ...]) -> tuple[Tree, ...]:
     """All trees with the given boundary labels, sorted by canonical key.
 
@@ -330,7 +327,6 @@ def _assemble(family: str, n: int, component_trees) -> tuple:
     return tuple(t for _, t in sorted(out.items()))
 
 
-@lru_cache(maxsize=None)
 def enumerate_family(family: str, n: int) -> tuple:
     """Complete duplicate-free enumeration, sorted by canonical key."""
     _check_family(family, n)
@@ -434,12 +430,13 @@ def brute_force_enumerate(family: str, n: int) -> tuple:
 
 def _canonical_inner_ids(t: Tree) -> dict[int, int]:
     """Relabel inner vertices -1, -2, ... along the canonical traversal."""
+    adj = t.adjacency()
     mapping: dict[int, int] = {}
 
     def visit(v: int, parent: int | None) -> None:
         if v < 0 and v not in mapping:
             mapping[v] = -(len(mapping) + 1)
-        kids = sorted((_encode(t, u, v), u) for u in t.neighbors(v) if u != parent)
+        kids = sorted((_encode(adj, u, v), u) for u in adj[v] if u != parent)
         for _, u in kids:
             visit(u, v)
 

@@ -165,7 +165,7 @@ def no_routes(monkeypatch):
 
     for name in ("v0n_reduced", "v0n_graph_sum", "full_decomposition_v0n",
                  "f_substituted", "htc_volume", "identity_checks",
-                 "z_series", "solve_r", "htc_genfun"):
+                 "z_series", "solve_r", "htc_genfun", "mc_full_volume"):
         monkeypatch.setattr(cli, name, computed)
 
 
@@ -206,6 +206,34 @@ def test_volume_size_above_limit_refused(no_routes, capsys, argv):
 def test_bad_lengths_refused_before_any_route(no_routes, capsys, argv, message):
     # Lengths are checked before the volume is computed, so a bad list
     # costs no route time and gets no V_{0,5} note ahead of the error.
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+MC = ["verify", "mc", "--n", "5", "--lengths", "1,2,1,1,1", "--samples", "10", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "identities", "--max-n", "2"], "need --max-n >= 3"),
+    (["verify", "identities", "--max-n", "-1"], "need --max-n >= 3"),
+    (MC + ["--sigma", "inf"], "need a finite --sigma > 0, got inf"),
+    (MC + ["--sigma", "0"], "need a finite --sigma > 0, got 0.0"),
+    (MC + ["--sigma", "-3"], "need a finite --sigma > 0, got -3.0"),
+    (MC + ["--sigma", "nan"], "need a finite --sigma > 0, got nan"),
+    (MC + ["--ablation", "--ablation-sigma", "nan"],
+     "need a finite --ablation-sigma > 0, got nan"),
+    (MC + ["--ablation", "--ablation-sigma=-inf"],
+     "need a finite --ablation-sigma > 0, got -inf"),
+    (MC + ["--ablation-sigma", "0"], "need a finite --ablation-sigma > 0, got 0.0"),
+], ids=["max-n-2", "max-n-negative", "sigma-inf", "sigma-zero", "sigma-negative",
+        "sigma-nan", "ablation-sigma-nan", "ablation-sigma-minus-inf", "ablation-sigma-zero"])
+def test_out_of_range_bounds_refused_before_any_work(no_routes, capsys, argv, message):
+    # A --max-n below 3 would run only the n-free checks and report OK; a
+    # z-score bound that is not finite and positive could only PASS or only
+    # FAIL.  Both are refused before any check, reference or draw.
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2

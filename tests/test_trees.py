@@ -1,6 +1,8 @@
 """Tree families: counts, oracle agreement, insertion properties, keys,
 and the Pruefer counts of the degree profiles."""
+import gc
 import json
+import weakref
 from collections import Counter
 from itertools import product
 from math import factorial, prod
@@ -107,6 +109,14 @@ def test_insert_label_seed_children():
     assert insert_label(Tree.single(1), 4) == [Tree.edge(1, 4)]
 
 
+def test_insert_label_numbers_a_new_inner_vertex_below_the_least():
+    star = Tree.make((2, 3, 4), [(2, -3), (3, -3), (4, -3)])
+    inner = Counter(frozenset(c.inner_ids()) for c in insert_label(star, 5))
+    # three subdivisions, three boundary and one inner attachment keep -3;
+    # the replacement drops it; the three edge attachments add -4.
+    assert inner == {frozenset({-3}): 7, frozenset(): 1, frozenset({-3, -4}): 3}
+
+
 def test_insert_label_counts_match_oracle_n5():
     children = [c for p in trees_on((2, 3, 4)) for c in insert_label(p, 5)]
     # injectivity across parents: all children distinct
@@ -164,6 +174,39 @@ def test_inner_vertex_count_bound():
     for n in (4, 5, 6):
         for t in enumerate_family("htc", n):
             assert len(t.inner_ids()) <= len(t.boundary) - 2
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_edge_views_match_edge_scans(family, n):
+    for member in enumerate_family(family, n):
+        for t in (member,) if isinstance(member, Tree) else (member.t1, member.t2):
+            vertices = set(t.boundary) | {v for edge in t.edges for v in edge}
+            assert t.vertices() == vertices
+            assert t.inner_ids() == {v for v in vertices if v < 0}
+            neighbors = {v: sorted([b for a, b in t.edges if a == v]
+                                   + [a for a, b in t.edges if b == v])
+                         for v in vertices}
+            assert t.adjacency() == neighbors
+            for v in vertices:
+                assert t.neighbors(v) == neighbors[v]
+                assert t.degree(v) == sum(v in edge for edge in t.edges)
+            assert t.degrees() == {v: sum(v in edge for edge in t.edges) for v in vertices}
+            assert t.neighbors(99) == [] and t.degree(99) == 0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_enumerated_trees_are_freed_with_their_tuple(family):
+    # No process-wide cache holds a tree: once the caller drops the family,
+    # its members and their components are gone.
+    members = enumerate_family(family, 5)
+    first = members[0]
+    canonical_key(first)
+    parts = [first] if isinstance(first, Tree) else [first, first.t1, first.t2]
+    refs = [weakref.ref(t) for t in parts]
+    del members, first, parts
+    gc.collect()
+    assert all(r() is None for r in refs)
 
 
 def test_tree_json_export():
