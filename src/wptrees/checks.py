@@ -140,7 +140,7 @@ def _check_h_genfun(max_p: int, htc) -> bool:
 
 def _check_dimensions(n: int) -> bool:
     for tree in enumerate_family("htc", n):
-        top = _is_top_dimensional(tree)
+        top = _is_top_dimensional(tree.degrees())
         for marks in corner_markings(tree, 2):
             a = polytope_dimension(tree, marks, mode="formula")
             b = polytope_dimension(tree, marks, mode="rank")

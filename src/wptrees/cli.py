@@ -49,6 +49,8 @@ VOLUME_MAX_N = 13
 # orders.
 GF_MAX_ORDER = 20
 
+ABLATION_SIGMA = 5.0  # the ablation's rows are exact: its |z| is 0 or infinite
+
 
 def _check_volume_size(n: int, flag: str = "--n") -> None:
     """Refuse, before any work, a volume size that cannot finish."""
@@ -203,9 +205,8 @@ def _cmd_verify_mc(args) -> int:
     if args.ablation and args.n <= 4:
         raise ValueError("--ablation needs --n >= 5: no tree at n <= 4 has an "
                          "inner-inner edge, so dropping the constraints changes nothing")
-    for flag, sigma in (("--sigma", args.sigma), ("--ablation-sigma", args.ablation_sigma)):
-        if not (math.isfinite(sigma) and sigma > 0):
-            raise ValueError(f"need a finite {flag} > 0, got {sigma}")
+    if not (math.isfinite(args.sigma) and args.sigma > 0):
+        raise ValueError(f"need a finite --sigma > 0, got {args.sigma}")
     lengths = _parse_lengths(args.lengths, args.n)
     report = mc_full_volume(args.n, lengths, args.samples, args.seed,
                             threads=args.threads)
@@ -213,12 +214,10 @@ def _cmd_verify_mc(args) -> int:
     ok = abs(report.z_score) < args.sigma
     print(f"{'PASS' if ok else 'FAIL'} mc-z-score |z| < {args.sigma}")
     if args.ablation:
-        off = mc_full_volume(args.n, lengths, args.samples, args.seed,
-                             threads=args.threads, delaunay=False)
+        off = report.unconstrained()
         print(_report_json(off))
-        off_ok = abs(off.z_score) > args.ablation_sigma
-        print(f"{'PASS' if off_ok else 'FAIL'} "
-              f"mc-ablation |z| > {args.ablation_sigma}")
+        off_ok = abs(off.z_score) > ABLATION_SIGMA
+        print(f"{'PASS' if off_ok else 'FAIL'} mc-ablation |z| > {ABLATION_SIGMA}")
         ok = ok and off_ok
     return 0 if ok else 1
 
@@ -281,8 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--seed", type=int, required=True)
     p_mc.add_argument("--sigma", type=float, default=3.0)
     p_mc.add_argument("--ablation", action="store_true")
-    p_mc.add_argument("--ablation-sigma", type=float, default=5.0,
-                      dest="ablation_sigma")
     p_mc.set_defaults(func=_cmd_verify_mc)
     return parser
 

@@ -34,9 +34,10 @@ builds that generator inside the job, when the job first draws; a tree with
 no inner-inner edge is exact and builds none.  Only it and the quadrature
 nodes import numpy, so the exact commands never load it.  A sampled row is
 its constant, computed before any draw, times the fraction of draws that
-meet every constraint; no sampled value is squared, so lengths at which the
-sum of the constants overflows binary64 are refused, before any draw, with
-``ValueError``.
+meet every constraint; ``McReport.unconstrained`` (the ablation) reads the
+constants kept on the rows back as exact rows.  No sampled value is squared,
+so lengths at which the sum of the constants overflows binary64 are refused,
+before any draw, with ``ValueError``, as is an n too large to enumerate.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ from functools import lru_cache, partial
 from math import factorial
 
 from .algebra import PI2, lsq
-from .trees import DoubleTree, Tree, canonical_key, enumerate_family, plane_embedding_count
+from .trees import DoubleTree, Tree, _check_enumeration_size, canonical_key, enumerate_family
 from .volumes import htc_volume, v0n_reduced
 
 __all__ = [
@@ -165,24 +166,20 @@ def _stream(seed: int, i: int):
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
 
 
-def _chunks(samples: int):
-    """Draw counts of at most ``_CHUNK`` that add up to ``samples``."""
-    return (min(_CHUNK, samples - done) for done in range(0, samples, _CHUNK))
+def _sides(member: Tree | DoubleTree) -> list[tuple]:
+    """Per tree of ``member``, read from one adjacency: the tree, its degrees
+    and a (u, slot_u, v, slot_v) per edge with both endpoints inner."""
+    out = []
+    for t in (member.t1, member.t2) if isinstance(member, DoubleTree) else (member,):
+        adj = t.adjacency()
+        out.append((t, {v: len(nbrs) for v, nbrs in adj.items()},
+                    [(a, adj[a].index(b), b, adj[b].index(a))
+                     for a, b in sorted(t.edges) if a < 0 and b < 0]))
+    return out
 
 
-def _sides(member: Tree | DoubleTree) -> tuple[Tree, ...]:
-    return (member.t1, member.t2) if isinstance(member, DoubleTree) else (member,)
-
-
-def _is_top_dimensional(member: Tree | DoubleTree) -> bool:
-    return all(d == 3 for t in _sides(member) for v, d in t.degrees().items() if v < 0)
-
-
-def _inner_edge_constraints(t: Tree) -> list[tuple[int, int, int, int]]:
-    """(u, slot_u, v, slot_v) per edge with both endpoints inner."""
-    edges = [(a, b) for a, b in sorted(t.edges) if a < 0 and b < 0]
-    adj = t.adjacency() if edges else {}
-    return [(a, adj[a].index(b), b, adj[b].index(a)) for a, b in edges]
+def _is_top_dimensional(degrees: dict[int, int]) -> bool:
+    return all(d == 3 for v, d in degrees.items() if v < 0)
 
 
 def _simplex_volume(size: float, dim: int) -> float:
@@ -213,15 +210,15 @@ def _gluing_mean(L1: float, L2: float, d1: int, d2: int) -> float:
     return math.fsum(terms) / 2.0
 
 
-def _constant(member: Tree | DoubleTree, n: int, L: dict[int, float]) -> float:
+def _constant(sides, n: int, L: dict[int, float]) -> float:
     """The member's volume without its Delaunay constraints: plane-embedding
     count x measure factor x boundary simplex volumes x angle constants, and
     for a glued pair the exact mean over the gluing length."""
-    glued = isinstance(member, DoubleTree)
-    const = float(plane_embedding_count(member)) * 2.0 ** (n - 4 if glued else n - 3)
+    glued = len(sides) == 2
+    embeddings = math.prod(factorial(d - 1) for _, deg, _ in sides for d in deg.values())
+    const = float(embeddings) * 2.0 ** (n - 4 if glued else n - 3)
     glue = []  # degrees of boundary 1 in t1 and boundary 2 in t2
-    for t in _sides(member):
-        deg = t.degrees()
+    for t, deg, _ in sides:
         for b in t.boundary:
             if glued and b in (1, 2):
                 glue.append(deg[b])
@@ -238,11 +235,10 @@ def _constant(member: Tree | DoubleTree, n: int, L: dict[int, float]) -> float:
     return const
 
 
-def _sample_angles(t: Tree, constraints, rng, m: int) -> dict:
+def _sample_angles(deg: dict[int, int], constraints, rng, m: int) -> dict:
     """Uniform simplex points via normalized exponential spacings, one
     (m, deg) draw per constrained vertex in vertex order, kept at the
     constrained slots: {(vertex, slot): angles}."""
-    deg = t.degrees()
     slots: dict[int, set[int]] = {}
     for u, su, v, sv in constraints:
         slots.setdefault(u, set()).add(su)
@@ -256,22 +252,23 @@ def _sample_angles(t: Tree, constraints, rng, m: int) -> dict:
     return out
 
 
-def _estimate(member: Tree | DoubleTree, const: float, samples: int, stream,
-              delaunay: bool) -> dict:
-    """The report row of one member: ``const`` times the sampled probability
-    that every side meets its Delaunay constraints, exact without any."""
+def _estimate(member: Tree | DoubleTree, const: float, sampled, samples: int,
+              seed: int, i: int) -> dict:
+    """The report row of one member: ``const`` times the sampled rate at which
+    every (degrees, constraints) side in ``sampled`` passes, exact if none."""
     row = {"key": canonical_key(member).decode(),
-           "kind": "full" if isinstance(member, DoubleTree) else "half-tight"}
-    sides = [(t, cons) for t in _sides(member) if (cons := _inner_edge_constraints(t))]
-    if not sides or not delaunay:
+           "kind": "full" if isinstance(member, DoubleTree) else "half-tight",
+           "constant": const}
+    if not sampled:
         return row | {"estimate": const, "std_error": 0.0, "exact": True}
 
-    rng = stream()
+    rng = _stream(seed, i)
     accepted = 0
-    for m in _chunks(samples):
+    for done in range(0, samples, _CHUNK):
+        m = min(_CHUNK, samples - done)
         ok = True
-        for t, cons in sides:
-            angles = _sample_angles(t, cons, rng, m)
+        for deg, cons in sampled:
+            angles = _sample_angles(deg, cons, rng, m)
             for u, su, v, sv in cons:
                 ok = ok & (angles[u, su] + angles[v, sv] < math.pi)
         accepted += int(ok.sum())
@@ -287,7 +284,8 @@ class McReport:
     ``z_score`` is (estimate - reference) / hypot(std_error, r), where
     r = 64 eps rows (sum |row estimate| + |reference|) bounds the rounding
     of both; when the estimate is exact (zero standard error) it is 0 for
-    agreement to a relative 1e-9 and infinite otherwise.
+    agreement to a relative 1e-9 and infinite otherwise.  Each row keeps
+    the member's ``constant``, its volume without the Delaunay constraints.
     """
 
     estimate: float
@@ -297,6 +295,13 @@ class McReport:
     reference: float
     z_score: float
     per_tree: list = field(default_factory=list)
+
+    def unconstrained(self) -> "McReport":
+        """The ablation: every row exact at its constant, the volume without
+        the Delaunay constraints.  Nothing is enumerated, evaluated or drawn."""
+        rows = [row | {"estimate": row["constant"], "std_error": 0.0, "exact": True}
+                for row in self.per_tree]
+        return _report(rows, self.reference, self.samples, self.seed)
 
 
 def _zscore(estimate: float, reference: float, std_error: float, rounding: float) -> float:
@@ -330,15 +335,7 @@ def _check_lengths(n: int, lengths) -> dict[int, float]:
     return L
 
 
-def _combine(jobs, reference: float, samples: int, seed: int,
-             threads: int) -> McReport:
-    # More workers than jobs or CPUs only cost thread start-ups.
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda f: f(), jobs))
-    else:
-        rows = [f() for f in jobs]
+def _report(rows: list[dict], reference: float, samples: int, seed: int) -> McReport:
     total = math.fsum(r["estimate"] for r in rows)
     se = math.hypot(*(r["std_error"] for r in rows))
     scale = 64 * len(rows) * math.ulp(1.0)
@@ -348,7 +345,7 @@ def _combine(jobs, reference: float, samples: int, seed: int,
 
 
 def _sample(families, reference_route, n: int, lengths, samples: int, seed: int,
-            threads: int, delaunay: bool) -> McReport:
+            threads: int) -> McReport:
     """Sample the top-dimensional members of ``families`` in order, one
     stream each, against ``reference_route(n)`` evaluated at the lengths."""
     L = _check_lengths(n, lengths)
@@ -356,40 +353,45 @@ def _sample(families, reference_route, n: int, lengths, samples: int, seed: int,
         raise ValueError("samples must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
+    _check_enumeration_size(n)
     try:
         reference = reference_route(n).eval_float(_bindings(lengths))
     except OverflowError:
         raise ValueError("the exact reference overflows binary64") from None
-    members = [m for family in families
-               for m in enumerate_family(family, n) if _is_top_dimensional(m)]
     # Every row and sum lies between 0 and the sum of the constants.
+    members = []
     try:
-        consts = [_constant(m, n, L) for m in members]
-        finite = math.isfinite(math.fsum(consts))
+        for family in families:
+            for m in enumerate_family(family, n):
+                sides = _sides(m)
+                if all(_is_top_dimensional(d) for _, d, _ in sides):
+                    members.append((m, _constant(sides, n, L),
+                                    tuple((d, cons) for _, d, cons in sides if cons)))
+        finite = math.isfinite(math.fsum(const for _, const, _ in members))
     except OverflowError:
         finite = False
     if not finite:
         raise ValueError("the per-tree volumes overflow binary64 at these lengths")
-    jobs = [partial(_estimate, m, const, samples, partial(_stream, seed, i), delaunay)
-            for i, (m, const) in enumerate(zip(members, consts))]
-    return _combine(jobs, reference, samples, seed, threads)
+    jobs = [partial(_estimate, m, const, sampled, samples, seed, i)
+            for i, (m, const, sampled) in enumerate(members)]
+    # More workers than jobs or CPUs only cost thread start-ups.
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(lambda f: f(), jobs))
+    else:
+        rows = [f() for f in jobs]
+    return _report(rows, reference, samples, seed)
 
 
-def mc_htc_volume(n: int, lengths, samples: int, seed: int,
-                  threads: int = 1, delaunay: bool = True) -> McReport:
-    """Estimate H_n(L) by sampling the top-dimensional half-tight polytopes.
-
-    ``delaunay=False`` drops the per-edge rejection test (an ablation used
-    to demonstrate that the constraints carry real volume).
-    """
-    return _sample(("htc",), htc_volume, n, lengths, samples, seed, threads, delaunay)
+def mc_htc_volume(n: int, lengths, samples: int, seed: int, threads: int = 1) -> McReport:
+    """Estimate H_n(L) by sampling the top-dimensional half-tight polytopes."""
+    return _sample(("htc",), htc_volume, n, lengths, samples, seed, threads)
 
 
-def mc_full_volume(n: int, lengths, samples: int, seed: int,
-                   threads: int = 1, delaunay: bool = True) -> McReport:
+def mc_full_volume(n: int, lengths, samples: int, seed: int, threads: int = 1) -> McReport:
     """Estimate V_{0,n}(L): half-tight part plus glued-pair part.
 
     The reference is the exact reduced tree sum evaluated at the lengths.
     """
-    return _sample(("htc", "full"), v0n_reduced, n, lengths, samples, seed, threads,
-                   delaunay)
+    return _sample(("htc", "full"), v0n_reduced, n, lengths, samples, seed, threads)

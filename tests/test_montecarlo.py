@@ -56,11 +56,11 @@ def test_sample_angle_polytope():
     # Each constrained slot is, bit for bit, the normalized exponential
     # spacing of a full (m, 3) draw per constrained vertex in vertex order.
     star = Tree.make((2, 3, 4), [(2, -1), (3, -1), (4, -1)])
-    assert montecarlo._inner_edge_constraints(star) == []  # always accepted
-    joined = trivalent_n5_tree()
-    constraints = montecarlo._inner_edge_constraints(joined)
+    assert montecarlo._sides(star)[0][2] == []  # always accepted
+    (joined, deg, constraints), = montecarlo._sides(trivalent_n5_tree())
+    assert deg == joined.degrees()
     (u, su, v, sv), = constraints
-    angles = montecarlo._sample_angles(joined, constraints,
+    angles = montecarlo._sample_angles(deg, constraints,
                                        np.random.Generator(np.random.Philox(1)), 1000)
     assert sorted(angles) == sorted([(u, su), (v, sv)])
     twin = np.random.Generator(np.random.Philox(1))
@@ -147,9 +147,87 @@ def test_mc_full_zscores_across_seeds():
 
 def test_mc_ablation_disagrees():
     lengths = [1.0, 2.0, 1.0, 1.0, 1.0]
-    off = mc_full_volume(5, lengths, samples=100_000, seed=3, delaunay=False)
+    off = mc_full_volume(5, lengths, samples=100_000, seed=3).unconstrained()
     assert abs(off.z_score) > 5
     assert off.estimate > off.reference  # dropping constraints only adds volume
+
+
+@pytest.mark.parametrize("n, lengths", [(5, [1.0, 2.0, 1.0, 1.0, 1.0]),
+                                        (6, [1.0, 2.0, 3.0, 1.0, 2.0, 1.0])], ids=["n5", "n6"])
+@pytest.mark.parametrize("seed", [1, 7, 42], ids=lambda seed: f"seed{seed}")
+def test_mc_unconstrained_reads_the_constants(monkeypatch, n, lengths, seed):
+    report = mc_full_volume(n, lengths, samples=500, seed=seed, threads=2)
+
+    def entered(*args, **kwargs):
+        raise AssertionError("deriving the ablation enumerated, evaluated or drew")
+
+    for name in ("_stream", "enumerate_family", "v0n_reduced", "htc_volume",
+                 "ThreadPoolExecutor"):
+        monkeypatch.setattr(montecarlo, name, entered)
+    off = report.unconstrained()
+    assert (off.reference, off.seed, off.samples) == (report.reference, seed, 500)
+    assert off.std_error == 0.0
+    assert len(off.per_tree) == len(report.per_tree)
+    for on_row, off_row in zip(report.per_tree, off.per_tree):
+        assert off_row["exact"] and off_row["std_error"] == 0.0
+        assert off_row["estimate"] == on_row["constant"]
+        if on_row["exact"]:
+            assert off_row == on_row
+        else:
+            assert off_row["estimate"] >= on_row["estimate"]
+    assert any(not row["exact"] for row in report.per_tree)
+    assert off.estimate == math.fsum(row["constant"] for row in report.per_tree)
+    assert off.estimate > off.reference
+    assert off.z_score == math.inf
+
+
+@pytest.mark.parametrize("sampler", [mc_full_volume, mc_htc_volume])
+def test_mc_refuses_large_n_before_the_reference(monkeypatch, sampler):
+    def evaluated(n):
+        raise AssertionError("the reference was evaluated")
+
+    monkeypatch.setattr(montecarlo, "v0n_reduced", evaluated)
+    monkeypatch.setattr(montecarlo, "htc_volume", evaluated)
+    with pytest.raises(ValueError, match="tree enumeration .* n <= 8, got n = 9"):
+        sampler(9, [1.0, 2.0] + [1.0] * 7, samples=10, seed=1)
+
+
+def test_cli_refuses_large_mc_n_before_the_reference(monkeypatch, capsys):
+    def evaluated(n):
+        raise AssertionError("the reference was evaluated")
+
+    monkeypatch.setattr(montecarlo, "v0n_reduced", evaluated)
+    argv = ["verify", "mc", "--n", "9", "--lengths", "1,2,1,1,1,1,1,1,1",
+            "--samples", "10", "--seed", "1", "--ablation"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tree enumeration")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_cli_mc_enumerates_each_family_once(monkeypatch, capsys):
+    enumerated, sampled = [], []
+    enumerate_family = montecarlo.enumerate_family
+    full_volume = cli.mc_full_volume
+
+    def counting_enumeration(family, n):
+        enumerated.append(family)
+        return enumerate_family(family, n)
+
+    def counting_volume(*args, **kwargs):
+        sampled.append(args)
+        return full_volume(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "enumerate_family", counting_enumeration)
+    monkeypatch.setattr(cli, "mc_full_volume", counting_volume)
+    argv = ["--threads", "2", "verify", "mc", "--n", "5", "--lengths", "1,2,1,1,1",
+            "--samples", "2000", "--seed", "42", "--ablation"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1::2] == ["PASS mc-z-score |z| < 3.0", "PASS mc-ablation |z| > 5.0"]
+    assert enumerated == ["htc", "full"]
+    assert len(sampled) == 1
 
 
 def test_mc_thread_count_invariance():
@@ -176,8 +254,8 @@ def test_mc_streams_are_spawned_children(monkeypatch, n):
         assert spawned == shipped
 
 
-@pytest.mark.parametrize("delaunay", [True, False])
-def test_mc_stream_built_only_to_draw(monkeypatch, delaunay):
+@pytest.mark.parametrize("constrained", [True, False])
+def test_mc_stream_built_only_to_draw(monkeypatch, constrained):
     calls = []
     stream = montecarlo._stream
 
@@ -186,9 +264,12 @@ def test_mc_stream_built_only_to_draw(monkeypatch, delaunay):
         return stream(seed, i)
 
     monkeypatch.setattr(montecarlo, "_stream", recording)
-    report = mc_full_volume(5, [1.0, 2.0, 1.0, 1.0, 1.0], samples=100, seed=4,
-                            delaunay=delaunay)
-    assert calls == [i for i, row in enumerate(report.per_tree) if not row["exact"]]
+    report = mc_full_volume(5, [1.0, 2.0, 1.0, 1.0, 1.0], samples=100, seed=4)
+    drawn = [i for i, row in enumerate(report.per_tree) if not row["exact"]]
+    if not constrained:  # the ablation is derived without a stream
+        report = report.unconstrained()
+        assert all(row["exact"] for row in report.per_tree)
+    assert calls == drawn
     assert any(row["exact"] for row in report.per_tree)
 
 
