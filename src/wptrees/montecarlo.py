@@ -11,7 +11,10 @@ Conventions, matching the exact engine:
   pi^(deg-1)/(deg-1)!.  The per-edge constraints
   phi(forward) + phi(backward) < pi are automatic when one endpoint is a
   boundary vertex (its slots are pinned to 0) and are estimated by rejection
-  on edges joining two inner vertices.
+  on edges joining two inner vertices.  Only the angles at the slots of
+  those edges are drawn, as fractions of pi, by stick breaking: one uniform
+  per constrained slot, none for the vertex's other slots, so an edge is
+  accepted when its two fractions sum below 1.
 * A boundary vertex of degree d carries two simplices of dimension d-1 and
   volume size^(d-1)/(d-1)! each.  Sizes: L_b/2 twice for an ordinary
   boundary; (L2-L1)/2 and (L2+L1)/2 for boundary 2 of a half-tight tree;
@@ -236,26 +239,45 @@ def _constant(sides, n: int, L: dict[int, float]) -> float:
 
 
 def _sample_angles(deg: dict[int, int], constraints, rng, m: int) -> dict:
-    """Uniform simplex points via normalized exponential spacings, one
-    (m, deg) draw per constrained vertex in vertex order, kept at the
-    constrained slots: {(vertex, slot): angles}."""
+    """The angles at the constrained slots as fractions of pi, by stick
+    breaking: {(vertex, slot): fractions}.
+
+    Slots are taken in vertex order, then slot order.  The k-th constrained
+    slot (k = 0, 1, ...) of a vertex of degree d takes the share
+    1 - U^(1/(d-1-k)) of what the vertex's earlier slots left, one
+    ``rng.random(m)`` draw U per slot; a slot that is the vertex's last
+    coordinate takes the remainder and draws nothing.  The fractions are the
+    constrained coordinates of a uniform point on the simplex (Dirichlet(1,
+    ..., 1), exchangeable, so no other coordinate need be drawn)."""
     slots: dict[int, set[int]] = {}
     for u, su, v, sv in constraints:
         slots.setdefault(u, set()).add(su)
         slots.setdefault(v, set()).add(sv)
     out = {}
     for v in sorted(slots):
-        g = rng.exponential(size=(m, deg[v]))
-        total = sum((g[:, j] for j in range(1, deg[v])), g[:, 0])  # = g.sum(axis=1)
-        for j in slots[v]:
-            out[v, j] = math.pi * g[:, j] / total
+        left = None  # what the earlier slots left; None for the whole stick
+        for k, j in enumerate(sorted(slots[v])):
+            rest = deg[v] - 1 - k  # coordinates after this one
+            if rest == 0:
+                out[v, j] = left
+                continue
+            keep = rng.random(m)
+            if rest > 1:
+                keep **= 1.0 / rest
+            if left is None:
+                out[v, j], left = 1.0 - keep, keep
+            else:
+                out[v, j] = left * (1.0 - keep)
+                left *= keep
     return out
 
 
 def _estimate(member: Tree | DoubleTree, const: float, sampled, samples: int,
               seed: int, i: int) -> dict:
     """The report row of one member: ``const`` times the sampled rate at which
-    every (degrees, constraints) side in ``sampled`` passes, exact if none."""
+    every (degrees, constraints) side in ``sampled`` passes, exact if none.
+    A rate of 0 or 1 gets the standard error it would have if one further
+    draw had gone the other way, so no sampled row has a zero one."""
     row = {"key": canonical_key(member).decode(),
            "kind": "full" if isinstance(member, DoubleTree) else "half-tight",
            "constant": const}
@@ -268,12 +290,15 @@ def _estimate(member: Tree | DoubleTree, const: float, sampled, samples: int,
         m = min(_CHUNK, samples - done)
         ok = True
         for deg, cons in sampled:
-            angles = _sample_angles(deg, cons, rng, m)
+            fractions = _sample_angles(deg, cons, rng, m)
             for u, su, v, sv in cons:
-                ok = ok & (angles[u, su] + angles[v, sv] < math.pi)
+                ok = ok & (fractions[u, su] + fractions[v, sv] < 1.0)
         accepted += int(ok.sum())
     p = accepted / samples
-    se = abs(const) * math.sqrt(p * (1.0 - p) / samples)
+    if 0 < accepted < samples:
+        se = abs(const) * math.sqrt(p * (1.0 - p) / samples)
+    else:  # p(1-p)/samples at the rate samples/(samples+1) or its complement
+        se = abs(const) / (samples + 1)
     return row | {"estimate": const * p, "std_error": se, "exact": False}
 
 
@@ -283,9 +308,10 @@ class McReport:
 
     ``z_score`` is (estimate - reference) / hypot(std_error, r), where
     r = 64 eps rows (sum |row estimate| + |reference|) bounds the rounding
-    of both; when the estimate is exact (zero standard error) it is 0 for
-    agreement to a relative 1e-9 and infinite otherwise.  Each row keeps
-    the member's ``constant``, its volume without the Delaunay constraints.
+    of both; when every row is exact it is 0 for agreement to a relative
+    1e-9 and infinite otherwise.  A sampled row is never exact, whatever its
+    draws.  Each row keeps the member's ``constant``, its volume without the
+    Delaunay constraints.
     """
 
     estimate: float
@@ -304,8 +330,9 @@ class McReport:
         return _report(rows, self.reference, self.samples, self.seed)
 
 
-def _zscore(estimate: float, reference: float, std_error: float, rounding: float) -> float:
-    if std_error > 0.0:
+def _zscore(estimate: float, reference: float, exact: bool, std_error: float,
+            rounding: float) -> float:
+    if not exact:
         return (estimate - reference) / math.hypot(std_error, rounding)
     if math.isclose(estimate, reference, rel_tol=1e-9, abs_tol=1e-12):
         return 0.0
@@ -341,7 +368,8 @@ def _report(rows: list[dict], reference: float, samples: int, seed: int) -> McRe
     scale = 64 * len(rows) * math.ulp(1.0)
     rounding = scale * math.fsum(abs(r["estimate"]) for r in rows) + scale * abs(reference)
     return McReport(total, se, samples, seed, reference,
-                    _zscore(total, reference, se, rounding), rows)
+                    _zscore(total, reference, all(r["exact"] for r in rows), se,
+                            rounding), rows)
 
 
 def _sample(families, reference_route, n: int, lengths, samples: int, seed: int,

@@ -52,25 +52,68 @@ def test_dimension_validation():
         polytope_dimension(t, {9: 1})
 
 
+def path_n6_tree() -> Tree:
+    # three trivalent inner vertices in a row; the middle one has two
+    # constrained slots
+    return Tree.make((2, 3, 4, 5, 6), [(2, -1), (3, -1), (-1, -2), (4, -2),
+                                       (-2, -3), (5, -3), (6, -3)])
+
+
+def star_n7_tree() -> Tree:
+    # inner vertex -1 joined to three trivalent inner vertices, so all three
+    # of its slots are constrained
+    return Tree.make((2, 3, 4, 5, 6, 7), [(-1, -2), (-1, -3), (-1, -4), (2, -2),
+                                          (3, -2), (4, -3), (5, -3), (6, -4), (7, -4)])
+
+
 def test_sample_angle_polytope():
-    # Each constrained slot is, bit for bit, the normalized exponential
-    # spacing of a full (m, 3) draw per constrained vertex in vertex order.
+    # Each constrained slot is, bit for bit, its stick-breaking share of one
+    # uniform per slot drawn in vertex order, then slot order: a lone slot
+    # takes 1 - sqrt(U); the three slots of the centre take 1 - sqrt(U0),
+    # sqrt(U0) (1 - U1) and the remainder sqrt(U0) U1, drawing nothing.
     star = Tree.make((2, 3, 4), [(2, -1), (3, -1), (4, -1)])
     assert montecarlo._sides(star)[0][2] == []  # always accepted
-    (joined, deg, constraints), = montecarlo._sides(trivalent_n5_tree())
-    assert deg == joined.degrees()
-    (u, su, v, sv), = constraints
-    angles = montecarlo._sample_angles(deg, constraints,
-                                       np.random.Generator(np.random.Philox(1)), 1000)
-    assert sorted(angles) == sorted([(u, su), (v, sv)])
+    (tree, deg, constraints), = montecarlo._sides(star_n7_tree())
+    assert deg == tree.degrees()
+    fractions = montecarlo._sample_angles(deg, constraints,
+                                          np.random.Generator(np.random.Philox(1)), 1000)
+    assert sorted(fractions) == [(-4, 0), (-3, 0), (-2, 0), (-1, 0), (-1, 1), (-1, 2)]
     twin = np.random.Generator(np.random.Philox(1))
-    for vertex in sorted({u, v}):
-        g = twin.exponential(size=(1000, 3))
-        for (w, j), slot in angles.items():
-            if w == vertex:
-                assert slot.tobytes() == (math.pi * g[:, j] / g.sum(axis=1)).tobytes()
-    accepted = angles[u, su] + angles[v, sv] < math.pi
-    assert 0 < accepted.sum() < 1000  # the edge constraint is nontrivial
+    for leaf in (-4, -3, -2):
+        assert fractions[leaf, 0].tobytes() == (1.0 - np.sqrt(twin.random(1000))).tobytes()
+    first, second = np.sqrt(twin.random(1000)), twin.random(1000)
+    assert fractions[-1, 0].tobytes() == (1.0 - first).tobytes()
+    assert fractions[-1, 1].tobytes() == (first * (1.0 - second)).tobytes()
+    assert fractions[-1, 2].tobytes() == (first * second).tobytes()
+    for u, su, v, sv in constraints:
+        accepted = fractions[u, su] + fractions[v, sv] < 1.0
+        assert 0 < accepted.sum() < 1000  # each edge constraint is nontrivial
+
+
+@pytest.mark.parametrize("tree, slots, rate", [
+    (trivalent_n5_tree(), 1, Fraction(5, 6)),
+    (path_n6_tree(), 2, Fraction(61, 90)),
+    (star_n7_tree(), 3, Fraction(1343, 2520)),
+], ids=["one-slot-edge", "two-slot-path", "three-slot-star"])
+def test_sampled_rate_matches_closed_form(tree, slots, rate):
+    # With X_i the Dirichlet(1,1,1) coordinates of the vertex with the most
+    # constrained slots and each neighbour's fraction Beta(1, 2), the rate is
+    # E prod_i (1 - X_i^2) over its constrained slots i.
+    draws = 10 ** 6
+    (_, deg, constraints), = montecarlo._sides(tree)
+    row = montecarlo._estimate(tree, 1.0, ((deg, constraints),), draws, 9, 0)
+    assert abs(row["estimate"] - rate) < 5 * math.sqrt(rate * (1 - rate) / draws)
+    assert row["std_error"] == pytest.approx(math.sqrt(rate * (1 - rate) / draws), rel=1e-2)
+
+    fractions = montecarlo._sample_angles(deg, constraints,
+                                          np.random.Generator(np.random.Philox(9)), draws)
+    for x in fractions.values():  # Beta(1, 2): mean 1/3, variance 1/18
+        assert abs(x.mean() - 1 / 3) < 5 * math.sqrt(1 / 18 / draws)
+    centre = max(deg, key=lambda v: sum(1 for w, _ in fractions if w == v))
+    own = [x for (w, _), x in fractions.items() if w == centre]
+    assert len(own) == slots
+    if slots == deg[centre]:
+        assert np.abs(sum(own) - 1.0).max() <= 4 * np.finfo(float).eps
 
 
 def exact_gluing_mean(L1: Fraction, L2: Fraction, d1: int, d2: int) -> Fraction:
@@ -228,6 +271,30 @@ def test_cli_mc_enumerates_each_family_once(monkeypatch, capsys):
     assert lines[1::2] == ["PASS mc-z-score |z| < 3.0", "PASS mc-ablation |z| > 5.0"]
     assert enumerated == ["htc", "full"]
     assert len(sampled) == 1
+
+
+def test_mc_all_or_none_accepted_is_still_sampled():
+    # One draw per member: every sampled row's rate is 0 or 1.  Each row is
+    # scored as if one further draw had gone the other way, so its standard
+    # error is its constant / 2, and the three equal K2 rows at n = 5 keep
+    # |z| <= 5/6 * 3 / (sqrt(3) / 2) < 3 whatever the draws.
+    for seed in range(20):
+        report = mc_full_volume(5, [1.0, 2.0, 1.0, 1.0, 1.0], samples=1, seed=seed)
+        sampled = [row for row in report.per_tree if not row["exact"]]
+        assert len(sampled) == 3
+        for row in sampled:
+            assert row["estimate"] in (0.0, row["constant"])
+            assert row["std_error"] == row["constant"] / 2
+        assert math.isfinite(report.z_score) and abs(report.z_score) < 3
+
+
+def test_cli_single_sample_passes(capsys):
+    argv = ["verify", "mc", "--n", "5", "--lengths", "1,2,1,1,1", "--samples", "1",
+            "--seed", "1"]
+    assert cli.main(argv) == 0
+    first, verdict = capsys.readouterr().out.splitlines()
+    assert math.isfinite(json.loads(first)["z_score"])
+    assert verdict == "PASS mc-z-score |z| < 3.0"
 
 
 def test_mc_thread_count_invariance():
