@@ -30,12 +30,14 @@ Conventions, matching the exact engine:
   multiplicity, since the polytope only depends on the combinatorial tree.
 
 One seed drives everything: the sampled tree at index i in canonical tree
-order (half-tight trees first, then glued pairs) draws from a counter-based
-Philox generator on child i of ``SeedSequence(seed)``, so a report depends
+order (half-tight trees first, then glued pairs) draws from numpy's default
+PCG64 generator on child i of ``SeedSequence(seed)``, so a report depends
 only on (seed, samples) and not on the worker-thread count.  ``_stream``
 builds that generator inside the job, when the job first draws; a tree with
-no inner-inner edge is exact and builds none.  Only it and the quadrature
-nodes import numpy, so the exact commands never load it.  A sampled row is
+no inner-inner edge is exact and builds none.  Draws go in chunks of
+``_CHUNK``, small enough that each chunk's arrays stay in cache.  Only the
+drawing functions and the quadrature nodes import numpy, so the exact
+commands never load it.  A sampled row is
 its constant, computed before any draw, times the fraction of draws that
 meet every constraint; ``McReport.unconstrained`` (the ablation) reads the
 constants kept on the rows back as exact rows.  No sampled value is squared,
@@ -64,7 +66,7 @@ __all__ = [
     "mc_full_volume",
 ]
 
-_CHUNK = 1 << 17
+_CHUNK = 1 << 14
 
 
 # -- dimension formula and its rank-based verification ---------------------
@@ -162,11 +164,10 @@ def _rank(rows: list[dict[int, int]], ncols: int) -> int:
 # -- sampling ---------------------------------------------------------------
 
 def _stream(seed: int, i: int):
-    """The Philox generator on child ``i`` of ``SeedSequence(seed)``, the
-    same stream as ``SeedSequence(seed).spawn(count)[i]``."""
+    """The PCG64 generator on child ``i`` of ``SeedSequence(seed)``, the
+    same stream as ``default_rng(SeedSequence(seed).spawn(count)[i])``."""
     import numpy as np
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
 
 
 def _sides(member: Tree | DoubleTree) -> list[tuple]:
@@ -264,10 +265,11 @@ def _sample_angles(deg: dict[int, int], constraints, rng, m: int) -> dict:
             keep = rng.random(m)
             if rest > 1:
                 keep **= 1.0 / rest
+            out[v, j] = share = 1.0 - keep
             if left is None:
-                out[v, j], left = 1.0 - keep, keep
+                left = keep
             else:
-                out[v, j] = left * (1.0 - keep)
+                share *= left
                 left *= keep
     return out
 
@@ -284,16 +286,19 @@ def _estimate(member: Tree | DoubleTree, const: float, sampled, samples: int,
     if not sampled:
         return row | {"estimate": const, "std_error": 0.0, "exact": True}
 
+    import numpy as np
     rng = _stream(seed, i)
     accepted = 0
     for done in range(0, samples, _CHUNK):
         m = min(_CHUNK, samples - done)
-        ok = True
+        ok = np.ones(m, bool)
+        total, below = np.empty(m), np.empty(m, bool)
         for deg, cons in sampled:
             fractions = _sample_angles(deg, cons, rng, m)
             for u, su, v, sv in cons:
-                ok = ok & (fractions[u, su] + fractions[v, sv] < 1.0)
-        accepted += int(ok.sum())
+                np.add(fractions[u, su], fractions[v, sv], out=total)
+                ok &= np.less(total, 1.0, out=below)
+        accepted += np.count_nonzero(ok)
     p = accepted / samples
     if 0 < accepted < samples:
         se = abs(const) * math.sqrt(p * (1.0 - p) / samples)

@@ -15,7 +15,7 @@ from wptrees.montecarlo import (
     mc_htc_volume,
     polytope_dimension,
 )
-from wptrees.trees import Tree, enumerate_family
+from wptrees.trees import DoubleTree, Tree, enumerate_family
 
 
 def trivalent_n5_tree() -> Tree:
@@ -114,6 +114,73 @@ def test_sampled_rate_matches_closed_form(tree, slots, rate):
     assert len(own) == slots
     if slots == deg[centre]:
         assert np.abs(sum(own) - 1.0).max() <= 4 * np.finfo(float).eps
+
+
+def reference_accepted(sampled, samples: int, seed: int, i: int) -> int:
+    """The accepted count of ``_estimate``, drawn out of place from a twin of
+    its stream: per chunk, each side's slots in vertex order, then slot
+    order, each constraint a fresh array ``a + b < 1`` and-ed into ``ok``."""
+    twin = montecarlo._stream(seed, i)
+    accepted = 0
+    for done in range(0, samples, montecarlo._CHUNK):
+        m = min(montecarlo._CHUNK, samples - done)
+        ok = True
+        for deg, cons in sampled:
+            slots = {}
+            for u, su, v, sv in cons:
+                slots.setdefault(u, set()).add(su)
+                slots.setdefault(v, set()).add(sv)
+            fractions = {}
+            for v in sorted(slots):
+                left = None
+                for k, j in enumerate(sorted(slots[v])):
+                    rest = deg[v] - 1 - k
+                    if rest == 0:
+                        fractions[v, j] = left
+                        continue
+                    keep = twin.random(m)
+                    if rest > 1:
+                        keep **= 1.0 / rest
+                    if left is None:
+                        fractions[v, j], left = 1.0 - keep, keep
+                    else:
+                        fractions[v, j] = left * (1.0 - keep)
+                        left = left * keep
+            for u, su, v, sv in cons:
+                ok = ok & (fractions[u, su] + fractions[v, sv] < 1.0)
+        accepted += int(ok.sum())
+    return accepted
+
+
+def sampled_count(row: dict, samples: int) -> int:
+    # At constant 1 the estimate is accepted / samples, correctly rounded.
+    return round(row["estimate"] * samples)
+
+
+@pytest.mark.parametrize("tree", [trivalent_n5_tree(), path_n6_tree(), star_n7_tree()],
+                         ids=["one-slot-edge", "two-slot-path", "three-slot-star"])
+def test_in_place_acceptance_matches_out_of_place_across_chunks(tree):
+    # Two full chunks and a ragged one of 5 draws.
+    samples = 2 * montecarlo._CHUNK + 5
+    sampled = tuple((deg, cons) for _, deg, cons in montecarlo._sides(tree))
+    row = montecarlo._estimate(tree, 1.0, sampled, samples, 13, 4)
+    assert not row["exact"]
+    assert sampled_count(row, samples) == reference_accepted(sampled, samples, 13, 4)
+
+
+def test_glued_pair_samples_both_sides():
+    # Each side is one inner-inner edge between trivalent vertices, accepted
+    # at 5/6 independently of the other, so the pair passes at (5/6)^2.
+    t1 = Tree.make((1, 3, 4, 5), [(1, -1), (3, -1), (-1, -2), (4, -2), (5, -2)])
+    t2 = Tree.make((2, 6, 7, 8), [(2, -1), (6, -1), (-1, -2), (7, -2), (8, -2)])
+    pair = DoubleTree(t1, t2)
+    sampled = tuple((deg, cons) for _, deg, cons in montecarlo._sides(pair))
+    assert [len(cons) for _, cons in sampled] == [1, 1]
+    draws, rate = 10 ** 6, 25 / 36
+    row = montecarlo._estimate(pair, 1.0, sampled, draws, 21, 3)
+    assert row["kind"] == "full" and not row["exact"]
+    assert abs(row["estimate"] - rate) < 5 * math.sqrt(rate * (1 - rate) / draws)
+    assert sampled_count(row, draws) == reference_accepted(sampled, draws, 21, 3)
 
 
 def exact_gluing_mean(L1: Fraction, L2: Fraction, d1: int, d2: int) -> Fraction:
@@ -315,8 +382,8 @@ def test_mc_streams_are_spawned_children(monkeypatch, n):
         shipped = mc_full_volume(n, lengths, samples=300, seed=8, threads=threads)
         children = np.random.SeedSequence(8).spawn(len(shipped.per_tree))
         with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, "_stream", lambda seed, i: np.random.Generator(
-                np.random.Philox(children[i])))
+            patch.setattr(montecarlo, "_stream",
+                          lambda seed, i: np.random.default_rng(children[i]))
             spawned = mc_full_volume(n, lengths, samples=300, seed=8, threads=threads)
         assert spawned == shipped
 
