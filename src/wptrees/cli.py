@@ -59,7 +59,9 @@ def _check_volume_size(n: int, flag: str = "--n") -> None:
 
 
 def _parse_lengths(text: str, n: int) -> list[Fraction]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+    parts = [p.strip() for p in text.split(",")]
+    if not all(parts):
+        raise ValueError(f"malformed length list {text!r}: empty field")
     if len(parts) != n:
         raise ValueError(f"expected {n} comma-separated lengths, got {len(parts)}")
     try:
@@ -98,7 +100,7 @@ def _cmd_vol(args) -> int:
         "decomposition": full_decomposition_v0n,
         "recursion": lambda n: symmetric_from_moments(f_substituted(n), n),
     }[args.method]
-    lengths = _parse_lengths(args.lengths, args.n) if args.lengths else None
+    lengths = _parse_lengths(args.lengths, args.n) if args.lengths is not None else None
     poly = route(args.n)
     if args.n == 5:
         print(V05_COEFFICIENT_NOTE, file=sys.stderr)
@@ -111,7 +113,7 @@ def _cmd_htc(args) -> int:
     if args.n < 3:
         raise ValueError("need --n >= 3")
     _check_volume_size(args.n)
-    lengths = _parse_lengths(args.lengths, args.n) if args.lengths else None
+    lengths = _parse_lengths(args.lengths, args.n) if args.lengths is not None else None
     if lengths and not lengths[0] < lengths[1]:
         raise ValueError(f"half-tight volumes assume {HTC_ASSUMPTION}")
     poly = htc_volume(args.n)

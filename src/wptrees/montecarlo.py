@@ -22,12 +22,36 @@ Conventions, matching the exact engine:
   length l.
 * The half-tight measure is 2^(n-3) times Lebesgue.  The glued measure is
   2^(n-4) dl dtau times Lebesgue.  Neither the twist tau nor the gluing
-  length l enters an angle, so both are integrated exactly: the fiber of
-  tau has length l, and l times the four simplex volumes of boundaries 1
-  and 2 is a polynomial in l of degree 2(d1 + d2) - 3, integrated over
-  (0, min(L1, L2)) by the (d1 + d2 - 1)-point Gauss-Legendre rule.
-* A combinatorial tree enters with its plane-embedding count as an integer
-  multiplicity, since the polytope only depends on the combinatorial tree.
+  length l enters an angle, so both are integrated exactly; the fiber of
+  tau has length l.
+* A combinatorial tree enters with its plane-embedding count
+  prod_v (deg(v) - 1)! as an integer multiplicity, since the polytope only
+  depends on the combinatorial tree.
+
+These factors make a member's constant, its volume without the Delaunay
+constraints, its summand in the decomposition route of
+:mod:`wptrees.volumes` with every gamma_2 = pi^2.  With e_b = deg(b) - 1,
+a vertex's embedding count e_b! (2 at a trivalent inner vertex) cancels
+against its simplex normalisations:
+
+    boundary b           e_b! ((L_b/2)^e_b / e_b!)^2 = t_{e_b}(L_b) / 2
+    half-tight b = 2     e_b! ((L2^2 - L1^2)/4)^e_b / e_b!^2
+                             = ttilde_{e_b}(L2, L1) / 2
+    glued b = 1, 2       ttilde_{e_b}(L_b, l) / 2
+    inner vertex         2 * pi^2/2 = pi^2
+
+The half-tight tree has n - 1 boundaries, so 2^(n-3) / 2^(n-1) = 1/4 and
+its constant is ttilde_{e_2}(L2, L1) / 4 times the rest, which is
+ell_integral(-1, e_2) / 16: boundary 1 is the lone vertex, of excess -1, as
+in :func:`wptrees.volumes.htc_volume`.  The glued pair has n boundaries,
+so 2^(n-4) / 2^n = 1/16 times int l dl ttilde_{e_1}(L1, l) ttilde_{e_2}(L2, l)
+= ell_integral(e_1, e_2) / 16.  Either way, with j trivalent inner vertices,
+
+    const = (pi^2)^j / 16 * ell_integral(e_1, e_2) * prod_{b>2} t_{e_b}(L_b),
+
+a function of the boundaries' (label, excess) pairs alone.  It is
+evaluated exactly at the reference's binary64 bindings of pi^2 and the
+L_i^2 and rounded once; a run evaluates it once per signature.
 
 One seed drives everything: the sampled tree at index i in canonical tree
 order (half-tight trees first, then glued pairs) draws from numpy's default
@@ -36,12 +60,12 @@ only on (seed, samples) and not on the worker-thread count.  ``_stream``
 builds that generator inside the job, when the job first draws; a tree with
 no inner-inner edge is exact and builds none.  Draws go in chunks of
 ``_CHUNK``, small enough that each chunk's arrays stay in cache.  Only the
-drawing functions and the quadrature nodes import numpy, so the exact
-commands never load it.  A sampled row is
-its constant, computed before any draw, times the fraction of draws that
-meet every constraint; ``McReport.unconstrained`` (the ablation) reads the
-constants kept on the rows back as exact rows.  No sampled value is squared,
-so lengths at which the sum of the constants overflows binary64 are refused,
+drawing functions import numpy, so the exact commands, and a ``verify mc``
+that samples no member, never load it.  A sampled row is its constant,
+computed before any draw, times the fraction of draws that meet every
+constraint; ``McReport.unconstrained`` (the ablation) reads the constants
+kept on the rows back as exact rows.  No sampled value is squared, so
+lengths at which a constant or their sum overflows binary64 are refused,
 before any draw, with ``ValueError``, as is an n too large to enumerate.
 """
 from __future__ import annotations
@@ -51,12 +75,11 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
-from math import factorial
+from functools import partial
 
 from .algebra import PI2, lsq
 from .trees import DoubleTree, Tree, _check_enumeration_size, canonical_key, enumerate_family
-from .volumes import htc_volume, v0n_reduced
+from .volumes import _t, ell_integral, htc_volume, v0n_reduced
 
 __all__ = [
     "McReport",
@@ -171,12 +194,12 @@ def _stream(seed: int, i: int):
 
 
 def _sides(member: Tree | DoubleTree) -> list[tuple]:
-    """Per tree of ``member``, read from one adjacency: the tree, its degrees
-    and a (u, slot_u, v, slot_v) per edge with both endpoints inner."""
+    """Per tree of ``member``, read from one adjacency: its degrees and a
+    (u, slot_u, v, slot_v) per edge with both endpoints inner."""
     out = []
     for t in (member.t1, member.t2) if isinstance(member, DoubleTree) else (member,):
         adj = t.adjacency()
-        out.append((t, {v: len(nbrs) for v, nbrs in adj.items()},
+        out.append(({v: len(nbrs) for v, nbrs in adj.items()},
                     [(a, adj[a].index(b), b, adj[b].index(a))
                      for a, b in sorted(t.edges) if a < 0 and b < 0]))
     return out
@@ -186,57 +209,18 @@ def _is_top_dimensional(degrees: dict[int, int]) -> bool:
     return all(d == 3 for v, d in degrees.items() if v < 0)
 
 
-def _simplex_volume(size: float, dim: int) -> float:
-    """Lebesgue volume of the size-``size`` simplex on ``dim`` coordinates."""
-    return size ** (dim - 1) / factorial(dim - 1)
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre(count: int) -> tuple[tuple[float, float], ...]:
-    """(node, weight) pairs of the ``count``-point Gauss-Legendre rule on
-    [-1, 1], exact for polynomials of degree up to 2 count - 1."""
-    import numpy as np
-    nodes, weights = np.polynomial.legendre.leggauss(count)
-    return tuple(zip(nodes.tolist(), weights.tolist()))
-
-
-def _gluing_mean(L1: float, L2: float, d1: int, d2: int) -> float:
-    """E_l[min(L1, L2) l S((L1-l)/2, d1) S((L1+l)/2, d1) S((L2-l)/2, d2)
-    S((L2+l)/2, d2)] for l uniform on (0, min(L1, L2)), S the simplex volume:
-    a polynomial of degree 2(d1 + d2) - 3, so this rule is exact."""
-    lmax = min(L1, L2)
-    terms = []
-    for x, w in _gauss_legendre(d1 + d2 - 1):
-        ell = lmax * (x + 1.0) / 2.0
-        for size, d in ((L1 - ell, d1), (L1 + ell, d1), (L2 - ell, d2), (L2 + ell, d2)):
-            w *= _simplex_volume(size / 2.0, d)
-        terms.append(w * lmax * ell)
-    return math.fsum(terms) / 2.0
-
-
-def _constant(sides, n: int, L: dict[int, float]) -> float:
-    """The member's volume without its Delaunay constraints: plane-embedding
-    count x measure factor x boundary simplex volumes x angle constants, and
-    for a glued pair the exact mean over the gluing length."""
-    glued = len(sides) == 2
-    embeddings = math.prod(factorial(d - 1) for _, deg, _ in sides for d in deg.values())
-    const = float(embeddings) * 2.0 ** (n - 4 if glued else n - 3)
-    glue = []  # degrees of boundary 1 in t1 and boundary 2 in t2
-    for t, deg, _ in sides:
-        for b in t.boundary:
-            if glued and b in (1, 2):
-                glue.append(deg[b])
-                continue
-            if b == 2:
-                const *= _simplex_volume((L[2] - L[1]) / 2.0, deg[b])
-                const *= _simplex_volume((L[2] + L[1]) / 2.0, deg[b])
-            else:
-                const *= _simplex_volume(L[b] / 2.0, deg[b]) ** 2
-        const *= math.prod(math.pi ** (d - 1) / factorial(d - 1)
-                           for v, d in deg.items() if v < 0)
-    if glued:
-        const *= _gluing_mean(L[1], L[2], *glue)
-    return const
+def _constant(excess: tuple[tuple[int, int], ...], squares: dict) -> float:
+    """The volume without Delaunay constraints of a top-dimensional member
+    whose boundaries have the sorted (label, excess) pairs ``excess``: its
+    exact decomposition-route summand at the bindings ``squares``, rounded
+    once."""
+    e = dict(excess)
+    inner = len(e) - 4 - sum(e.values())  # trivalent, so 2n - 4 - sum deg(b)
+    exact = (squares[PI2] ** inner / 16
+             * ell_integral(e[1], e[2], "integral").eval_exact(squares))
+    for b, k in excess[2:]:
+        exact *= _t(k) * squares[lsq(b)] ** k
+    return float(exact)
 
 
 def _sample_angles(deg: dict[int, int], constraints, rng, m: int) -> dict:
@@ -351,7 +335,7 @@ def _bindings(lengths) -> dict:
     return out
 
 
-def _check_lengths(n: int, lengths) -> dict[int, float]:
+def _check_lengths(n: int, lengths) -> None:
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     if len(lengths) != n:
@@ -364,7 +348,6 @@ def _check_lengths(n: int, lengths) -> dict[int, float]:
         raise ValueError("lengths must be positive")
     if not L[1] < L[2]:
         raise ValueError("need L1 < L2")
-    return L
 
 
 def _report(rows: list[dict], reference: float, samples: int, seed: int) -> McReport:
@@ -381,30 +364,38 @@ def _sample(families, reference_route, n: int, lengths, samples: int, seed: int,
             threads: int) -> McReport:
     """Sample the top-dimensional members of ``families`` in order, one
     stream each, against ``reference_route(n)`` evaluated at the lengths."""
-    L = _check_lengths(n, lengths)
+    _check_lengths(n, lengths)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     _check_enumeration_size(n)
     try:
-        reference = reference_route(n).eval_float(_bindings(lengths))
+        bindings = _bindings(lengths)
+        reference = reference_route(n).eval_float(bindings)
     except OverflowError:
         raise ValueError("the exact reference overflows binary64") from None
-    # Every row and sum lies between 0 and the sum of the constants.
+    squares = {a: Fraction(v) for a, v in bindings.items()}  # the same, exactly
+    constants: dict[tuple, float] = {}  # by (label, excess) signature
     members = []
+    # Every row and sum lies between 0 and the sum of the constants, and
+    # rounding a constant or summing finite ones raises on overflow.
     try:
         for family in families:
             for m in enumerate_family(family, n):
                 sides = _sides(m)
-                if all(_is_top_dimensional(d) for _, d, _ in sides):
-                    members.append((m, _constant(sides, n, L),
-                                    tuple((d, cons) for _, d, cons in sides if cons)))
-        finite = math.isfinite(math.fsum(const for _, const, _ in members))
+                if all(_is_top_dimensional(d) for d, _ in sides):
+                    excess = {1: -1}  # a half-tight member's lone vertex 1
+                    for d, _ in sides:
+                        excess.update((b, k - 1) for b, k in d.items() if b > 0)
+                    key = tuple(sorted(excess.items()))
+                    if key not in constants:
+                        constants[key] = _constant(key, squares)
+                    members.append((m, constants[key],
+                                    tuple((d, cons) for d, cons in sides if cons)))
+        math.fsum(const for _, const, _ in members)
     except OverflowError:
-        finite = False
-    if not finite:
-        raise ValueError("the per-tree volumes overflow binary64 at these lengths")
+        raise ValueError("the per-tree volumes overflow binary64 at these lengths") from None
     jobs = [partial(_estimate, m, const, sampled, samples, seed, i)
             for i, (m, const, sampled) in enumerate(members)]
     # More workers than jobs or CPUs only cost thread start-ups.

@@ -120,17 +120,12 @@ class Tree:
             nbrs.sort()
         return adj
 
-    def vertices(self) -> set[int]:
-        return set(self.adjacency())
-
     def inner_ids(self) -> set[int]:
         return {v for v in self.adjacency() if v < 0}
 
-    def neighbors(self, v: int) -> list[int]:
-        return self.adjacency().get(v, [])
-
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        """The degree of ``v``, 0 if absent (``perfbench/probe.py`` reads it)."""
+        return sum(v in edge for edge in self.edges)
 
     def degrees(self) -> dict[int, int]:
         return {v: len(nbrs) for v, nbrs in self.adjacency().items()}

@@ -142,6 +142,11 @@ def test_invalid_inputs_exit_2():
     assert run_cli("--threads", "-1", "vol", "--n", "3").returncode == 2
 
 
+def test_lengths_allow_whitespace_around_fields(capsys):
+    assert cli.main(["vol", "--n", "4", "--lengths", " 1, 2 ,3 ,\t4 "]) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / "vol-n4-lengths.txt").read_text()
+
+
 def test_enumeration_above_limit_exits_2_fast(capsys):
     start = time.perf_counter()
     code = cli.main(["trees", "--family", "two-three", "--n", "9"])
@@ -201,8 +206,19 @@ def test_volume_size_above_limit_refused(no_routes, capsys, argv):
     (["htc", "--n", "5", "--lengths", "2,1,1,1,1"], "half-tight volumes assume 0 < L1 < L2"),
     (["htc", "--n", "4", "--lengths", "3,3,1,1", "--format", "latex"],
      "half-tight volumes assume 0 < L1 < L2"),
+    (["vol", "--n", "4", "--lengths", "1,2,,3,4"],
+     "malformed length list '1,2,,3,4': empty field"),
+    (["vol", "--n", "4", "--lengths", "1,2,3,4,"],
+     "malformed length list '1,2,3,4,': empty field"),
+    (["vol", "--n", "4", "--lengths", "1, ,3,4"],
+     "malformed length list '1, ,3,4': empty field"),
+    (["vol", "--n", "4", "--lengths", ""], "malformed length list '': empty field"),
+    (["htc", "--n", "4", "--lengths", ""], "malformed length list '': empty field"),
+    (["verify", "mc", "--n", "4", "--lengths", "", "--samples", "10", "--seed", "1"],
+     "malformed length list '': empty field"),
 ], ids=["vol-count-n11", "vol-count-n5", "vol-nonpositive", "htc-count", "htc-nonpositive",
-        "htc-l1-above-l2", "htc-l1-equals-l2"])
+        "htc-l1-above-l2", "htc-l1-equals-l2", "vol-empty-field", "vol-trailing-comma",
+        "vol-blank-field", "vol-empty", "htc-empty", "mc-empty"])
 def test_bad_lengths_refused_before_any_route(no_routes, capsys, argv, message):
     # Lengths are checked before the volume is computed, so a bad list
     # costs no route time and gets no V_{0,5} note ahead of the error.
@@ -256,6 +272,10 @@ from wptrees import cli
 with contextlib.redirect_stdout(io.StringIO()):
     state["vol"] = cli.main(["vol", "--n", "4"])
     state["numpy_after_vol"] = "numpy" in sys.modules
+    # No member at n = 4 has an inner-inner edge, so nothing is drawn.
+    state["exact_mc"] = cli.main(["verify", "mc", "--n", "4", "--lengths", "1,2,1,1",
+                                  "--samples", "2000", "--seed", "3"])
+    state["numpy_after_exact_mc"] = "numpy" in sys.modules
     state["mc"] = cli.main(["verify", "mc", "--n", "5", "--lengths", "1,2,1,1,1",
                             "--samples", "2000", "--seed", "3", "--sigma", "100"])
     state["numpy_after_mc"] = "numpy" in sys.modules
@@ -271,6 +291,8 @@ def test_numpy_is_loaded_only_to_sample():
     assert state["submodules"] == []  # `import wptrees` loads no submodule
     assert state["vol"] == 0
     assert not state["numpy_after_vol"]
+    assert state["exact_mc"] == 0
+    assert not state["numpy_after_exact_mc"]
     assert state["mc"] == 0
     assert state["numpy_after_mc"]
 

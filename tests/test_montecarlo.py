@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import sys
 import threading
 from fractions import Fraction
 
@@ -9,13 +10,14 @@ import numpy as np
 import pytest
 
 from wptrees import cli, montecarlo
+from wptrees.algebra import Polynomial
 from wptrees.montecarlo import (
     corner_markings,
     mc_full_volume,
     mc_htc_volume,
     polytope_dimension,
 )
-from wptrees.trees import DoubleTree, Tree, enumerate_family
+from wptrees.trees import DoubleTree, Tree, canonical_key, enumerate_family
 
 
 def trivalent_n5_tree() -> Tree:
@@ -72,9 +74,9 @@ def test_sample_angle_polytope():
     # takes 1 - sqrt(U); the three slots of the centre take 1 - sqrt(U0),
     # sqrt(U0) (1 - U1) and the remainder sqrt(U0) U1, drawing nothing.
     star = Tree.make((2, 3, 4), [(2, -1), (3, -1), (4, -1)])
-    assert montecarlo._sides(star)[0][2] == []  # always accepted
-    (tree, deg, constraints), = montecarlo._sides(star_n7_tree())
-    assert deg == tree.degrees()
+    assert montecarlo._sides(star)[0][1] == []  # always accepted
+    (deg, constraints), = montecarlo._sides(star_n7_tree())
+    assert deg == star_n7_tree().degrees()
     fractions = montecarlo._sample_angles(deg, constraints,
                                           np.random.Generator(np.random.Philox(1)), 1000)
     assert sorted(fractions) == [(-4, 0), (-3, 0), (-2, 0), (-1, 0), (-1, 1), (-1, 2)]
@@ -100,7 +102,7 @@ def test_sampled_rate_matches_closed_form(tree, slots, rate):
     # constrained slots and each neighbour's fraction Beta(1, 2), the rate is
     # E prod_i (1 - X_i^2) over its constrained slots i.
     draws = 10 ** 6
-    (_, deg, constraints), = montecarlo._sides(tree)
+    (deg, constraints), = montecarlo._sides(tree)
     row = montecarlo._estimate(tree, 1.0, ((deg, constraints),), draws, 9, 0)
     assert abs(row["estimate"] - rate) < 5 * math.sqrt(rate * (1 - rate) / draws)
     assert row["std_error"] == pytest.approx(math.sqrt(rate * (1 - rate) / draws), rel=1e-2)
@@ -162,7 +164,7 @@ def sampled_count(row: dict, samples: int) -> int:
 def test_in_place_acceptance_matches_out_of_place_across_chunks(tree):
     # Two full chunks and a ragged one of 5 draws.
     samples = 2 * montecarlo._CHUNK + 5
-    sampled = tuple((deg, cons) for _, deg, cons in montecarlo._sides(tree))
+    sampled = tuple(montecarlo._sides(tree))
     row = montecarlo._estimate(tree, 1.0, sampled, samples, 13, 4)
     assert not row["exact"]
     assert sampled_count(row, samples) == reference_accepted(sampled, samples, 13, 4)
@@ -174,7 +176,7 @@ def test_glued_pair_samples_both_sides():
     t1 = Tree.make((1, 3, 4, 5), [(1, -1), (3, -1), (-1, -2), (4, -2), (5, -2)])
     t2 = Tree.make((2, 6, 7, 8), [(2, -1), (6, -1), (-1, -2), (7, -2), (8, -2)])
     pair = DoubleTree(t1, t2)
-    sampled = tuple((deg, cons) for _, deg, cons in montecarlo._sides(pair))
+    sampled = tuple(montecarlo._sides(pair))
     assert [len(cons) for _, cons in sampled] == [1, 1]
     draws, rate = 10 ** 6, 25 / 36
     row = montecarlo._estimate(pair, 1.0, sampled, draws, 21, 3)
@@ -203,15 +205,54 @@ def exact_gluing_mean(L1: Fraction, L2: Fraction, d1: int, d2: int) -> Fraction:
     return sum(c * top ** (k + 1) / (k + 1) for k, c in enumerate(poly))
 
 
-@pytest.mark.parametrize("L1, L2", [(Fraction(3, 2), Fraction(5, 2)),
-                                    (Fraction(5, 2), Fraction(3, 2))],
-                         ids=["L1<L2", "L1>L2"])
-def test_gluing_mean_quadrature_is_exact(L1, L2):
-    for d1 in range(1, 7):
-        for d2 in range(1, 7):
-            want = exact_gluing_mean(L1, L2, d1, d2)
-            got = montecarlo._gluing_mean(float(L1), float(L2), d1, d2)
-            assert got == pytest.approx(float(want), rel=1e-12), (d1, d2)
+def old_convention_constant(member, n: int, L: dict, pi2: Fraction) -> Fraction:
+    """A top-dimensional member's volume without its Delaunay constraints,
+    built as the polytope picture states it: plane embeddings x measure
+    factor 2^(n-3) (half-tight) or 2^(n-4) (glued) x the two boundary
+    simplices per boundary vertex x pi^2/2 per trivalent angle block, and
+    for a glued pair the integral over the gluing length."""
+    glued = isinstance(member, DoubleTree)
+    const = Fraction(2) ** (n - 4 if glued else n - 3)
+    glue = []  # degrees of boundary 1 in t1 and boundary 2 in t2
+
+    def simplex(size, d):
+        return size ** (d - 1) / math.factorial(d - 1)
+
+    for t in (member.t1, member.t2) if glued else (member,):
+        for v, d in t.degrees().items():
+            const *= math.factorial(d - 1)
+            if v < 0:
+                const *= pi2 / 2
+            elif glued and v in (1, 2):
+                glue.append(d)
+            elif v == 2:
+                const *= simplex((L[2] - L[1]) / 2, d) * simplex((L[2] + L[1]) / 2, d)
+            else:
+                const *= simplex(L[v] / 2, d) ** 2
+    if glued:
+        const *= exact_gluing_mean(L[1], L[2], *glue)
+    return const
+
+
+@pytest.mark.parametrize("n, lengths", [
+    (5, ["3/4", "5/2", "9/8", "1", "7/4"]),
+    (6, ["3/4", "5/2", "9/8", "1", "7/4", "13/16"]),
+], ids=["n5", "n6"])
+def test_member_constants_are_their_exact_summands(n, lengths):
+    # Dyadic lengths: each L_i^2 is a binary64 value, so the bindings the
+    # sampler reads are the lengths' exact squares.
+    L = {i: Fraction(v) for i, v in enumerate(lengths, start=1)}
+    pi2 = Fraction(math.pi ** 2)
+    want = {}
+    for family in ("htc", "full"):
+        for member in enumerate_family(family, n):
+            sides = (member.t1, member.t2) if isinstance(member, DoubleTree) else (member,)
+            if all(d == 3 for t in sides for v, d in t.degrees().items() if v < 0):
+                want[canonical_key(member).decode()] = old_convention_constant(member, n, L, pi2)
+    report = mc_full_volume(n, list(L.values()), samples=1, seed=0)
+    assert [row["key"] for row in report.per_tree] == list(want)
+    for row in report.per_tree:
+        assert row["constant"] == float(want[row["key"]]), row["key"]
 
 
 def test_mc_htc_n3_exact():
@@ -433,12 +474,26 @@ def test_mc_overflowing_lengths_refused(monkeypatch, capsys, lengths):
     assert "binary64" in captured.err
 
 
-def test_mc_overflowing_constants_refused_before_drawing(monkeypatch):
+def refuse_draws(monkeypatch):
     def drawn(seed, i):
         raise AssertionError("a member was sampled")
 
     monkeypatch.setattr(montecarlo, "_stream", drawn)
-    monkeypatch.setattr(montecarlo, "_gluing_mean", lambda *args: math.inf)
+
+
+def test_mc_overflowing_constants_refused_before_drawing(monkeypatch):
+    # An exact constant past the binary64 maximum overflows when rounded.
+    refuse_draws(monkeypatch)
+    monkeypatch.setattr(montecarlo, "ell_integral",
+                        lambda *args: Polynomial.const(Fraction(10) ** 400))
+    with pytest.raises(ValueError, match="binary64"):
+        mc_full_volume(5, [1.0, 2.0, 1.0, 1.0, 1.0], samples=100, seed=1)
+
+
+def test_mc_overflowing_constant_sum_refused_before_drawing(monkeypatch):
+    # Every constant is finite, but their sum is not.
+    refuse_draws(monkeypatch)
+    monkeypatch.setattr(montecarlo, "_constant", lambda *args: sys.float_info.max)
     with pytest.raises(ValueError, match="binary64"):
         mc_full_volume(5, [1.0, 2.0, 1.0, 1.0, 1.0], samples=100, seed=1)
 

@@ -188,12 +188,12 @@ def alternating_pair(d1, d2):
 
 def per_tree_htc(n):
     L1, L2 = P.of_atom(lsq(1)), P.of_atom(lsq(2))
-    return P.sum(weight_t_tilde(t.degree(2) - 1, L2, L1) * tree_weight(t, (2,))
+    return P.sum(weight_t_tilde(t.degrees()[2] - 1, L2, L1) * tree_weight(t, (2,))
                  for t in enumerate_family("htc", n)) * Fraction(1, 4)
 
 
 def per_tree_pairs(family, n, pair):
-    return P.sum(pair(d.t1.degree(1), d.t2.degree(2))
+    return P.sum(pair(d.t1.degrees()[1], d.t2.degrees()[2])
                  * tree_weight(d.t1, (1,)) * tree_weight(d.t2, (2,))
                  for d in enumerate_family(family, n))
 
@@ -201,7 +201,7 @@ def per_tree_pairs(family, n, pair):
 PER_TREE = {
     "htc": (htc_volume, per_tree_htc),
     "reduced": (v0n_reduced, lambda n: P.sum(
-        weight_t(d.t1.degree(1), 1) * tree_weight(d.t1, (1,)) * tree_weight(d.t2)
+        weight_t(d.t1.degrees()[1], 1) * tree_weight(d.t1, (1,)) * tree_weight(d.t2)
         for d in enumerate_family("two-three", n)) * Fraction(1, 8)),
     "graph-sum": (v0n_graph_sum, lambda n: per_tree_pairs(
         "graph", n, alternating_pair) * Fraction(1, 8)),
