@@ -12,9 +12,10 @@ Conventions, matching the exact engine:
   phi(forward) + phi(backward) < pi are automatic when one endpoint is a
   boundary vertex (its slots are pinned to 0) and are estimated by rejection
   on edges joining two inner vertices.  Only the angles at the slots of
-  those edges are drawn, as fractions of pi, by stick breaking: one uniform
-  per constrained slot, none for the vertex's other slots, so an edge is
-  accepted when its two fractions sum below 1.
+  those edges are drawn, as fractions of pi, by stick breaking over the
+  three slots of a trivalent vertex: one uniform per constrained slot but a
+  third, which takes the remainder, so an edge is accepted when its two
+  fractions sum below 1.
 * A boundary vertex of degree d carries two simplices of dimension d-1 and
   volume size^(d-1)/(d-1)! each.  Sizes: L_b/2 twice for an ordinary
   boundary; (L2-L1)/2 and (L2+L1)/2 for boundary 2 of a half-tight tree;
@@ -42,8 +43,10 @@ against its simplex normalisations:
 
 The half-tight tree has n - 1 boundaries, so 2^(n-3) / 2^(n-1) = 1/4 and
 its constant is ttilde_{e_2}(L2, L1) / 4 times the rest, which is
-ell_integral(-1, e_2) / 16: boundary 1 is the lone vertex, of excess -1, as
-in :func:`wptrees.volumes.htc_volume`.  The glued pair has n boundaries,
+ell_integral(-1, e_2) / 16: boundary 1 is the lone vertex, of degree 0 and
+so of excess -1, as in :func:`wptrees.volumes.htc_volume`, and the
+half-tight tree is sampled as the glued pair (lone vertex 1, tree).  The
+glued pair of two trees has n boundaries,
 so 2^(n-4) / 2^n = 1/16 times int l dl ttilde_{e_1}(L1, l) ttilde_{e_2}(L2, l)
 = ell_integral(e_1, e_2) / 16.  Either way, with j trivalent inner vertices,
 
@@ -53,12 +56,13 @@ a function of the boundaries' (label, excess) pairs alone.  It is
 evaluated exactly at the reference's binary64 bindings of pi^2 and the
 L_i^2 and rounded once; a run evaluates it once per signature.
 
-One seed drives everything: the sampled tree at index i in canonical tree
-order (half-tight trees first, then glued pairs) draws from numpy's default
-PCG64 generator on child i of ``SeedSequence(seed)``, so a report depends
-only on (seed, samples) and not on the worker-thread count.  ``_stream``
-builds that generator inside the job, when the job first draws; a tree with
-no inner-inner edge is exact and builds none.  Draws go in chunks of
+One seed drives everything: the sampled member at index i in the canonical
+order of the ``graph`` family (the lone-vertex pairs first, in the ``htc``
+order of their trees, then the ``full`` pairs in ``full`` order) draws from
+numpy's default PCG64 generator on child i of ``SeedSequence(seed)``, so a
+report depends only on (seed, samples) and not on the worker-thread count.  ``_stream``
+builds that generator inside the job, when the job first draws; a member
+with no inner-inner edge is exact and builds none.  Draws go in chunks of
 ``_CHUNK``, small enough that each chunk's arrays stay in cache.  Only the
 drawing functions import numpy, so the exact commands, and a ``verify mc``
 that samples no member, never load it.  A sampled row is its constant,
@@ -79,13 +83,12 @@ from functools import partial
 
 from .algebra import PI2, lsq
 from .trees import DoubleTree, Tree, _check_enumeration_size, canonical_key, enumerate_family
-from .volumes import _t, ell_integral, htc_volume, v0n_reduced
+from .volumes import _t, ell_integral, v0n_reduced
 
 __all__ = [
     "McReport",
     "polytope_dimension",
     "corner_markings",
-    "mc_htc_volume",
     "mc_full_volume",
 ]
 
@@ -193,11 +196,11 @@ def _stream(seed: int, i: int):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
 
 
-def _sides(member: Tree | DoubleTree) -> list[tuple]:
+def _sides(member: DoubleTree) -> list[tuple]:
     """Per tree of ``member``, read from one adjacency: its degrees and a
     (u, slot_u, v, slot_v) per edge with both endpoints inner."""
     out = []
-    for t in (member.t1, member.t2) if isinstance(member, DoubleTree) else (member,):
+    for t in (member.t1, member.t2):
         adj = t.adjacency()
         out.append(({v: len(nbrs) for v, nbrs in adj.items()},
                     [(a, adj[a].index(b), b, adj[b].index(a))
@@ -223,17 +226,17 @@ def _constant(excess: tuple[tuple[int, int], ...], squares: dict) -> float:
     return float(exact)
 
 
-def _sample_angles(deg: dict[int, int], constraints, rng, m: int) -> dict:
-    """The angles at the constrained slots as fractions of pi, by stick
-    breaking: {(vertex, slot): fractions}.
+def _sample_angles(constraints, rng, m: int) -> dict:
+    """The angles at the constrained slots of trivalent vertices as fractions
+    of pi, by stick breaking: {(vertex, slot): fractions}.
 
-    Slots are taken in vertex order, then slot order.  The k-th constrained
-    slot (k = 0, 1, ...) of a vertex of degree d takes the share
-    1 - U^(1/(d-1-k)) of what the vertex's earlier slots left, one
-    ``rng.random(m)`` draw U per slot; a slot that is the vertex's last
-    coordinate takes the remainder and draws nothing.  The fractions are the
-    constrained coordinates of a uniform point on the simplex (Dirichlet(1,
-    ..., 1), exchangeable, so no other coordinate need be drawn)."""
+    Slots are taken in vertex order, then slot order.  A vertex's first
+    constrained slot takes the share 1 - sqrt(U) of the whole stick and its
+    second the share 1 - U of what the first left, one ``rng.random(m)``
+    draw U per slot; a third takes the remainder and draws nothing.  The
+    fractions are the constrained coordinates of a uniform point on the
+    angle simplex (Dirichlet(1, 1, 1), exchangeable, so no other coordinate
+    need be drawn)."""
     slots: dict[int, set[int]] = {}
     for u, su, v, sv in constraints:
         slots.setdefault(u, set()).add(su)
@@ -242,13 +245,12 @@ def _sample_angles(deg: dict[int, int], constraints, rng, m: int) -> dict:
     for v in sorted(slots):
         left = None  # what the earlier slots left; None for the whole stick
         for k, j in enumerate(sorted(slots[v])):
-            rest = deg[v] - 1 - k  # coordinates after this one
-            if rest == 0:
+            if k == 2:  # the vertex's last coordinate
                 out[v, j] = left
                 continue
             keep = rng.random(m)
-            if rest > 1:
-                keep **= 1.0 / rest
+            if k == 0:
+                keep **= 0.5
             out[v, j] = share = 1.0 - keep
             if left is None:
                 left = keep
@@ -258,14 +260,16 @@ def _sample_angles(deg: dict[int, int], constraints, rng, m: int) -> dict:
     return out
 
 
-def _estimate(member: Tree | DoubleTree, const: float, sampled, samples: int,
+def _estimate(member: DoubleTree, const: float, sampled, samples: int,
               seed: int, i: int) -> dict:
     """The report row of one member: ``const`` times the sampled rate at which
-    every (degrees, constraints) side in ``sampled`` passes, exact if none.
+    every side's constraints in ``sampled`` pass, exact if none.  A member
+    whose t1 is the lone vertex 1 is reported as its half-tight tree t2.
     A rate of 0 or 1 gets the standard error it would have if one further
     draw had gone the other way, so no sampled row has a zero one."""
-    row = {"key": canonical_key(member).decode(),
-           "kind": "full" if isinstance(member, DoubleTree) else "half-tight",
+    glued = bool(member.t1.edges)
+    row = {"key": canonical_key(member if glued else member.t2).decode(),
+           "kind": "full" if glued else "half-tight",
            "constant": const}
     if not sampled:
         return row | {"estimate": const, "std_error": 0.0, "exact": True}
@@ -277,8 +281,8 @@ def _estimate(member: Tree | DoubleTree, const: float, sampled, samples: int,
         m = min(_CHUNK, samples - done)
         ok = np.ones(m, bool)
         total, below = np.empty(m), np.empty(m, bool)
-        for deg, cons in sampled:
-            fractions = _sample_angles(deg, cons, rng, m)
+        for cons in sampled:
+            fractions = _sample_angles(cons, rng, m)
             for u, su, v, sv in cons:
                 np.add(fractions[u, su], fractions[v, sv], out=total)
                 ok &= np.less(total, 1.0, out=below)
@@ -336,18 +340,25 @@ def _bindings(lengths) -> dict:
 
 
 def _check_lengths(n: int, lengths) -> None:
+    """Refuse lengths outside the sampler's domain: checked on the exact
+    values, then on their binary64 roundings, which the run binds."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     if len(lengths) != n:
         raise ValueError(f"need {n} lengths, got {len(lengths)}")
     try:
-        L = {i: float(v) for i, v in enumerate(lengths, start=1)}
+        exact = [Fraction(v) for v in lengths]
+        if any(v <= 0 for v in exact):
+            raise ValueError("lengths must be positive")
+        if not exact[0] < exact[1]:
+            raise ValueError("need L1 < L2")
+        L = [float(v) for v in exact]
     except OverflowError:
         raise ValueError("lengths must be below the binary64 maximum") from None
-    if any(v <= 0 for v in L.values()):
-        raise ValueError("lengths must be positive")
-    if not L[1] < L[2]:
-        raise ValueError("need L1 < L2")
+    if any(v <= 0 for v in L):
+        raise ValueError("lengths must stay positive when rounded to binary64")
+    if not L[0] < L[1]:
+        raise ValueError("need L1 < L2 after rounding to binary64")
 
 
 def _report(rows: list[dict], reference: float, samples: int, seed: int) -> McReport:
@@ -360,10 +371,13 @@ def _report(rows: list[dict], reference: float, samples: int, seed: int) -> McRe
                             rounding), rows)
 
 
-def _sample(families, reference_route, n: int, lengths, samples: int, seed: int,
-            threads: int) -> McReport:
-    """Sample the top-dimensional members of ``families`` in order, one
-    stream each, against ``reference_route(n)`` evaluated at the lengths."""
+def mc_full_volume(n: int, lengths, samples: int, seed: int, threads: int = 1) -> McReport:
+    """Estimate V_{0,n}(L) by sampling the top-dimensional members of the
+    ``graph`` family in canonical order, one stream each: the half-tight
+    trees, as gluings of the lone vertex 1, then the glued pairs.
+
+    The reference is the exact reduced tree sum evaluated at the lengths.
+    """
     _check_lengths(n, lengths)
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -372,7 +386,7 @@ def _sample(families, reference_route, n: int, lengths, samples: int, seed: int,
     _check_enumeration_size(n)
     try:
         bindings = _bindings(lengths)
-        reference = reference_route(n).eval_float(bindings)
+        reference = v0n_reduced(n).eval_float(bindings)
     except OverflowError:
         raise ValueError("the exact reference overflows binary64") from None
     squares = {a: Fraction(v) for a, v in bindings.items()}  # the same, exactly
@@ -381,18 +395,15 @@ def _sample(families, reference_route, n: int, lengths, samples: int, seed: int,
     # Every row and sum lies between 0 and the sum of the constants, and
     # rounding a constant or summing finite ones raises on overflow.
     try:
-        for family in families:
-            for m in enumerate_family(family, n):
-                sides = _sides(m)
-                if all(_is_top_dimensional(d) for d, _ in sides):
-                    excess = {1: -1}  # a half-tight member's lone vertex 1
-                    for d, _ in sides:
-                        excess.update((b, k - 1) for b, k in d.items() if b > 0)
-                    key = tuple(sorted(excess.items()))
-                    if key not in constants:
-                        constants[key] = _constant(key, squares)
-                    members.append((m, constants[key],
-                                    tuple((d, cons) for d, cons in sides if cons)))
+        for m in enumerate_family("graph", n):
+            sides = _sides(m)
+            if all(_is_top_dimensional(d) for d, _ in sides):
+                key = tuple(sorted((b, k - 1) for d, _ in sides
+                                   for b, k in d.items() if b > 0))
+                if key not in constants:
+                    constants[key] = _constant(key, squares)
+                members.append((m, constants[key],
+                                tuple(cons for _, cons in sides if cons)))
         math.fsum(const for _, const, _ in members)
     except OverflowError:
         raise ValueError("the per-tree volumes overflow binary64 at these lengths") from None
@@ -406,16 +417,3 @@ def _sample(families, reference_route, n: int, lengths, samples: int, seed: int,
     else:
         rows = [f() for f in jobs]
     return _report(rows, reference, samples, seed)
-
-
-def mc_htc_volume(n: int, lengths, samples: int, seed: int, threads: int = 1) -> McReport:
-    """Estimate H_n(L) by sampling the top-dimensional half-tight polytopes."""
-    return _sample(("htc",), htc_volume, n, lengths, samples, seed, threads)
-
-
-def mc_full_volume(n: int, lengths, samples: int, seed: int, threads: int = 1) -> McReport:
-    """Estimate V_{0,n}(L): half-tight part plus glued-pair part.
-
-    The reference is the exact reduced tree sum evaluated at the lengths.
-    """
-    return _sample(("htc", "full"), v0n_reduced, n, lengths, samples, seed, threads)

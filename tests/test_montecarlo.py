@@ -11,13 +11,9 @@ import pytest
 
 from wptrees import cli, montecarlo
 from wptrees.algebra import Polynomial
-from wptrees.montecarlo import (
-    corner_markings,
-    mc_full_volume,
-    mc_htc_volume,
-    polytope_dimension,
-)
+from wptrees.montecarlo import corner_markings, mc_full_volume, polytope_dimension
 from wptrees.trees import DoubleTree, Tree, canonical_key, enumerate_family
+from wptrees.volumes import htc_volume
 
 
 def trivalent_n5_tree() -> Tree:
@@ -68,16 +64,27 @@ def star_n7_tree() -> Tree:
                                           (3, -2), (4, -3), (5, -3), (6, -4), (7, -4)])
 
 
+def lone(tree: Tree) -> DoubleTree:
+    """``tree`` as the sampler takes a half-tight tree: glued to the lone
+    vertex 1."""
+    return DoubleTree(Tree.single(1), tree)
+
+
+def top_dimensional(tree: Tree) -> bool:
+    return all(d == 3 for v, d in tree.degrees().items() if v < 0)
+
+
 def test_sample_angle_polytope():
     # Each constrained slot is, bit for bit, its stick-breaking share of one
     # uniform per slot drawn in vertex order, then slot order: a lone slot
     # takes 1 - sqrt(U); the three slots of the centre take 1 - sqrt(U0),
     # sqrt(U0) (1 - U1) and the remainder sqrt(U0) U1, drawing nothing.
-    star = Tree.make((2, 3, 4), [(2, -1), (3, -1), (4, -1)])
-    assert montecarlo._sides(star)[0][1] == []  # always accepted
-    (deg, constraints), = montecarlo._sides(star_n7_tree())
+    star = Tree.make((2, 3, 4), [(2, -1), (3, -1), (4, -1)])  # always accepted
+    assert [cons for _, cons in montecarlo._sides(lone(star))] == [[], []]
+    (vertex, none), (deg, constraints) = montecarlo._sides(lone(star_n7_tree()))
+    assert (vertex, none) == ({1: 0}, [])
     assert deg == star_n7_tree().degrees()
-    fractions = montecarlo._sample_angles(deg, constraints,
+    fractions = montecarlo._sample_angles(constraints,
                                           np.random.Generator(np.random.Philox(1)), 1000)
     assert sorted(fractions) == [(-4, 0), (-3, 0), (-2, 0), (-1, 0), (-1, 1), (-1, 2)]
     twin = np.random.Generator(np.random.Philox(1))
@@ -102,32 +109,34 @@ def test_sampled_rate_matches_closed_form(tree, slots, rate):
     # constrained slots and each neighbour's fraction Beta(1, 2), the rate is
     # E prod_i (1 - X_i^2) over its constrained slots i.
     draws = 10 ** 6
-    (deg, constraints), = montecarlo._sides(tree)
-    row = montecarlo._estimate(tree, 1.0, ((deg, constraints),), draws, 9, 0)
+    _, (deg, constraints) = montecarlo._sides(lone(tree))
+    row = montecarlo._estimate(lone(tree), 1.0, (constraints,), draws, 9, 0)
     assert abs(row["estimate"] - rate) < 5 * math.sqrt(rate * (1 - rate) / draws)
     assert row["std_error"] == pytest.approx(math.sqrt(rate * (1 - rate) / draws), rel=1e-2)
 
-    fractions = montecarlo._sample_angles(deg, constraints,
+    fractions = montecarlo._sample_angles(constraints,
                                           np.random.Generator(np.random.Philox(9)), draws)
     for x in fractions.values():  # Beta(1, 2): mean 1/3, variance 1/18
         assert abs(x.mean() - 1 / 3) < 5 * math.sqrt(1 / 18 / draws)
     centre = max(deg, key=lambda v: sum(1 for w, _ in fractions if w == v))
     own = [x for (w, _), x in fractions.items() if w == centre]
     assert len(own) == slots
-    if slots == deg[centre]:
+    if slots == 3:
         assert np.abs(sum(own) - 1.0).max() <= 4 * np.finfo(float).eps
 
 
 def reference_accepted(sampled, samples: int, seed: int, i: int) -> int:
     """The accepted count of ``_estimate``, drawn out of place from a twin of
     its stream: per chunk, each side's slots in vertex order, then slot
-    order, each constraint a fresh array ``a + b < 1`` and-ed into ``ok``."""
+    order, shares 1 - sqrt(U), 1 - U and the remainder of each trivalent
+    vertex's stick, each constraint a fresh array ``a + b < 1`` and-ed into
+    ``ok``."""
     twin = montecarlo._stream(seed, i)
     accepted = 0
     for done in range(0, samples, montecarlo._CHUNK):
         m = min(montecarlo._CHUNK, samples - done)
         ok = True
-        for deg, cons in sampled:
+        for cons in sampled:
             slots = {}
             for u, su, v, sv in cons:
                 slots.setdefault(u, set()).add(su)
@@ -136,7 +145,7 @@ def reference_accepted(sampled, samples: int, seed: int, i: int) -> int:
             for v in sorted(slots):
                 left = None
                 for k, j in enumerate(sorted(slots[v])):
-                    rest = deg[v] - 1 - k
+                    rest = 2 - k  # coordinates after this one
                     if rest == 0:
                         fractions[v, j] = left
                         continue
@@ -164,8 +173,8 @@ def sampled_count(row: dict, samples: int) -> int:
 def test_in_place_acceptance_matches_out_of_place_across_chunks(tree):
     # Two full chunks and a ragged one of 5 draws.
     samples = 2 * montecarlo._CHUNK + 5
-    sampled = tuple(montecarlo._sides(tree))
-    row = montecarlo._estimate(tree, 1.0, sampled, samples, 13, 4)
+    sampled = tuple(cons for _, cons in montecarlo._sides(lone(tree)) if cons)
+    row = montecarlo._estimate(lone(tree), 1.0, sampled, samples, 13, 4)
     assert not row["exact"]
     assert sampled_count(row, samples) == reference_accepted(sampled, samples, 13, 4)
 
@@ -176,8 +185,8 @@ def test_glued_pair_samples_both_sides():
     t1 = Tree.make((1, 3, 4, 5), [(1, -1), (3, -1), (-1, -2), (4, -2), (5, -2)])
     t2 = Tree.make((2, 6, 7, 8), [(2, -1), (6, -1), (-1, -2), (7, -2), (8, -2)])
     pair = DoubleTree(t1, t2)
-    sampled = tuple(montecarlo._sides(pair))
-    assert [len(cons) for _, cons in sampled] == [1, 1]
+    sampled = tuple(cons for _, cons in montecarlo._sides(pair))
+    assert [len(cons) for cons in sampled] == [1, 1]
     draws, rate = 10 ** 6, 25 / 36
     row = montecarlo._estimate(pair, 1.0, sampled, draws, 21, 3)
     assert row["kind"] == "full" and not row["exact"]
@@ -247,7 +256,7 @@ def test_member_constants_are_their_exact_summands(n, lengths):
     for family in ("htc", "full"):
         for member in enumerate_family(family, n):
             sides = (member.t1, member.t2) if isinstance(member, DoubleTree) else (member,)
-            if all(d == 3 for t in sides for v, d in t.degrees().items() if v < 0):
+            if all(top_dimensional(t) for t in sides):
                 want[canonical_key(member).decode()] = old_convention_constant(member, n, L, pi2)
     report = mc_full_volume(n, list(L.values()), samples=1, seed=0)
     assert [row["key"] for row in report.per_tree] == list(want)
@@ -255,18 +264,46 @@ def test_member_constants_are_their_exact_summands(n, lengths):
         assert row["constant"] == float(want[row["key"]]), row["key"]
 
 
+def half_tight(n: int, lengths, samples: int, seed: int) -> montecarlo.McReport:
+    """The half-tight rows of ``mc_full_volume``, scored against H_n at the
+    same bindings."""
+    report = mc_full_volume(n, lengths, samples=samples, seed=seed)
+    rows = [row for row in report.per_tree if row["kind"] == "half-tight"]
+    assert rows
+    reference = htc_volume(n).eval_float(montecarlo._bindings(lengths))
+    return montecarlo._report(rows, reference, samples, seed)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_mc_rows_are_htc_trees_then_glued_pairs(n):
+    # Row i is member i of the graph family's canonical order, so it draws
+    # from child i of the seed: the top-dimensional htc trees in htc order,
+    # then the top-dimensional full pairs in full order.  Keys and kinds
+    # only, so no numpy figure enters.
+    htc = [canonical_key(t).decode() for t in enumerate_family("htc", n)
+           if top_dimensional(t)]
+    full = [canonical_key(d).decode() for d in enumerate_family("full", n)
+            if top_dimensional(d.t1) and top_dimensional(d.t2)]
+    report = mc_full_volume(n, [1.0, 2.0] + [1.0] * (n - 2), samples=1, seed=0)
+    assert [(row["key"], row["kind"]) for row in report.per_tree] == (
+        [(key, "half-tight") for key in htc] + [(key, "full") for key in full])
+
+
 def test_mc_htc_n3_exact():
-    report = mc_htc_volume(3, [1.0, 2.0, 1.5], samples=10, seed=0)
+    report = half_tight(3, [1.0, 2.0, 1.5], samples=10, seed=0)
+    assert all(row["exact"] for row in report.per_tree)
     assert report.estimate == 1.0
+    assert report.estimate == pytest.approx(report.reference, rel=1e-12)
     assert report.std_error == 0.0
     assert report.z_score == 0.0
 
 
 def test_mc_htc_n4_exact_blocks():
     # No tree at n = 4 has an inner-inner edge, so the estimate is exact.
-    report = mc_htc_volume(4, [1.0, 2.0, 1.0, 1.0], samples=10, seed=0)
+    report = half_tight(4, [1.0, 2.0, 1.0, 1.0], samples=10, seed=0)
     assert report.std_error == 0.0
     assert report.estimate == pytest.approx(2 * math.pi ** 2 + 2.5, rel=1e-12)
+    assert report.estimate == pytest.approx(report.reference, rel=1e-12)
     assert report.z_score == 0.0
     assert all(row["exact"] for row in report.per_tree)
 
@@ -284,7 +321,7 @@ def test_mc_full_n4():
 
 def test_mc_htc_zscores_across_seeds():
     lengths = [1.0, 2.0, 1.0, 1.0, 1.0]
-    zs = [mc_htc_volume(5, lengths, samples=100_000, seed=s).z_score
+    zs = [half_tight(5, lengths, samples=100_000, seed=s).z_score
           for s in range(10)]
     assert sum(1 for z in zs if abs(z) < 3) >= 9
 
@@ -312,8 +349,7 @@ def test_mc_unconstrained_reads_the_constants(monkeypatch, n, lengths, seed):
     def entered(*args, **kwargs):
         raise AssertionError("deriving the ablation enumerated, evaluated or drew")
 
-    for name in ("_stream", "enumerate_family", "v0n_reduced", "htc_volume",
-                 "ThreadPoolExecutor"):
+    for name in ("_stream", "enumerate_family", "v0n_reduced", "ThreadPoolExecutor"):
         monkeypatch.setattr(montecarlo, name, entered)
     off = report.unconstrained()
     assert (off.reference, off.seed, off.samples) == (report.reference, seed, 500)
@@ -332,15 +368,13 @@ def test_mc_unconstrained_reads_the_constants(monkeypatch, n, lengths, seed):
     assert off.z_score == math.inf
 
 
-@pytest.mark.parametrize("sampler", [mc_full_volume, mc_htc_volume])
-def test_mc_refuses_large_n_before_the_reference(monkeypatch, sampler):
+def test_mc_refuses_large_n_before_the_reference(monkeypatch):
     def evaluated(n):
         raise AssertionError("the reference was evaluated")
 
     monkeypatch.setattr(montecarlo, "v0n_reduced", evaluated)
-    monkeypatch.setattr(montecarlo, "htc_volume", evaluated)
     with pytest.raises(ValueError, match="tree enumeration .* n <= 8, got n = 9"):
-        sampler(9, [1.0, 2.0] + [1.0] * 7, samples=10, seed=1)
+        mc_full_volume(9, [1.0, 2.0] + [1.0] * 7, samples=10, seed=1)
 
 
 def test_cli_refuses_large_mc_n_before_the_reference(monkeypatch, capsys):
@@ -377,7 +411,7 @@ def test_cli_mc_enumerates_each_family_once(monkeypatch, capsys):
     assert cli.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1::2] == ["PASS mc-z-score |z| < 3.0", "PASS mc-ablation |z| > 5.0"]
-    assert enumerated == ["htc", "full"]
+    assert enumerated == ["graph"]
     assert len(sampled) == 1
 
 
@@ -474,6 +508,27 @@ def test_mc_overflowing_lengths_refused(monkeypatch, capsys, lengths):
     assert "binary64" in captured.err
 
 
+@pytest.mark.parametrize("lengths, message", [
+    ("2,1,1,1,1", "need L1 < L2"),
+    ("1,1e400,1,1,1", "lengths must be below the binary64 maximum"),
+    ("1,2,1,1,1e-400", "lengths must stay positive when rounded to binary64"),
+    ("1,1.00000000000000000001,1,1,1", "need L1 < L2 after rounding to binary64"),
+], ids=["l1-above-l2", "overflow", "rounds-to-zero", "l1-l2-round-equal"])
+def test_mc_lengths_checked_exactly_then_in_binary64(monkeypatch, capsys, lengths, message):
+    # 1e-400 > 0 and 1 < 1.00000000000000000001 hold exactly, so a refusal
+    # names the binary64 rounding that breaks them.
+    def evaluated(n):
+        raise AssertionError("the reference was evaluated")
+
+    monkeypatch.setattr(montecarlo, "v0n_reduced", evaluated)
+    argv = ["verify", "mc", "--n", "5", "--lengths", lengths, "--samples", "10",
+            "--seed", "1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def refuse_draws(monkeypatch):
     def drawn(seed, i):
         raise AssertionError("a member was sampled")
@@ -565,10 +620,10 @@ def test_mc_worker_pool_is_capped(monkeypatch, capsys):
 
 def test_mc_validation_errors():
     with pytest.raises(ValueError):
-        mc_htc_volume(4, [2.0, 1.0, 1.0, 1.0], samples=10, seed=0)  # L1 >= L2
+        mc_full_volume(4, [2.0, 1.0, 1.0, 1.0], samples=10, seed=0)  # L1 >= L2
     with pytest.raises(ValueError):
-        mc_htc_volume(4, [1.0, 2.0, 1.0], samples=10, seed=0)
+        mc_full_volume(4, [1.0, 2.0, 1.0], samples=10, seed=0)
     with pytest.raises(ValueError):
-        mc_htc_volume(4, [1.0, 2.0, 1.0, 1.0], samples=0, seed=0)
+        mc_full_volume(4, [1.0, 2.0, 1.0, 1.0], samples=0, seed=0)
     with pytest.raises(ValueError):
         mc_full_volume(4, [1.0, 2.0, -1.0, 1.0], samples=10, seed=0)

@@ -96,6 +96,20 @@ def test_graph_is_isolated_union_full():
         assert keys(enumerate_family("two-three", n)) <= graph
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_graph_order_is_htc_order_then_full_order(n):
+    # Every key D[B1()|...] of an isolated pair sorts before each D[B1(...,
+    # so the graph order lists the htc trees, each glued to the lone vertex
+    # 1, in htc order, then the full members in full order.
+    graph = enumerate_family("graph", n)
+    htc = enumerate_family("htc", n)
+    isolated, rest = graph[:len(htc)], graph[len(htc):]
+    assert all(d.t1 == Tree.single(1) for d in isolated)
+    assert [canonical_key(d.t2) for d in isolated] == [canonical_key(t) for t in htc]
+    assert [canonical_key(d) for d in rest] == [
+        canonical_key(d) for d in enumerate_family("full", n)]
+
+
 def test_insert_label_seed_children():
     # The n = 3 two-three member is the single vertex 1 beside the edge 2-3;
     # label 4 enters either component, giving 4 + 1 children.
