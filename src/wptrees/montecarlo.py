@@ -10,12 +10,9 @@ Conventions, matching the exact engine:
   coordinate dropped per simplex) its Lebesgue volume is
   pi^(deg-1)/(deg-1)!.  The per-edge constraints
   phi(forward) + phi(backward) < pi are automatic when one endpoint is a
-  boundary vertex (its slots are pinned to 0) and are estimated by rejection
-  on edges joining two inner vertices.  Only the angles at the slots of
-  those edges are drawn, as fractions of pi, by stick breaking over the
-  three slots of a trivalent vertex: one uniform per constrained slot but a
-  third, which takes the remainder, so an edge is accepted when its two
-  fractions sum below 1.
+  boundary vertex (its slots are pinned to 0) and are estimated on edges
+  joining two inner vertices, where, as fractions of pi, the two angles
+  must sum below 1.
 * A boundary vertex of degree d carries two simplices of dimension d-1 and
   volume size^(d-1)/(d-1)! each.  Sizes: L_b/2 twice for an ordinary
   boundary; (L2-L1)/2 and (L2+L1)/2 for boundary 2 of a half-tight tree;
@@ -56,21 +53,48 @@ a function of the boundaries' (label, excess) pairs alone.  It is
 evaluated exactly at the reference's binary64 bindings of pi^2 and the
 L_i^2 and rounded once; a run evaluates it once per signature.
 
+The Delaunay acceptance is estimated by conditional Monte Carlo.  The
+three angle fractions of a trivalent vertex are Dirichlet(1, 1, 1), so
+each is Beta(1, 2), with P(X < x) = 1 - (1 - x)^2.  In one side's forest of
+inner-inner edges, a *leaf* is an inner vertex with one constrained slot.
+Its fraction X is independent of every other constrained fraction, so,
+given its partner's fraction f, its edge passes with probability
+P(X < 1 - f) = 1 - f^2.  A leaf is therefore never drawn: each draw gets
+the weight
+
+    w = prod_{leaf edges} (1 - f^2) * prod_{other edges} [f_a + f_b < 1],
+
+with f the fraction at the leaf's partner.  An isolated edge has two
+leaves; it integrates its v end and samples its u end.  The drawn slots are
+those of the vertices that are no leaf and of those u ends, taken by stick
+breaking: one uniform per slot but a vertex's third, which takes the
+remainder.  A sampled row is its constant times the mean weight, and its
+standard error is |const| sqrt(s^2 / N), with s^2 the weights' unbiased
+sample variance over N draws.  Only fractions and weights, all in [0, 1],
+are squared, so the constants are the only values that can overflow:
+lengths at which a constant or their sum overflows binary64 are refused,
+before any draw, with ``ValueError``, as are an n too large to enumerate
+and more than ``DRAW_BUDGET`` draws (samples x sampled members).
+
 One seed drives everything: the sampled member at index i in the canonical
 order of the ``graph`` family (the lone-vertex pairs first, in the ``htc``
 order of their trees, then the ``full`` pairs in ``full`` order) draws from
 numpy's default PCG64 generator on child i of ``SeedSequence(seed)``, so a
-report depends only on (seed, samples) and not on the worker-thread count.  ``_stream``
-builds that generator inside the job, when the job first draws; a member
-with no inner-inner edge is exact and builds none.  Draws go in chunks of
-``_CHUNK``, small enough that each chunk's arrays stay in cache.  Only the
-drawing functions import numpy, so the exact commands, and a ``verify mc``
-that samples no member, never load it.  A sampled row is its constant,
-computed before any draw, times the fraction of draws that meet every
-constraint; ``McReport.unconstrained`` (the ablation) reads the constants
-kept on the rows back as exact rows.  No sampled value is squared, so
-lengths at which a constant or their sum overflows binary64 are refused,
-before any draw, with ``ValueError``, as is an n too large to enumerate.
+report depends only on (seed, samples) and not on the worker-thread count.
+``_stream`` builds that generator inside the job, when the job first draws;
+a member with no inner-inner edge is exact, is built inline and builds
+none, and only sampled members go to the worker pool.  Draws go in chunks
+of ``_CHUNK``, small enough that each chunk's arrays stay in cache.  Each
+job allocates its arrays once, and every chunk works on views of them:
+per side one ``rng.random`` call fills the drawn slots, stick breaking runs
+in place, and the weights and their squares are summed by ufuncs and
+``.sum()``.  Fresh 128 KiB arrays per chunk would sit at glibc's mmap
+threshold and be page-faulted anew.  No ``np.dot`` or ``@`` is called:
+OpenBLAS starts threads of its own, which compete with the worker threads.
+Only the drawing functions import numpy, so the exact commands, and a
+``verify mc`` that samples no member, never load it.
+``McReport.unconstrained`` (the ablation) reads the constants kept on the
+rows back as exact rows.
 """
 from __future__ import annotations
 
@@ -90,9 +114,14 @@ __all__ = [
     "polytope_dimension",
     "corner_markings",
     "mc_full_volume",
+    "DRAW_BUDGET",
 ]
 
 _CHUNK = 1 << 14
+# Draws of one run, samples x sampled members, refused above this: 17 to 25
+# minutes of drawing at the 7e7 to 1e8 draws per second measured at n = 5
+# and 6 on 2 vCPU.
+DRAW_BUDGET = 10 ** 11
 
 
 # -- dimension formula and its rank-based verification ---------------------
@@ -226,47 +255,102 @@ def _constant(excess: tuple[tuple[int, int], ...], squares: dict) -> float:
     return float(exact)
 
 
-def _sample_angles(constraints, rng, m: int) -> dict:
-    """The angles at the constrained slots of trivalent vertices as fractions
-    of pi, by stick breaking: {(vertex, slot): fractions}.
+class _Plan:
+    """How one side's constraints are drawn and weighed.
 
-    Slots are taken in vertex order, then slot order.  A vertex's first
-    constrained slot takes the share 1 - sqrt(U) of the whole stick and its
-    second the share 1 - U of what the first left, one ``rng.random(m)``
-    draw U per slot; a third takes the remainder and draws nothing.  The
-    fractions are the constrained coordinates of a uniform point on the
-    angle simplex (Dirichlet(1, 1, 1), exchangeable, so no other coordinate
-    need be drawn)."""
-    slots: dict[int, set[int]] = {}
+    Row r of the side's fraction buffer holds the angle fraction at the
+    (vertex, slot) ``slots[r]``.  The first ``drawn`` rows take one uniform
+    each, in vertex order, then slot order; the rest are third slots, which
+    take what their vertex's first two left.  ``sticks`` lists each sampled
+    vertex's rows in slot order, ``squares`` the rows whose partner is an
+    integrated leaf (weight 1 - f^2), in edge order, and ``tests`` the row
+    pairs of the edges tested f_a + f_b < 1.  A plain class: a dataclass
+    would add a millisecond to every command's import."""
+
+    __slots__ = ("slots", "drawn", "sticks", "squares", "tests")
+
+    def __init__(self, slots: tuple, drawn: int, sticks: tuple, squares: tuple,
+                 tests: tuple):
+        self.slots, self.drawn, self.sticks = slots, drawn, sticks
+        self.squares, self.tests = squares, tests
+
+
+def _plan(constraints) -> _Plan:
+    """The plan of one side's (u, slot_u, v, slot_v) constraints: a leaf
+    (a vertex with one constrained slot) is integrated, so its partner's
+    slot enters ``squares``; an isolated edge samples its u end; every
+    other edge is tested."""
+    slots: dict[int, list[int]] = {}
     for u, su, v, sv in constraints:
-        slots.setdefault(u, set()).add(su)
-        slots.setdefault(v, set()).add(sv)
-    out = {}
-    for v in sorted(slots):
-        left = None  # what the earlier slots left; None for the whole stick
-        for k, j in enumerate(sorted(slots[v])):
-            if k == 2:  # the vertex's last coordinate
-                out[v, j] = left
-                continue
-            keep = rng.random(m)
-            if k == 0:
-                keep **= 0.5
-            out[v, j] = share = 1.0 - keep
-            if left is None:
-                left = keep
-            else:
-                share *= left
-                left *= keep
-    return out
+        slots.setdefault(u, []).append(su)
+        slots.setdefault(v, []).append(sv)
+    leaves = {v for v, own in slots.items() if len(own) == 1}
+    sampled = {v: sorted(own) for v, own in slots.items() if v not in leaves}
+    for u, su, v, sv in constraints:
+        if u in leaves and v in leaves:  # an isolated edge samples its u end
+            sampled[u] = [su]
+    order = sorted(sampled)
+    drawn = [(v, j) for v in order for j in sampled[v][:2]]
+    keys = drawn + [(v, sampled[v][2]) for v in order if len(sampled[v]) == 3]
+    row = {key: r for r, key in enumerate(keys)}
+    squares, tests = [], []
+    for u, su, v, sv in constraints:
+        if v in leaves:
+            squares.append(row[u, su])
+        elif u in leaves:
+            squares.append(row[v, sv])
+        else:
+            tests.append((row[u, su], row[v, sv]))
+    return _Plan(tuple(keys), len(drawn),
+                 tuple(tuple(row[v, j] for j in sampled[v]) for v in order),
+                 tuple(squares), tuple(tests))
+
+
+def _sample_angles(plan: _Plan, rng, fractions) -> None:
+    """Fill ``fractions``, one row per slot of ``plan``, with the angles at
+    those slots as fractions of pi, in place, by stick breaking.
+
+    One ``rng.random`` call fills the drawn rows.  A vertex's first slot
+    takes the share 1 - sqrt(U) of the whole stick, its second the share
+    1 - U of what the first left, and a third the remainder.  These are the
+    sampled coordinates of a uniform point on the angle simplex
+    (Dirichlet(1, 1, 1), exchangeable, so no other coordinate need be
+    drawn)."""
+    import numpy as np
+    rng.random(out=fractions[:plan.drawn])
+    for rows in plan.sticks:
+        first = fractions[rows[0]]
+        np.sqrt(first, out=first)  # what the first slot leaves
+        if len(rows) > 1:
+            second = fractions[rows[1]]
+            if len(rows) == 3:
+                np.multiply(first, second, out=fractions[rows[2]])
+            np.subtract(1.0, second, out=second)
+            second *= first
+        np.subtract(1.0, first, out=first)
+
+
+def _weigh(plan: _Plan, fractions, weight, scratch, mask) -> None:
+    """Multiply into ``weight`` the side's factors: 1 - f^2 per integrated
+    leaf, in edge order, then 0 where a tested edge fails."""
+    import numpy as np
+    for r in plan.squares:
+        np.multiply(fractions[r], fractions[r], out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        weight *= scratch
+    for a, b in plan.tests:
+        np.add(fractions[a], fractions[b], out=scratch)
+        np.copyto(weight, 0.0, where=np.greater_equal(scratch, 1.0, out=mask))
 
 
 def _estimate(member: DoubleTree, const: float, sampled, samples: int,
               seed: int, i: int) -> dict:
-    """The report row of one member: ``const`` times the sampled rate at which
-    every side's constraints in ``sampled`` pass, exact if none.  A member
-    whose t1 is the lone vertex 1 is reported as its half-tight tree t2.
-    A rate of 0 or 1 gets the standard error it would have if one further
-    draw had gone the other way, so no sampled row has a zero one."""
+    """The report row of one member: ``const`` times the mean weight of its
+    draws under every side's constraints in ``sampled``, exact if none.  A
+    member whose t1 is the lone vertex 1 is reported as its half-tight tree
+    t2.  The standard error is |const| sqrt(s^2 / samples), with s^2 the
+    weights' unbiased sample variance; where s^2 is 0 or undefined (one
+    draw) it is |const| / (samples + 1), so no sampled row has a zero one."""
     glued = bool(member.t1.edges)
     row = {"key": canonical_key(member if glued else member.t2).decode(),
            "kind": "full" if glued else "half-tight",
@@ -275,24 +359,29 @@ def _estimate(member: DoubleTree, const: float, sampled, samples: int,
         return row | {"estimate": const, "std_error": 0.0, "exact": True}
 
     import numpy as np
+    plans = [_plan(cons) for cons in sampled]
     rng = _stream(seed, i)
-    accepted = 0
-    for done in range(0, samples, _CHUNK):
-        m = min(_CHUNK, samples - done)
-        ok = np.ones(m, bool)
-        total, below = np.empty(m), np.empty(m, bool)
-        for cons in sampled:
-            fractions = _sample_angles(cons, rng, m)
-            for u, su, v, sv in cons:
-                np.add(fractions[u, su], fractions[v, sv], out=total)
-                ok &= np.less(total, 1.0, out=below)
-        accepted += np.count_nonzero(ok)
-    p = accepted / samples
-    if 0 < accepted < samples:
-        se = abs(const) * math.sqrt(p * (1.0 - p) / samples)
-    else:  # p(1-p)/samples at the rate samples/(samples+1) or its complement
+    size = min(_CHUNK, samples)
+    buffers = [np.empty(len(plan.slots) * size) for plan in plans]
+    weights, scratches, masks = np.empty(size), np.empty(size), np.empty(size, bool)
+    total = squares = 0.0
+    for done in range(0, samples, size):
+        m = min(size, samples - done)
+        weight, scratch, mask = weights[:m], scratches[:m], masks[:m]
+        weight.fill(1.0)
+        for plan, buffer in zip(plans, buffers):
+            fractions = buffer[:len(plan.slots) * m].reshape(-1, m)
+            _sample_angles(plan, rng, fractions)
+            _weigh(plan, fractions, weight, scratch, mask)
+        total += float(weight.sum())
+        np.multiply(weight, weight, out=scratch)
+        squares += float(scratch.sum())
+    var = (squares - total * total / samples) / (samples - 1) if samples > 1 else 0.0
+    if var > 0.0:
+        se = abs(const) * math.sqrt(var / samples)
+    else:
         se = abs(const) / (samples + 1)
-    return row | {"estimate": const * p, "std_error": se, "exact": False}
+    return row | {"estimate": const * (total / samples), "std_error": se, "exact": False}
 
 
 @dataclass
@@ -409,11 +498,19 @@ def mc_full_volume(n: int, lengths, samples: int, seed: int, threads: int = 1) -
         raise ValueError("the per-tree volumes overflow binary64 at these lengths") from None
     jobs = [partial(_estimate, m, const, sampled, samples, seed, i)
             for i, (m, const, sampled) in enumerate(members)]
-    # More workers than jobs or CPUs only cost thread start-ups.
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    drawn = [f for f, (_, _, sampled) in zip(jobs, members) if sampled]
+    if samples * len(drawn) > DRAW_BUDGET:
+        raise ValueError(
+            f"sampling is limited to samples x sampled members <= {DRAW_BUDGET}, "
+            f"got {samples} x {len(drawn)} = {samples * len(drawn)}")
+    # Exact rows are built inline.  More workers than sampled members or
+    # CPUs only cost thread start-ups.
+    workers = min(threads, len(drawn), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda f: f(), jobs))
+            done = iter(list(pool.map(lambda f: f(), drawn)))
+        rows = [next(done) if sampled else f()
+                for f, (_, _, sampled) in zip(jobs, members)]
     else:
         rows = [f() for f in jobs]
     return _report(rows, reference, samples, seed)

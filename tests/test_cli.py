@@ -276,6 +276,10 @@ with contextlib.redirect_stdout(io.StringIO()):
     state["exact_mc"] = cli.main(["verify", "mc", "--n", "4", "--lengths", "1,2,1,1",
                                   "--samples", "2000", "--seed", "3"])
     state["numpy_after_exact_mc"] = "numpy" in sys.modules
+    # Too many draws are refused before numpy loads.
+    state["huge_mc"] = cli.main(["verify", "mc", "--n", "5", "--lengths", "1,2,1,1,1",
+                                 "--samples", "100000000000000", "--seed", "3"])
+    state["numpy_after_huge_mc"] = "numpy" in sys.modules
     state["mc"] = cli.main(["verify", "mc", "--n", "5", "--lengths", "1,2,1,1,1",
                             "--samples", "2000", "--seed", "3", "--sigma", "100"])
     state["numpy_after_mc"] = "numpy" in sys.modules
@@ -293,6 +297,8 @@ def test_numpy_is_loaded_only_to_sample():
     assert not state["numpy_after_vol"]
     assert state["exact_mc"] == 0
     assert not state["numpy_after_exact_mc"]
+    assert state["huge_mc"] == 2
+    assert not state["numpy_after_huge_mc"]
     assert state["mc"] == 0
     assert state["numpy_after_mc"]
 

@@ -13,7 +13,7 @@ from wptrees import cli, montecarlo
 from wptrees.algebra import Polynomial
 from wptrees.montecarlo import corner_markings, mc_full_volume, polytope_dimension
 from wptrees.trees import DoubleTree, Tree, canonical_key, enumerate_family
-from wptrees.volumes import htc_volume
+from wptrees.volumes import _component, htc_volume
 
 
 def trivalent_n5_tree() -> Tree:
@@ -74,77 +74,172 @@ def top_dimensional(tree: Tree) -> bool:
     return all(d == 3 for v, d in tree.degrees().items() if v < 0)
 
 
+def path_n7_tree() -> Tree:
+    # four trivalent inner vertices in a row: the edge between the two
+    # middle ones joins two vertices that are no leaf, so it is tested
+    return Tree.make((2, 3, 4, 5, 6, 7), [(2, -1), (3, -1), (-1, -2), (4, -2), (-2, -3),
+                                          (5, -3), (-3, -4), (6, -4), (7, -4)])
+
+
+def constraints_of(tree: Tree) -> list:
+    (_, none), (_, constraints) = montecarlo._sides(lone(tree))
+    assert none == []
+    return constraints
+
+
+@pytest.mark.parametrize("tree, slots, uniforms, squares, tests", [
+    (trivalent_n5_tree(), [(-2, 0)], 1, 1, 0),
+    (path_n6_tree(), [(-2, 0), (-2, 1)], 2, 2, 0),
+    (star_n7_tree(), [(-1, 0), (-1, 1), (-1, 2)], 2, 3, 0),
+    (path_n7_tree(), [(-3, 0), (-3, 1), (-2, 0), (-2, 1)], 4, 2, 1),
+], ids=["one-slot-edge", "two-slot-path", "three-slot-star", "tested-edge-path"])
+def test_plan_draws_no_leaf(tree, slots, uniforms, squares, tests):
+    # A leaf, an inner vertex with one constrained slot, is integrated: its
+    # partner's slot enters as a factor 1 - f^2.  An isolated edge samples
+    # its u end (the smaller id) only; an edge between two vertices that are
+    # no leaf is tested.
+    plan = montecarlo._plan(constraints_of(tree))
+    assert list(plan.slots) == slots
+    assert plan.drawn == uniforms
+    assert (len(plan.squares), len(plan.tests)) == (squares, tests)
+
+
 def test_sample_angle_polytope():
-    # Each constrained slot is, bit for bit, its stick-breaking share of one
-    # uniform per slot drawn in vertex order, then slot order: a lone slot
-    # takes 1 - sqrt(U); the three slots of the centre take 1 - sqrt(U0),
-    # sqrt(U0) (1 - U1) and the remainder sqrt(U0) U1, drawing nothing.
+    # The star's three leaves are integrated, so its centre is the only
+    # sampled vertex.  Its slots are, bit for bit, the stick-breaking shares
+    # of two uniforms drawn in one call: 1 - sqrt(U0), sqrt(U0) (1 - U1) and
+    # the remainder sqrt(U0) U1, which draws nothing.
     star = Tree.make((2, 3, 4), [(2, -1), (3, -1), (4, -1)])  # always accepted
     assert [cons for _, cons in montecarlo._sides(lone(star))] == [[], []]
     (vertex, none), (deg, constraints) = montecarlo._sides(lone(star_n7_tree()))
     assert (vertex, none) == ({1: 0}, [])
     assert deg == star_n7_tree().degrees()
-    fractions = montecarlo._sample_angles(constraints,
-                                          np.random.Generator(np.random.Philox(1)), 1000)
-    assert sorted(fractions) == [(-4, 0), (-3, 0), (-2, 0), (-1, 0), (-1, 1), (-1, 2)]
+    plan = montecarlo._plan(constraints)
+    assert plan.slots == ((-1, 0), (-1, 1), (-1, 2))
+    fractions = np.empty((3, 1000))
+    montecarlo._sample_angles(plan, np.random.Generator(np.random.Philox(1)), fractions)
     twin = np.random.Generator(np.random.Philox(1))
-    for leaf in (-4, -3, -2):
-        assert fractions[leaf, 0].tobytes() == (1.0 - np.sqrt(twin.random(1000))).tobytes()
     first, second = np.sqrt(twin.random(1000)), twin.random(1000)
-    assert fractions[-1, 0].tobytes() == (1.0 - first).tobytes()
-    assert fractions[-1, 1].tobytes() == (first * (1.0 - second)).tobytes()
-    assert fractions[-1, 2].tobytes() == (first * second).tobytes()
-    for u, su, v, sv in constraints:
-        accepted = fractions[u, su] + fractions[v, sv] < 1.0
-        assert 0 < accepted.sum() < 1000  # each edge constraint is nontrivial
+    assert fractions[0].tobytes() == (1.0 - first).tobytes()
+    assert fractions[1].tobytes() == (first * (1.0 - second)).tobytes()
+    assert fractions[2].tobytes() == (first * second).tobytes()
+    for r in plan.squares:
+        factor = 1.0 - fractions[r] ** 2
+        assert 0.0 < factor.min() and factor.max() < 1.0  # each leaf factor is nontrivial
 
 
-@pytest.mark.parametrize("tree, slots, rate", [
-    (trivalent_n5_tree(), 1, Fraction(5, 6)),
-    (path_n6_tree(), 2, Fraction(61, 90)),
-    (star_n7_tree(), 3, Fraction(1343, 2520)),
-], ids=["one-slot-edge", "two-slot-path", "three-slot-star"])
-def test_sampled_rate_matches_closed_form(tree, slots, rate):
-    # With X_i the Dirichlet(1,1,1) coordinates of the vertex with the most
-    # constrained slots and each neighbour's fraction Beta(1, 2), the rate is
-    # E prod_i (1 - X_i^2) over its constrained slots i.
+def dirichlet_moment(a: int, b: int, c: int) -> Fraction:
+    """E[X^a Y^b Z^c] for (X, Y, Z) ~ Dirichlet(1, 1, 1)."""
+    return Fraction(2 * math.factorial(a) * math.factorial(b) * math.factorial(c),
+                    math.factorial(a + b + c + 2))
+
+
+def leaf_weight_moments(slots: int) -> tuple[Fraction, Fraction]:
+    """E[w] and E[w^2], exactly, for the weight w = prod_{i < slots} (1 - X_i^2)
+    of one vertex whose ``slots`` constrained slots all lead to leaves."""
+    def mul(p: dict, q: dict) -> dict:
+        out: dict = {}
+        for e, a in p.items():
+            for f, b in q.items():
+                key = tuple(x + y for x, y in zip(e, f))
+                out[key] = out.get(key, 0) + a * b
+        return out
+
+    w = {(0, 0, 0): Fraction(1)}
+    for i in range(slots):
+        square = tuple(2 if j == i else 0 for j in range(3))
+        w = mul(w, {(0, 0, 0): Fraction(1), square: Fraction(-1)})
+    return tuple(sum(c * dirichlet_moment(*e) for e, c in p.items()) for p in (w, mul(w, w)))
+
+
+def path_n7_moments() -> tuple[Fraction, Fraction]:
+    """E[w] and E[w^2], exactly, for the four-vertex path: w = (1 - X^2)
+    (1 - Y^2) [S + T < 1], with (X, S) and (Y, T) two coordinates of
+    independent Dirichlet(1, 1, 1) vertices.  Given S = s, X is uniform on
+    (0, c), c = 1 - s, and S has density 2c, so each vertex contributes
+    2c E[(1 - X^2)^k] = 2c - 2k c^3 / 3 (+ 2 c^5 / 5 at k = 2), and
+    s + t < 1 is c_s + c_t > 1, where the integral of c_s^i c_t^j over the
+    unit square is 1/((i+1)(j+1)) minus i! j! / (i+j+2)! over its lower
+    triangle."""
+    def pair(p: dict) -> Fraction:
+        return sum(a * b * (Fraction(1, (i + 1) * (j + 1))
+                            - Fraction(math.factorial(i) * math.factorial(j),
+                                       math.factorial(i + j + 2)))
+                   for i, a in p.items() for j, b in p.items())
+
+    return (pair({1: Fraction(2), 3: Fraction(-2, 3)}),
+            pair({1: Fraction(2), 3: Fraction(-4, 3), 5: Fraction(2, 5)}))
+
+
+def test_leaf_rule_moments_are_exact():
+    # Leaf weights against their Bernoulli counterparts: each mean is the
+    # acceptance rate, and each variance is 3.6, 5.1, 13 and 2.3 times below
+    # the rate's p (1 - p).
+    moments = [leaf_weight_moments(1), leaf_weight_moments(2), leaf_weight_moments(3),
+               path_n7_moments()]
+    assert [mean for mean, _ in moments] == [Fraction(5, 6), Fraction(61, 90),
+                                             Fraction(1343, 2520), Fraction(277, 504)]
+    assert [square - mean ** 2 for mean, square in moments] == [
+        Fraction(7, 180), Fraction(2411, 56700), Fraction(17367313, 908107200),
+        Fraction(7498837, 69854400)]
+    # Summed over the cubic trees on D labelled leaves (3, 15 and 90 + 15
+    # of them, stars last), the rates are the exact engine's G(D, 0).
+    edge, path, star, tested = (mean for mean, _ in moments)
+    assert [3 * edge, 15 * path, 90 * tested + 15 * star] == [
+        _component(D, 0, 0) for D in (4, 5, 6)]
+
+
+@pytest.mark.parametrize("tree, moments", [
+    (trivalent_n5_tree(), leaf_weight_moments(1)),
+    (path_n6_tree(), leaf_weight_moments(2)),
+    (star_n7_tree(), leaf_weight_moments(3)),
+    (path_n7_tree(), path_n7_moments()),
+], ids=["one-slot-edge", "two-slot-path", "three-slot-star", "tested-edge-path"])
+def test_sampled_rate_matches_closed_form(tree, moments):
+    mean, square = moments
     draws = 10 ** 6
-    _, (deg, constraints) = montecarlo._sides(lone(tree))
+    se = math.sqrt((square - mean ** 2) / draws)
+    constraints = constraints_of(tree)
     row = montecarlo._estimate(lone(tree), 1.0, (constraints,), draws, 9, 0)
-    assert abs(row["estimate"] - rate) < 5 * math.sqrt(rate * (1 - rate) / draws)
-    assert row["std_error"] == pytest.approx(math.sqrt(rate * (1 - rate) / draws), rel=1e-2)
+    assert abs(row["estimate"] - mean) < 5 * se
+    assert row["std_error"] == pytest.approx(se, rel=1e-2)
 
-    fractions = montecarlo._sample_angles(constraints,
-                                          np.random.Generator(np.random.Philox(9)), draws)
-    for x in fractions.values():  # Beta(1, 2): mean 1/3, variance 1/18
+    plan = montecarlo._plan(constraints)
+    fractions = np.empty((len(plan.slots), draws))
+    montecarlo._sample_angles(plan, np.random.Generator(np.random.Philox(9)), fractions)
+    for x in fractions:  # Beta(1, 2): mean 1/3, variance 1/18
         assert abs(x.mean() - 1 / 3) < 5 * math.sqrt(1 / 18 / draws)
-    centre = max(deg, key=lambda v: sum(1 for w, _ in fractions if w == v))
-    own = [x for (w, _), x in fractions.items() if w == centre]
-    assert len(own) == slots
-    if slots == 3:
-        assert np.abs(sum(own) - 1.0).max() <= 4 * np.finfo(float).eps
+    if len(plan.slots) == 3:  # the star's centre: all of its stick
+        assert np.abs(fractions.sum(axis=0) - 1.0).max() <= 4 * np.finfo(float).eps
 
 
-def reference_accepted(sampled, samples: int, seed: int, i: int) -> int:
-    """The accepted count of ``_estimate``, drawn out of place from a twin of
-    its stream: per chunk, each side's slots in vertex order, then slot
-    order, shares 1 - sqrt(U), 1 - U and the remainder of each trivalent
-    vertex's stick, each constraint a fresh array ``a + b < 1`` and-ed into
-    ``ok``."""
+def reference_weight_sum(sampled, samples: int, seed: int, i: int) -> float:
+    """The weight sum of ``_estimate``, drawn out of place from a twin of its
+    stream.  Per chunk and side, a leaf (one constrained slot) draws
+    nothing, an isolated edge draws its u end, and every other vertex its
+    constrained slots, in vertex order, then slot order: shares 1 - sqrt(U),
+    1 - U and the remainder of a trivalent vertex's stick.  Each edge
+    multiplies the weight, in edge order, by a fresh array: 1 - f^2 of a
+    leaf's partner, else [a + b < 1].  Chunk sums add up in a float."""
     twin = montecarlo._stream(seed, i)
-    accepted = 0
+    total = 0.0
     for done in range(0, samples, montecarlo._CHUNK):
         m = min(montecarlo._CHUNK, samples - done)
-        ok = True
+        weight = np.ones(m)
         for cons in sampled:
             slots = {}
             for u, su, v, sv in cons:
                 slots.setdefault(u, set()).add(su)
                 slots.setdefault(v, set()).add(sv)
+            leaves = {v for v, own in slots.items() if len(own) == 1}
+            drawn = {v: own for v, own in slots.items() if v not in leaves}
+            for u, su, v, sv in cons:
+                if u in leaves and v in leaves:
+                    drawn[u] = {su}
             fractions = {}
-            for v in sorted(slots):
+            for v in sorted(drawn):
                 left = None
-                for k, j in enumerate(sorted(slots[v])):
+                for k, j in enumerate(sorted(drawn[v])):
                     rest = 2 - k  # coordinates after this one
                     if rest == 0:
                         fractions[v, j] = left
@@ -158,40 +253,44 @@ def reference_accepted(sampled, samples: int, seed: int, i: int) -> int:
                         fractions[v, j] = left * (1.0 - keep)
                         left = left * keep
             for u, su, v, sv in cons:
-                ok = ok & (fractions[u, su] + fractions[v, sv] < 1.0)
-        accepted += int(ok.sum())
-    return accepted
+                if v in leaves:
+                    weight = weight * (1.0 - fractions[u, su] ** 2)
+                elif u in leaves:
+                    weight = weight * (1.0 - fractions[v, sv] ** 2)
+                else:
+                    weight = weight * (fractions[u, su] + fractions[v, sv] < 1.0)
+        total += float(weight.sum())
+    return total
 
 
-def sampled_count(row: dict, samples: int) -> int:
-    # At constant 1 the estimate is accepted / samples, correctly rounded.
-    return round(row["estimate"] * samples)
-
-
-@pytest.mark.parametrize("tree", [trivalent_n5_tree(), path_n6_tree(), star_n7_tree()],
-                         ids=["one-slot-edge", "two-slot-path", "three-slot-star"])
+@pytest.mark.parametrize("tree", [trivalent_n5_tree(), path_n6_tree(), star_n7_tree(),
+                                  path_n7_tree()],
+                         ids=["one-slot-edge", "two-slot-path", "three-slot-star",
+                              "tested-edge-path"])
 def test_in_place_acceptance_matches_out_of_place_across_chunks(tree):
     # Two full chunks and a ragged one of 5 draws.
     samples = 2 * montecarlo._CHUNK + 5
     sampled = tuple(cons for _, cons in montecarlo._sides(lone(tree)) if cons)
     row = montecarlo._estimate(lone(tree), 1.0, sampled, samples, 13, 4)
     assert not row["exact"]
-    assert sampled_count(row, samples) == reference_accepted(sampled, samples, 13, 4)
+    assert row["estimate"] == reference_weight_sum(sampled, samples, 13, 4) / samples
 
 
 def test_glued_pair_samples_both_sides():
-    # Each side is one inner-inner edge between trivalent vertices, accepted
-    # at 5/6 independently of the other, so the pair passes at (5/6)^2.
+    # Each side is one inner-inner edge between trivalent vertices, whose
+    # weight is independent of the other's, so the pair's mean weight is
+    # (5/6)^2 and its second moment (11/15)^2.
     t1 = Tree.make((1, 3, 4, 5), [(1, -1), (3, -1), (-1, -2), (4, -2), (5, -2)])
     t2 = Tree.make((2, 6, 7, 8), [(2, -1), (6, -1), (-1, -2), (7, -2), (8, -2)])
     pair = DoubleTree(t1, t2)
     sampled = tuple(cons for _, cons in montecarlo._sides(pair))
     assert [len(cons) for cons in sampled] == [1, 1]
-    draws, rate = 10 ** 6, 25 / 36
+    mean, square = leaf_weight_moments(1)
+    draws, rate = 10 ** 6, mean ** 2
     row = montecarlo._estimate(pair, 1.0, sampled, draws, 21, 3)
     assert row["kind"] == "full" and not row["exact"]
-    assert abs(row["estimate"] - rate) < 5 * math.sqrt(rate * (1 - rate) / draws)
-    assert sampled_count(row, draws) == reference_accepted(sampled, draws, 21, 3)
+    assert abs(row["estimate"] - rate) < 5 * math.sqrt((square ** 2 - rate ** 2) / draws)
+    assert row["estimate"] == reference_weight_sum(sampled, draws, 21, 3) / draws
 
 
 def exact_gluing_mean(L1: Fraction, L2: Fraction, d1: int, d2: int) -> Fraction:
@@ -416,16 +515,17 @@ def test_cli_mc_enumerates_each_family_once(monkeypatch, capsys):
 
 
 def test_mc_all_or_none_accepted_is_still_sampled():
-    # One draw per member: every sampled row's rate is 0 or 1.  Each row is
-    # scored as if one further draw had gone the other way, so its standard
-    # error is its constant / 2, and the three equal K2 rows at n = 5 keep
-    # |z| <= 5/6 * 3 / (sqrt(3) / 2) < 3 whatever the draws.
+    # One draw per member: a weight's sample variance is undefined, so each
+    # sampled row is scored as if one further draw had gone the other way,
+    # with standard error constant / 2.  Its weight lies in [0, 1], so the
+    # three equal K2 rows at n = 5 keep |z| <= 3 * 5/6 / (sqrt(3) / 2) < 3
+    # whatever the draws.
     for seed in range(20):
         report = mc_full_volume(5, [1.0, 2.0, 1.0, 1.0, 1.0], samples=1, seed=seed)
         sampled = [row for row in report.per_tree if not row["exact"]]
         assert len(sampled) == 3
         for row in sampled:
-            assert row["estimate"] in (0.0, row["constant"])
+            assert 0.0 <= row["estimate"] <= row["constant"]
             assert row["std_error"] == row["constant"] / 2
         assert math.isfinite(report.z_score) and abs(report.z_score) < 3
 
@@ -555,8 +655,8 @@ def test_mc_overflowing_constant_sum_refused_before_drawing(monkeypatch):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_mc_huge_lengths_reported(capsys, recwarn, threads):
-    # No sampled value is squared, so lengths near 1e40 report and pass
-    # with no numpy warning.
+    # Only fractions and weights in [0, 1] are squared, so lengths near 1e40
+    # report and pass with no numpy warning.
     argv = ["--threads", threads, "verify", "mc", "--n", "5",
             "--lengths", "1e40,2e40,1e40,1e40,1e40", "--samples", "100", "--seed", "1"]
     assert cli.main(argv) == 0
@@ -584,10 +684,11 @@ def test_mc_rounding_allowance_is_small_at_ordinary_lengths():
 
 
 def test_mc_worker_pool_is_capped(monkeypatch, capsys):
-    recorded = []
+    recorded, mapped = [], []
 
     class RecordingPool:
-        """Stands in for the executor: records its size, runs jobs inline."""
+        """Stands in for the executor: records its size and how many jobs
+        it is given, runs them inline."""
 
         def __init__(self, max_workers):
             recorded.append(max_workers)
@@ -599,12 +700,14 @@ def test_mc_worker_pool_is_capped(monkeypatch, capsys):
             return False
 
         def map(self, fn, items):
+            items = list(items)
+            mapped.append(len(items))
             return list(map(fn, items))
 
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    argv = ["verify", "mc", "--n", "5", "--lengths", "1,2,1,1,1",
-            "--samples", "2000", "--seed", "3", "--sigma", "100"]
+    argv = ["verify", "mc", "--n", "6", "--lengths", "1,2,3,1,2,1",
+            "--samples", "200", "--seed", "3", "--sigma", "100"]
     threads_before = threading.active_count()
     assert cli.main(argv) == 0
     serial = capsys.readouterr().out
@@ -612,10 +715,57 @@ def test_mc_worker_pool_is_capped(monkeypatch, capsys):
     assert cli.main(["--threads", str(10 ** 9)] + argv) == 0
     huge = capsys.readouterr().out
     assert threading.active_count() == threads_before
-    jobs = len(json.loads(serial.splitlines()[0])["per_tree"])
-    assert jobs > 4
+    rows = json.loads(serial.splitlines()[0])["per_tree"]
+    sampled = sum(1 for row in rows if not row["exact"])
+    assert 4 < sampled < len(rows)
     assert recorded == [4]
+    assert mapped == [sampled]  # exact rows are built inline
     assert huge == serial
+    # No member at n = 4 is sampled, so two threads start no pool.
+    assert cli.main(["--threads", "2", "verify", "mc", "--n", "4", "--lengths", "1,2,1,1",
+                     "--samples", "2000", "--seed", "3"]) == 0
+    assert recorded == [4]
+
+
+HUGE = ["verify", "mc", "--n", "5", "--lengths", "1,2,1,1,1",
+        "--samples", "100000000000000", "--seed", "1"]
+
+
+def test_cli_refuses_huge_samples_before_drawing(monkeypatch, capsys):
+    refuse_draws(monkeypatch)
+    assert cli.main(HUGE) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: sampling is limited to samples x sampled members "
+                            "<= 100000000000, got 100000000000000 x 3 = 300000000000000\n")
+
+
+def test_draw_budget_is_inclusive(monkeypatch):
+    # Three sampled members at n = 5.
+    monkeypatch.setattr(montecarlo, "DRAW_BUDGET", 3 * 20)
+    lengths = [1.0, 2.0, 1.0, 1.0, 1.0]
+    assert mc_full_volume(5, lengths, samples=20, seed=1).samples == 20
+    refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match="<= 60, got 21 x 3 = 63"):
+        mc_full_volume(5, lengths, samples=21, seed=1)
+    # No member at n = 4 is sampled, so no sample count is refused.
+    assert mc_full_volume(4, [1.0, 2.0, 1.0, 1.0], samples=10 ** 14, seed=1).std_error == 0.0
+
+
+def sampled_members(n: int) -> int:
+    count = 0
+    for member in enumerate_family("graph", n):
+        sides = montecarlo._sides(member)
+        if all(top_dimensional(t) for t in (member.t1, member.t2)):
+            count += any(cons for _, cons in sides)
+    return count
+
+
+@pytest.mark.parametrize("n, samples", [(6, 200_000), (5, 10 ** 6), (6, 40_000), (7, 2000)],
+                         ids=["benchmark-n6", "acceptance-seed42", "ci-n6", "ci-n7"])
+def test_shipped_configurations_are_within_the_draw_budget(n, samples):
+    # The benchmark's verify mc runs, criterion 9 and the CI runs.
+    assert samples * sampled_members(n) <= montecarlo.DRAW_BUDGET
 
 
 def test_mc_validation_errors():
