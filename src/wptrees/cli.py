@@ -232,7 +232,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact genus-zero volumes from tree sums, with a "
                     "Monte Carlo polytope verifier.")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker-thread bound (never changes output)")
+                        help="worker-thread bound, capped at the number of sampled shapes "
+                             "(never changes output)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_vol = sub.add_parser("vol", help="genus-zero volume V_{0,n}")

@@ -68,22 +68,32 @@ with f the fraction at the leaf's partner.  An isolated edge has two
 leaves; it integrates its v end and samples its u end.  The drawn slots are
 those of the vertices that are no leaf and of those u ends, taken by stick
 breaking: one uniform per slot but a vertex's third, which takes the
-remainder.  A sampled row is its constant times the mean weight, and its
-standard error is |const| sqrt(s^2 / N), with s^2 the weights' unbiased
-sample variance over N draws.  Only fractions and weights, all in [0, 1],
-are squared, so the constants are the only values that can overflow:
-lengths at which a constant or their sum overflows binary64 are refused,
-before any draw, with ``ValueError``, as are an n too large to enumerate
-and more than ``DRAW_BUDGET`` draws (samples x sampled members).
+remainder.  Those fractions are exchangeable, so a member's weight has
+the law of its *shape*, the multiset of the unrooted shapes of its
+constraint-forest components over both sides (:func:`_shape`): one stream
+per shape serves all of its members.  A sampled row is its constant times
+its shape's mean weight, and its standard error is |const| sqrt(s^2 / N),
+with s^2 the weights' unbiased sample variance over N draws.  The rows of
+one shape share their draws, so their errors are fully correlated: the
+total's standard error is sqrt(sum over shapes of (sum of the shape's row
+errors)^2), not ``hypot`` over rows.  Only fractions and weights, all in
+[0, 1], are squared, so the constants are the only values that can
+overflow: lengths at which a constant or their sum overflows binary64 are
+refused, before any draw, with ``ValueError``, as are an n too large to
+enumerate and more than ``DRAW_BUDGET`` draws (samples x sampled shapes).
+Every n >= 5 has a sampled shape, so there a samples count above the
+budget is refused before the reference and the enumeration.
 
-One seed drives everything: the sampled member at index i in the canonical
-order of the ``graph`` family (the lone-vertex pairs first, in the ``htc``
-order of their trees, then the ``full`` pairs in ``full`` order) draws from
-numpy's default PCG64 generator on child i of ``SeedSequence(seed)``, so a
-report depends only on (seed, samples) and not on the worker-thread count.
-``_stream`` builds that generator inside the job, when the job first draws;
-a member with no inner-inner edge is exact, is built inline and builds
-none, and only sampled members go to the worker pool.  Draws go in chunks
+One seed drives everything: the sampled shape at index i in sorted order of
+the shape strings draws from numpy's default PCG64 generator on child i of
+``SeedSequence(seed)``, planned from the shape's first member in the
+canonical order of the ``graph`` family (the lone-vertex pairs first, in
+the ``htc`` order of their trees, then the ``full`` pairs in ``full``
+order), so a report depends only on (seed, samples) and not on the
+worker-thread count.  ``_stream`` builds that generator inside the shape's
+job, when the job first draws; a member with no inner-inner edge is exact
+and is built inline, and only the shapes go to the worker pool.  Members
+are kept as (key, kind, constant, shape), not as trees.  Draws go in chunks
 of ``_CHUNK``, small enough that each chunk's arrays stay in cache.  Each
 job allocates its arrays once, and every chunk works on views of them:
 per side one ``rng.random`` call fills the drawn slots, stick breaking runs
@@ -118,7 +128,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 14
-# Draws of one run, samples x sampled members, refused above this: 17 to 25
+# Draws of one run, samples x sampled shapes, refused above this: 17 to 25
 # minutes of drawing at the 7e7 to 1e8 draws per second measured at n = 5
 # and 6 on 2 vCPU.
 DRAW_BUDGET = 10 ** 11
@@ -343,21 +353,39 @@ def _weigh(plan: _Plan, fractions, weight, scratch, mask) -> None:
         np.copyto(weight, 0.0, where=np.greater_equal(scratch, 1.0, out=mask))
 
 
-def _estimate(member: DoubleTree, const: float, sampled, samples: int,
-              seed: int, i: int) -> dict:
-    """The report row of one member: ``const`` times the mean weight of its
-    draws under every side's constraints in ``sampled``, exact if none.  A
-    member whose t1 is the lone vertex 1 is reported as its half-tight tree
-    t2.  The standard error is |const| sqrt(s^2 / samples), with s^2 the
-    weights' unbiased sample variance; where s^2 is 0 or undefined (one
-    draw) it is |const| / (samples + 1), so no sampled row has a zero one."""
-    glued = bool(member.t1.edges)
-    row = {"key": canonical_key(member if glued else member.t2).decode(),
-           "kind": "full" if glued else "half-tight",
-           "constant": const}
-    if not sampled:
-        return row | {"estimate": const, "std_error": 0.0, "exact": True}
+def _code(adj: dict[int, list[int]], v: int, parent: int | None) -> str:
+    """The AHU code of the subtree at v, seen from ``parent``: "(", its
+    children's codes in sorted order, ")"."""
+    return "(" + "".join(sorted(_code(adj, u, v) for u in adj[v] if u != parent)) + ")"
 
+
+def _shape(sampled) -> str:
+    """The label- and slot-free shape of a member's sampled sides: the
+    sorted codes of all their constraint-forest components, joined by
+    spaces, "" if there are none.  A component's code is its least
+    :func:`_code` over all rootings, so equal codes mean isomorphic trees.
+    The angles at a trivalent vertex are exchangeable, so a member's
+    weight has the law of its shape's."""
+    codes = []
+    for constraints in sampled:
+        adj: dict[int, list[int]] = {}
+        for u, _, v, _ in constraints:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        seen: set[int] = set()
+        for root in adj:
+            if root not in seen:
+                component = [root]
+                for v in component:  # grows while it is read
+                    component.extend(u for u in adj[v] if u not in component)
+                seen.update(component)
+                codes.append(min(_code(adj, v, None) for v in component))
+    return " ".join(sorted(codes))
+
+
+def _estimate(sampled, samples: int, seed: int, i: int) -> tuple[float, float]:
+    """Sum w and sum w^2 over ``samples`` draws of the weight under every
+    side's constraints in ``sampled``, from the stream on child ``i``."""
     import numpy as np
     plans = [_plan(cons) for cons in sampled]
     rng = _stream(seed, i)
@@ -376,6 +404,19 @@ def _estimate(member: DoubleTree, const: float, sampled, samples: int,
         total += float(weight.sum())
         np.multiply(weight, weight, out=scratch)
         squares += float(scratch.sum())
+    return total, squares
+
+
+def _row(key: str, kind: str, const: float, shape: str, sums, samples: int) -> dict:
+    """The report row of one member: exact at ``const`` if its ``shape`` is
+    "", else ``const`` times its shape's mean weight, from the weight sums
+    ``sums``.  The standard error is |const| sqrt(s^2 / samples), with s^2
+    the weights' unbiased sample variance; where s^2 is 0 or undefined (one
+    draw) it is |const| / (samples + 1), so no sampled row has a zero one."""
+    row = {"key": key, "kind": kind, "constant": const, "shape": shape}
+    if not shape:
+        return row | {"estimate": const, "std_error": 0.0, "exact": True}
+    total, squares = sums
     var = (squares - total * total / samples) / (samples - 1) if samples > 1 else 0.0
     if var > 0.0:
         se = abs(const) * math.sqrt(var / samples)
@@ -393,7 +434,7 @@ class McReport:
     of both; when every row is exact it is 0 for agreement to a relative
     1e-9 and infinite otherwise.  A sampled row is never exact, whatever its
     draws.  Each row keeps the member's ``constant``, its volume without the
-    Delaunay constraints.
+    Delaunay constraints, and its ``shape``, "" for an exact row.
     """
 
     estimate: float
@@ -452,7 +493,12 @@ def _check_lengths(n: int, lengths) -> None:
 
 def _report(rows: list[dict], reference: float, samples: int, seed: int) -> McReport:
     total = math.fsum(r["estimate"] for r in rows)
-    se = math.hypot(*(r["std_error"] for r in rows))
+    # The rows of one shape share their draws, so their errors add; shapes
+    # draw from independent streams, so theirs add in quadrature.
+    by_shape: dict[str, float] = {}
+    for r in rows:
+        by_shape[r["shape"]] = by_shape.get(r["shape"], 0.0) + r["std_error"]
+    se = math.hypot(*by_shape.values())
     scale = 64 * len(rows) * math.ulp(1.0)
     rounding = scale * math.fsum(abs(r["estimate"]) for r in rows) + scale * abs(reference)
     return McReport(total, se, samples, seed, reference,
@@ -461,8 +507,8 @@ def _report(rows: list[dict], reference: float, samples: int, seed: int) -> McRe
 
 
 def mc_full_volume(n: int, lengths, samples: int, seed: int, threads: int = 1) -> McReport:
-    """Estimate V_{0,n}(L) by sampling the top-dimensional members of the
-    ``graph`` family in canonical order, one stream each: the half-tight
+    """Estimate V_{0,n}(L) over the top-dimensional members of the ``graph``
+    family in canonical order, one stream per sampled shape: the half-tight
     trees, as gluings of the lone vertex 1, then the glued pairs.
 
     The reference is the exact reduced tree sum evaluated at the lengths.
@@ -473,6 +519,9 @@ def mc_full_volume(n: int, lengths, samples: int, seed: int, threads: int = 1) -
     if seed < 0:
         raise ValueError("seed must be >= 0")
     _check_enumeration_size(n)
+    if n >= 5 and samples > DRAW_BUDGET:  # every such n has a sampled shape
+        raise ValueError(f"sampling is limited to samples x sampled shapes <= {DRAW_BUDGET}, "
+                         f"got {samples} samples of at least one shape")
     try:
         bindings = _bindings(lengths)
         reference = v0n_reduced(n).eval_float(bindings)
@@ -480,7 +529,8 @@ def mc_full_volume(n: int, lengths, samples: int, seed: int, threads: int = 1) -
         raise ValueError("the exact reference overflows binary64") from None
     squares = {a: Fraction(v) for a, v in bindings.items()}  # the same, exactly
     constants: dict[tuple, float] = {}  # by (label, excess) signature
-    members = []
+    members = []  # (key, kind, constant, shape): no tree is kept
+    firsts: dict[str, tuple] = {}  # shape -> sampled sides of its first member
     # Every row and sum lies between 0 and the sum of the constants, and
     # rounding a constant or summing finite ones raises on overflow.
     try:
@@ -491,26 +541,30 @@ def mc_full_volume(n: int, lengths, samples: int, seed: int, threads: int = 1) -
                                    for b, k in d.items() if b > 0))
                 if key not in constants:
                     constants[key] = _constant(key, squares)
-                members.append((m, constants[key],
-                                tuple(cons for _, cons in sides if cons)))
-        math.fsum(const for _, const, _ in members)
+                sampled = tuple(cons for _, cons in sides if cons)
+                shape = _shape(sampled)
+                if shape:
+                    firsts.setdefault(shape, sampled)
+                glued = bool(m.t1.edges)
+                members.append((canonical_key(m if glued else m.t2).decode(),
+                                "full" if glued else "half-tight", constants[key], shape))
+        math.fsum(const for _, _, const, _ in members)
     except OverflowError:
         raise ValueError("the per-tree volumes overflow binary64 at these lengths") from None
-    jobs = [partial(_estimate, m, const, sampled, samples, seed, i)
-            for i, (m, const, sampled) in enumerate(members)]
-    drawn = [f for f, (_, _, sampled) in zip(jobs, members) if sampled]
-    if samples * len(drawn) > DRAW_BUDGET:
-        raise ValueError(
-            f"sampling is limited to samples x sampled members <= {DRAW_BUDGET}, "
-            f"got {samples} x {len(drawn)} = {samples * len(drawn)}")
-    # Exact rows are built inline.  More workers than sampled members or
-    # CPUs only cost thread start-ups.
-    workers = min(threads, len(drawn), os.cpu_count() or 1)
+    shapes = sorted(firsts)
+    if samples * len(shapes) > DRAW_BUDGET:
+        raise ValueError(f"sampling is limited to samples x sampled shapes <= {DRAW_BUDGET}, "
+                         f"got {samples} x {len(shapes)} = {samples * len(shapes)}")
+    jobs = [partial(_estimate, firsts[shape], samples, seed, i)
+            for i, shape in enumerate(shapes)]
+    # More workers than sampled shapes or CPUs only cost thread start-ups.
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = iter(list(pool.map(lambda f: f(), drawn)))
-        rows = [next(done) if sampled else f()
-                for f, (_, _, sampled) in zip(jobs, members)]
+            sums = list(pool.map(lambda f: f(), jobs))
     else:
-        rows = [f() for f in jobs]
+        sums = [f() for f in jobs]
+    by_shape = dict(zip(shapes, sums))
+    rows = [_row(key, kind, const, shape, by_shape.get(shape), samples)
+            for key, kind, const, shape in members]
     return _report(rows, reference, samples, seed)

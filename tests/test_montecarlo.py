@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import statistics
 import sys
 import threading
 from fractions import Fraction
@@ -200,7 +201,9 @@ def test_sampled_rate_matches_closed_form(tree, moments):
     draws = 10 ** 6
     se = math.sqrt((square - mean ** 2) / draws)
     constraints = constraints_of(tree)
-    row = montecarlo._estimate(lone(tree), 1.0, (constraints,), draws, 9, 0)
+    sums = montecarlo._estimate((constraints,), draws, 9, 0)
+    row = montecarlo._row("k", "half-tight", 1.0, montecarlo._shape((constraints,)), sums, draws)
+    assert not row["exact"]
     assert abs(row["estimate"] - mean) < 5 * se
     assert row["std_error"] == pytest.approx(se, rel=1e-2)
 
@@ -213,16 +216,17 @@ def test_sampled_rate_matches_closed_form(tree, moments):
         assert np.abs(fractions.sum(axis=0) - 1.0).max() <= 4 * np.finfo(float).eps
 
 
-def reference_weight_sum(sampled, samples: int, seed: int, i: int) -> float:
-    """The weight sum of ``_estimate``, drawn out of place from a twin of its
-    stream.  Per chunk and side, a leaf (one constrained slot) draws
-    nothing, an isolated edge draws its u end, and every other vertex its
-    constrained slots, in vertex order, then slot order: shares 1 - sqrt(U),
-    1 - U and the remainder of a trivalent vertex's stick.  Each edge
-    multiplies the weight, in edge order, by a fresh array: 1 - f^2 of a
-    leaf's partner, else [a + b < 1].  Chunk sums add up in a float."""
+def reference_weight_sums(sampled, samples: int, seed: int, i: int) -> tuple[float, float]:
+    """The weight sums (sum w, sum w^2) of ``_estimate``, drawn out of place
+    from a twin of its stream.  Per chunk and side, a leaf (one constrained
+    slot) draws nothing, an isolated edge draws its u end, and every other
+    vertex its constrained slots, in vertex order, then slot order: shares
+    1 - sqrt(U), 1 - U and the remainder of a trivalent vertex's stick.
+    Each edge multiplies the weight, in edge order, by a fresh array:
+    1 - f^2 of a leaf's partner, else [a + b < 1].  Chunk sums add up in a
+    float."""
     twin = montecarlo._stream(seed, i)
-    total = 0.0
+    total = squares = 0.0
     for done in range(0, samples, montecarlo._CHUNK):
         m = min(montecarlo._CHUNK, samples - done)
         weight = np.ones(m)
@@ -260,7 +264,8 @@ def reference_weight_sum(sampled, samples: int, seed: int, i: int) -> float:
                 else:
                     weight = weight * (fractions[u, su] + fractions[v, sv] < 1.0)
         total += float(weight.sum())
-    return total
+        squares += float((weight * weight).sum())
+    return total, squares
 
 
 @pytest.mark.parametrize("tree", [trivalent_n5_tree(), path_n6_tree(), star_n7_tree(),
@@ -271,9 +276,11 @@ def test_in_place_acceptance_matches_out_of_place_across_chunks(tree):
     # Two full chunks and a ragged one of 5 draws.
     samples = 2 * montecarlo._CHUNK + 5
     sampled = tuple(cons for _, cons in montecarlo._sides(lone(tree)) if cons)
-    row = montecarlo._estimate(lone(tree), 1.0, sampled, samples, 13, 4)
+    sums = montecarlo._estimate(sampled, samples, 13, 4)
+    assert sums == reference_weight_sums(sampled, samples, 13, 4)
+    row = montecarlo._row("k", "half-tight", 1.0, montecarlo._shape(sampled), sums, samples)
     assert not row["exact"]
-    assert row["estimate"] == reference_weight_sum(sampled, samples, 13, 4) / samples
+    assert row["estimate"] == sums[0] / samples
 
 
 def test_glued_pair_samples_both_sides():
@@ -287,10 +294,11 @@ def test_glued_pair_samples_both_sides():
     assert [len(cons) for cons in sampled] == [1, 1]
     mean, square = leaf_weight_moments(1)
     draws, rate = 10 ** 6, mean ** 2
-    row = montecarlo._estimate(pair, 1.0, sampled, draws, 21, 3)
-    assert row["kind"] == "full" and not row["exact"]
+    sums = montecarlo._estimate(sampled, draws, 21, 3)
+    row = montecarlo._row("k", "full", 1.0, montecarlo._shape(sampled), sums, draws)
+    assert row["shape"] == "(()) (())" and not row["exact"]
     assert abs(row["estimate"] - rate) < 5 * math.sqrt((square ** 2 - rate ** 2) / draws)
-    assert row["estimate"] == reference_weight_sum(sampled, draws, 21, 3) / draws
+    assert sums == reference_weight_sums(sampled, draws, 21, 3)
 
 
 def exact_gluing_mean(L1: Fraction, L2: Fraction, d1: int, d2: int) -> Fraction:
@@ -515,18 +523,23 @@ def test_cli_mc_enumerates_each_family_once(monkeypatch, capsys):
 
 
 def test_mc_all_or_none_accepted_is_still_sampled():
-    # One draw per member: a weight's sample variance is undefined, so each
+    # One draw per shape: a weight's sample variance is undefined, so each
     # sampled row is scored as if one further draw had gone the other way,
-    # with standard error constant / 2.  Its weight lies in [0, 1], so the
-    # three equal K2 rows at n = 5 keep |z| <= 3 * 5/6 / (sqrt(3) / 2) < 3
-    # whatever the draws.
+    # with standard error constant / 2.  The three equal K2 rows at n = 5
+    # share one shape, so one weight w in [0, 1] and a total standard error
+    # of 3 constant / 2: |z| = 2 |w - 5/6| <= 5/3 < 3 whatever the draw.
     for seed in range(20):
         report = mc_full_volume(5, [1.0, 2.0, 1.0, 1.0, 1.0], samples=1, seed=seed)
         sampled = [row for row in report.per_tree if not row["exact"]]
         assert len(sampled) == 3
+        assert len({(row["estimate"], row["constant"]) for row in sampled}) == 1
+        const = sampled[0]["constant"]
         for row in sampled:
             assert 0.0 <= row["estimate"] <= row["constant"]
             assert row["std_error"] == row["constant"] / 2
+        assert report.std_error == 3 * (const / 2)
+        weight = sampled[0]["estimate"] / const
+        assert report.z_score == pytest.approx(2 * (weight - 5 / 6), abs=1e-9)
         assert math.isfinite(report.z_score) and abs(report.z_score) < 3
 
 
@@ -547,20 +560,114 @@ def test_mc_thread_count_invariance():
     assert one.std_error == four.std_error
 
 
+def test_shape_key_is_label_and_slot_free():
+    # An edge, a three-vertex path and a two-sided pair of edges, as
+    # (u, slot_u, v, slot_v) constraints per sampled side.
+    edge = montecarlo._shape(([(-1, 0, -2, 0)],))
+    assert edge == "(())"
+    assert montecarlo._shape(([(-7, 2, -3, 1)],)) == edge  # other labels and slots
+    assert montecarlo._shape(([(-2, 1, -1, 2)],)) == edge
+    path = montecarlo._shape(([(-1, 0, -2, 0), (-2, 1, -3, 0)],))
+    assert path == montecarlo._shape(([(-5, 2, -9, 1), (-4, 0, -5, 1)],)) != edge
+    pair = montecarlo._shape(([(-1, 0, -2, 0)], [(-1, 0, -2, 0)]))
+    assert pair == "(()) (())" != edge
+    # Components are pooled over both sides, in sorted order.
+    assert montecarlo._shape(([(-1, 0, -2, 0)], [(-1, 0, -2, 0), (-2, 1, -3, 0)])) == (
+        montecarlo._shape(([(-4, 0, -5, 0), (-4, 1, -6, 0)], [(-8, 0, -9, 2)])))
+    # A path and a star on four vertices differ; their rootings do not matter.
+    star = montecarlo._shape(([(-1, 0, -2, 0), (-1, 1, -3, 0), (-1, 2, -4, 0)],))
+    leaf_first = montecarlo._shape(([(-2, 0, -1, 0), (-3, 0, -1, 1), (-4, 0, -1, 2)],))
+    long_path = montecarlo._shape(([(-1, 0, -2, 0), (-2, 1, -3, 0), (-3, 1, -4, 0)],))
+    assert star == leaf_first != long_path
+    assert montecarlo._shape(()) == ""
+    # Members with the same forest under other labels, or on the other
+    # side, share a key.
+    relabelled = Tree.make((2, 3, 4, 5), [(3, -2), (5, -2), (-2, -1), (2, -1), (4, -1)])
+    t1 = Tree.make((1, 3, 4, 5), [(1, -1), (3, -1), (-1, -2), (4, -2), (5, -2)])
+    glued = DoubleTree(t1, Tree.make((2, 6), [(2, 6)]))
+    keys = {montecarlo._shape(tuple(cons for _, cons in montecarlo._sides(member) if cons))
+            for member in (lone(trivalent_n5_tree()), lone(relabelled), glued)}
+    assert keys == {edge}
+
+
+@pytest.mark.parametrize("n, shapes, rows", [(5, 1, 3), (6, 2, 99), (7, 4, 2805)])
+def test_mc_rows_of_a_shape_share_their_draws(n, shapes, rows):
+    report = mc_full_volume(n, [1.0, 2.0] + [1.0] * (n - 2), samples=200, seed=5)
+    sampled = [row for row in report.per_tree if not row["exact"]]
+    assert len(sampled) == rows
+    assert all(row["shape"] == "" for row in report.per_tree if row["exact"])
+    groups = {}
+    for row in sampled:
+        groups.setdefault(row["shape"], []).append(row)
+    assert len(groups) == shapes
+    ratios = []
+    for group in groups.values():
+        mean = group[0]["estimate"] / group[0]["constant"]
+        spread = group[0]["std_error"] / group[0]["constant"]
+        for row in group:
+            assert row["estimate"] / row["constant"] == pytest.approx(mean, rel=1e-15)
+            assert row["std_error"] / row["constant"] == pytest.approx(spread, rel=1e-15)
+        ratios.append(mean)
+    assert len(set(ratios)) == shapes  # independent streams
+
+
+def test_mc_total_std_error_is_calibrated():
+    # The rows of one shape are fully correlated, so the total's standard
+    # error adds their errors per shape.  Over 30 seeds the z-scores then
+    # have variance near 1; hypot over rows would make it about 20.
+    lengths = [1.0, 2.0, 3.0, 1.0, 2.0, 1.0]
+    zs, naive = [], []
+    for seed in range(30):
+        report = mc_full_volume(6, lengths, samples=2000, seed=seed)
+        by_shape = {}
+        for row in report.per_tree:
+            by_shape[row["shape"]] = math.fsum([by_shape.get(row["shape"], 0.0),
+                                                row["std_error"]])
+        assert len(by_shape) == 3  # the exact rows and two sampled shapes
+        assert report.std_error == pytest.approx(math.hypot(*by_shape.values()), rel=1e-14)
+        zs.append(report.z_score)
+        diff = report.estimate - report.reference
+        naive.append(diff / math.hypot(*(row["std_error"] for row in report.per_tree)))
+    assert 0.4 <= statistics.variance(zs) <= 2.5
+    assert statistics.variance(naive) > 5
+
+
+def first_members(n: int) -> dict:
+    """Shape -> the sampled sides of its first top-dimensional member in
+    the graph family's order."""
+    firsts = {}
+    for member in enumerate_family("graph", n):
+        if all(top_dimensional(t) for t in (member.t1, member.t2)):
+            sampled = tuple(cons for _, cons in montecarlo._sides(member) if cons)
+            if sampled:
+                firsts.setdefault(montecarlo._shape(sampled), sampled)
+    return firsts
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_mc_streams_are_spawned_children(monkeypatch, n):
-    # Job i draws from child i of SeedSequence(seed).spawn(count), whichever
-    # thread runs it.  Compared run against run, not against a golden file:
-    # chunk sums may differ in the last bit across numpy builds and CPUs.
+    # The shape at index i of the sorted shapes draws from child i of
+    # SeedSequence(seed).spawn(count), whichever thread runs it, and is
+    # planned from its first member.  Compared run against run, not against
+    # a golden file: chunk sums may differ in the last bit across numpy
+    # builds and CPUs.
     lengths = [1.0, 2.0, 1.0, 1.0, 1.0, 2.0][:n]
+    firsts = first_members(n)
+    shapes = sorted(firsts)
+    assert len(shapes) == n - 4
     for threads in (1, 2):
         shipped = mc_full_volume(n, lengths, samples=300, seed=8, threads=threads)
-        children = np.random.SeedSequence(8).spawn(len(shipped.per_tree))
+        children = np.random.SeedSequence(8).spawn(len(shapes))
         with monkeypatch.context() as patch:
             patch.setattr(montecarlo, "_stream",
                           lambda seed, i: np.random.default_rng(children[i]))
             spawned = mc_full_volume(n, lengths, samples=300, seed=8, threads=threads)
         assert spawned == shipped
+        means = {shape: reference_weight_sums(firsts[shape], 300, 8, i)[0] / 300
+                 for i, shape in enumerate(shapes)}
+        for row in shipped.per_tree:
+            if not row["exact"]:
+                assert row["estimate"] == row["constant"] * means[row["shape"]]
 
 
 @pytest.mark.parametrize("constrained", [True, False])
@@ -573,12 +680,13 @@ def test_mc_stream_built_only_to_draw(monkeypatch, constrained):
         return stream(seed, i)
 
     monkeypatch.setattr(montecarlo, "_stream", recording)
-    report = mc_full_volume(5, [1.0, 2.0, 1.0, 1.0, 1.0], samples=100, seed=4)
-    drawn = [i for i, row in enumerate(report.per_tree) if not row["exact"]]
+    report = mc_full_volume(6, [1.0, 2.0, 1.0, 1.0, 1.0, 2.0], samples=100, seed=4)
+    shapes = {row["shape"] for row in report.per_tree if not row["exact"]}
+    assert len(shapes) == 2
     if not constrained:  # the ablation is derived without a stream
         report = report.unconstrained()
         assert all(row["exact"] for row in report.per_tree)
-    assert calls == drawn
+    assert calls == [0, 1]  # one stream per shape, each built once
     assert any(row["exact"] for row in report.per_tree)
 
 
@@ -716,56 +824,69 @@ def test_mc_worker_pool_is_capped(monkeypatch, capsys):
     huge = capsys.readouterr().out
     assert threading.active_count() == threads_before
     rows = json.loads(serial.splitlines()[0])["per_tree"]
-    sampled = sum(1 for row in rows if not row["exact"])
-    assert 4 < sampled < len(rows)
-    assert recorded == [4]
-    assert mapped == [sampled]  # exact rows are built inline
+    assert 2 < sum(1 for row in rows if not row["exact"]) < len(rows)
+    assert recorded == [2]  # two sampled shapes at n = 6, below the 4 CPUs
+    assert mapped == [2]  # one job per shape; exact rows are built inline
     assert huge == serial
     # No member at n = 4 is sampled, so two threads start no pool.
     assert cli.main(["--threads", "2", "verify", "mc", "--n", "4", "--lengths", "1,2,1,1",
                      "--samples", "2000", "--seed", "3"]) == 0
-    assert recorded == [4]
+    capsys.readouterr()
+    assert recorded == [2]
+    # One CPU caps the pool below the two shapes, so no pool is started.
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert cli.main(["--threads", str(10 ** 9)] + argv) == 0
+    assert capsys.readouterr().out == serial
+    assert recorded == [2]
 
 
-HUGE = ["verify", "mc", "--n", "5", "--lengths", "1,2,1,1,1",
-        "--samples", "100000000000000", "--seed", "1"]
+def refuse_setup(monkeypatch):
+    """Make the reference, the enumeration and any draw fail the test."""
+    def entered(*args):
+        raise AssertionError("the reference was evaluated, a family enumerated or a shape drawn")
+
+    for name in ("v0n_reduced", "enumerate_family", "_stream"):
+        monkeypatch.setattr(montecarlo, name, entered)
 
 
 def test_cli_refuses_huge_samples_before_drawing(monkeypatch, capsys):
-    refuse_draws(monkeypatch)
-    assert cli.main(HUGE) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: sampling is limited to samples x sampled members "
-                            "<= 100000000000, got 100000000000000 x 3 = 300000000000000\n")
+    # Every n >= 5 samples a shape, so more samples than the budget are
+    # refused before the reference and the enumeration.
+    refuse_setup(monkeypatch)
+    for n in (5, 8):
+        argv = ["verify", "mc", "--n", str(n), "--lengths", ",".join(["1", "2"] + ["1"] * (n - 2)),
+                "--samples", "100000000000000", "--seed", "1"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: sampling is limited to samples x sampled shapes <= "
+                                "100000000000, got 100000000000000 samples of at least one shape\n")
 
 
 def test_draw_budget_is_inclusive(monkeypatch):
-    # Three sampled members at n = 5.
-    monkeypatch.setattr(montecarlo, "DRAW_BUDGET", 3 * 20)
-    lengths = [1.0, 2.0, 1.0, 1.0, 1.0]
-    assert mc_full_volume(5, lengths, samples=20, seed=1).samples == 20
+    # One sampled shape at n = 5, two at n = 6.
+    monkeypatch.setattr(montecarlo, "DRAW_BUDGET", 2 * 20)
+    five, six = [1.0, 2.0, 1.0, 1.0, 1.0], [1.0, 2.0, 1.0, 1.0, 1.0, 2.0]
+    assert mc_full_volume(5, five, samples=40, seed=1).samples == 40
+    assert mc_full_volume(6, six, samples=20, seed=1).samples == 20
     refuse_draws(monkeypatch)
-    with pytest.raises(ValueError, match="<= 60, got 21 x 3 = 63"):
-        mc_full_volume(5, lengths, samples=21, seed=1)
+    with pytest.raises(ValueError, match="<= 40, got 21 x 2 = 42"):
+        mc_full_volume(6, six, samples=21, seed=1)
+    refuse_setup(monkeypatch)
+    for n, lengths in ((5, five), (6, six)):
+        with pytest.raises(ValueError, match="<= 40, got 41 samples of at least one shape"):
+            mc_full_volume(n, lengths, samples=41, seed=1)
+    monkeypatch.undo()
     # No member at n = 4 is sampled, so no sample count is refused.
     assert mc_full_volume(4, [1.0, 2.0, 1.0, 1.0], samples=10 ** 14, seed=1).std_error == 0.0
-
-
-def sampled_members(n: int) -> int:
-    count = 0
-    for member in enumerate_family("graph", n):
-        sides = montecarlo._sides(member)
-        if all(top_dimensional(t) for t in (member.t1, member.t2)):
-            count += any(cons for _, cons in sides)
-    return count
 
 
 @pytest.mark.parametrize("n, samples", [(6, 200_000), (5, 10 ** 6), (6, 40_000), (7, 2000)],
                          ids=["benchmark-n6", "acceptance-seed42", "ci-n6", "ci-n7"])
 def test_shipped_configurations_are_within_the_draw_budget(n, samples):
-    # The benchmark's verify mc runs, criterion 9 and the CI runs.
-    assert samples * sampled_members(n) <= montecarlo.DRAW_BUDGET
+    # The benchmark's verify mc runs, criterion 9 and the CI runs: samples
+    # x sampled shapes.
+    assert samples * len(first_members(n)) <= montecarlo.DRAW_BUDGET
 
 
 def test_mc_validation_errors():
