@@ -5,9 +5,10 @@ Subcommands: ``vol`` (genus-zero volumes by any of four routes), ``htc``
 enumeration), ``verify identities`` (the exact cross-check battery) and
 ``verify mc`` (Monte Carlo validation).  Output is byte-stable: polynomials
 render in canonical term order, floats print with 17 significant digits,
-and a ``--threads`` value never changes the output.  Exit codes: 0 success,
-1 verification failure, 2 invalid input, 141 (128 + SIGPIPE) when the reader
-closes stdout early.
+and ``--threads``, kept for the scripts that pass it, has no effect: the
+sampler runs in one thread, and numpy is loaded with a one-thread OpenBLAS.
+Exit codes: 0 success, 1 verification failure, 2 invalid input, 141
+(128 + SIGPIPE) when the reader closes stdout early.
 """
 from __future__ import annotations
 
@@ -210,8 +211,7 @@ def _cmd_verify_mc(args) -> int:
     if not (math.isfinite(args.sigma) and args.sigma > 0):
         raise ValueError(f"need a finite --sigma > 0, got {args.sigma}")
     lengths = _parse_lengths(args.lengths, args.n)
-    report = mc_full_volume(args.n, lengths, args.samples, args.seed,
-                            threads=args.threads)
+    report = mc_full_volume(args.n, lengths, args.samples, args.seed)
     print(_report_json(report))
     ok = abs(report.z_score) < args.sigma
     print(f"{'PASS' if ok else 'FAIL'} mc-z-score |z| < {args.sigma}")
@@ -232,8 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact genus-zero volumes from tree sums, with a "
                     "Monte Carlo polytope verifier.")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker-thread bound, capped at the number of sampled shapes "
-                             "(never changes output)")
+                        help="accepted (>= 1) and ignored: the sampler runs in one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_vol = sub.add_parser("vol", help="genus-zero volume V_{0,n}")
@@ -288,6 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # No code path calls BLAS, so numpy's OpenBLAS needs no thread pool.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -89,18 +89,18 @@ the shape strings draws from numpy's default PCG64 generator on child i of
 ``SeedSequence(seed)``, planned from the shape's first member in the
 canonical order of the ``graph`` family (the lone-vertex pairs first, in
 the ``htc`` order of their trees, then the ``full`` pairs in ``full``
-order), so a report depends only on (seed, samples) and not on the
-worker-thread count.  ``_stream`` builds that generator inside the shape's
-job, when the job first draws; a member with no inner-inner edge is exact
-and is built inline, and only the shapes go to the worker pool.  Members
-are kept as (key, kind, constant, shape), not as trees.  Draws go in chunks
-of ``_CHUNK``, small enough that each chunk's arrays stay in cache.  Each
-job allocates its arrays once, and every chunk works on views of them:
-per side one ``rng.random`` call fills the drawn slots, stick breaking runs
-in place, and the weights and their squares are summed by ufuncs and
-``.sum()``.  Fresh 128 KiB arrays per chunk would sit at glibc's mmap
-threshold and be page-faulted anew.  No ``np.dot`` or ``@`` is called:
-OpenBLAS starts threads of its own, which compete with the worker threads.
+order), so a report depends only on (seed, samples).  The shapes are drawn
+one after another in the calling thread.  ``_stream`` builds a shape's
+generator when its job first draws; a member with no inner-inner edge is
+exact and draws nothing.  Members are kept as (key, kind, constant,
+shape), not as trees.  Draws go in chunks of ``_CHUNK``, small enough that
+each chunk's arrays stay in cache.  Each job allocates its arrays once,
+and every chunk works on views of them: per side one ``rng.random`` call
+fills the drawn slots, stick breaking runs in place, and the weights and
+their squares are summed by ufuncs and ``.sum()``.  Fresh 128 KiB arrays
+per chunk would sit at glibc's mmap threshold and be page-faulted anew.
+No ``np.dot`` or ``@`` is called, so an OpenBLAS thread pool would serve
+nothing, and :func:`wptrees.cli.main` limits OpenBLAS to one thread.
 Only the drawing functions import numpy, so the exact commands, and a
 ``verify mc`` that samples no member, never load it.
 ``McReport.unconstrained`` (the ablation) reads the constants kept on the
@@ -109,11 +109,8 @@ rows back as exact rows.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 from .algebra import PI2, lsq
 from .trees import DoubleTree, Tree, _check_enumeration_size, canonical_key, enumerate_family
@@ -506,7 +503,7 @@ def _report(rows: list[dict], reference: float, samples: int, seed: int) -> McRe
                             rounding), rows)
 
 
-def mc_full_volume(n: int, lengths, samples: int, seed: int, threads: int = 1) -> McReport:
+def mc_full_volume(n: int, lengths, samples: int, seed: int) -> McReport:
     """Estimate V_{0,n}(L) over the top-dimensional members of the ``graph``
     family in canonical order, one stream per sampled shape: the half-tight
     trees, as gluings of the lone vertex 1, then the glued pairs.
@@ -555,16 +552,7 @@ def mc_full_volume(n: int, lengths, samples: int, seed: int, threads: int = 1) -
     if samples * len(shapes) > DRAW_BUDGET:
         raise ValueError(f"sampling is limited to samples x sampled shapes <= {DRAW_BUDGET}, "
                          f"got {samples} x {len(shapes)} = {samples * len(shapes)}")
-    jobs = [partial(_estimate, firsts[shape], samples, seed, i)
-            for i, shape in enumerate(shapes)]
-    # More workers than sampled shapes or CPUs only cost thread start-ups.
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sums = list(pool.map(lambda f: f(), jobs))
-    else:
-        sums = [f() for f in jobs]
-    by_shape = dict(zip(shapes, sums))
+    by_shape = {s: _estimate(firsts[s], samples, seed, i) for i, s in enumerate(shapes)}
     rows = [_row(key, kind, const, shape, by_shape.get(shape), samples)
             for key, kind, const, shape in members]
     return _report(rows, reference, samples, seed)

@@ -1,5 +1,6 @@
 """CLI smoke and golden tests (fresh interpreter per invocation)."""
 import json
+import os
 import subprocess
 import sys
 import time
@@ -263,9 +264,10 @@ def test_ablation_sigma_is_not_an_option(no_routes, capsys):
 
 
 # Run in a fresh interpreter, since the test session has numpy loaded.  The
-# script's last stdout line reports what each step loaded.
+# script's last stdout line reports what each step loaded, and the OS
+# threads left after sampling (None where /proc is absent).
 IMPORT_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 import wptrees
 state = {"submodules": sorted(m for m in sys.modules if m.startswith("wptrees."))}
 from wptrees import cli
@@ -283,15 +285,25 @@ with contextlib.redirect_stdout(io.StringIO()):
     state["mc"] = cli.main(["verify", "mc", "--n", "5", "--lengths", "1,2,1,1,1",
                             "--samples", "2000", "--seed", "3", "--sigma", "100"])
     state["numpy_after_mc"] = "numpy" in sys.modules
+state["pool_module_loaded"] = "concurrent.futures" in sys.modules
+tasks = "/proc/self/task"
+state["os_threads"] = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
 print(json.dumps(state))
 """
 
 
-def test_numpy_is_loaded_only_to_sample():
+@pytest.fixture(scope="module")
+def probe_state():
+    # Without a user-set OPENBLAS_NUM_THREADS, as a plain shell runs it.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     out = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    state = json.loads(out.stdout.splitlines()[-1])
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_numpy_is_loaded_only_to_sample(probe_state):
+    state = probe_state
     assert state["submodules"] == []  # `import wptrees` loads no submodule
     assert state["vol"] == 0
     assert not state["numpy_after_vol"]
@@ -301,6 +313,24 @@ def test_numpy_is_loaded_only_to_sample():
     assert not state["numpy_after_huge_mc"]
     assert state["mc"] == 0
     assert state["numpy_after_mc"]
+
+
+def test_verify_mc_runs_on_one_os_thread(probe_state):
+    # The sampler draws in the calling thread, and numpy's OpenBLAS, which
+    # would otherwise start a worker thread at import, is held to one.
+    if probe_state["os_threads"] is None:
+        pytest.skip("no /proc/self/task on this platform")
+    assert probe_state["os_threads"] == 1
+    assert not probe_state["pool_module_loaded"]
+
+
+def test_main_keeps_a_set_openblas_thread_count(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert cli.main(["vol", "--n", "3"]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert cli.main(["vol", "--n", "3"]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
 
 def test_closed_stdout_exits_quietly_with_141():
