@@ -22,7 +22,7 @@ from .genfun import (
     solve_r,
     z_residual,
 )
-from .montecarlo import _is_top_dimensional, corner_markings, polytope_dimension
+from .polytope import corner_markings, polytope_dimension, side
 from .trees import brute_force_enumerate, canonical_key, enumerate_family
 from .volumes import (
     ell_integral,
@@ -140,7 +140,7 @@ def _check_h_genfun(max_p: int, htc) -> bool:
 
 def _check_dimensions(n: int) -> bool:
     for tree in enumerate_family("htc", n):
-        top = _is_top_dimensional(tree.degrees())
+        top = side(tree) is not None
         for marks in corner_markings(tree, 2):
             a = polytope_dimension(tree, marks, mode="formula")
             b = polytope_dimension(tree, marks, mode="rank")

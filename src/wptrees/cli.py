@@ -66,6 +66,8 @@ def _parse_lengths(text: str, n: int) -> list[Fraction]:
     if len(parts) != n:
         raise ValueError(f"expected {n} comma-separated lengths, got {len(parts)}")
     try:
+        if any("_" in p for p in parts):  # 3.11's Fraction takes 1_0, 3.10's does not
+            raise ValueError("digit separators are not accepted")
         values = [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed length list {text!r}: {exc}") from None

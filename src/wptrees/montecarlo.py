@@ -1,57 +1,7 @@
 """Monte Carlo verification of the polytope volumes.
 
-Conventions, matching the exact engine:
-
-* Only top-dimensional strata are sampled: every inner vertex trivalent and
-  all corners non-ideal.  Lower-dimensional polytopes carry no
-  (2n-6)-dimensional volume, so they cannot contribute.
-* The angle block of an inner vertex is the open simplex
-  {phi_i > 0, sum_i phi_i = pi}; in the measure's coordinates (one
-  coordinate dropped per simplex) its Lebesgue volume is
-  pi^(deg-1)/(deg-1)!.  The per-edge constraints
-  phi(forward) + phi(backward) < pi are automatic when one endpoint is a
-  boundary vertex (its slots are pinned to 0) and are estimated on edges
-  joining two inner vertices, where, as fractions of pi, the two angles
-  must sum below 1.
-* A boundary vertex of degree d carries two simplices of dimension d-1 and
-  volume size^(d-1)/(d-1)! each.  Sizes: L_b/2 twice for an ordinary
-  boundary; (L2-L1)/2 and (L2+L1)/2 for boundary 2 of a half-tight tree;
-  (L_i-l)/2 and (L_i+l)/2 for boundaries 1 and 2 of a glued pair at gluing
-  length l.
-* The half-tight measure is 2^(n-3) times Lebesgue.  The glued measure is
-  2^(n-4) dl dtau times Lebesgue.  Neither the twist tau nor the gluing
-  length l enters an angle, so both are integrated exactly; the fiber of
-  tau has length l.
-* A combinatorial tree enters with its plane-embedding count
-  prod_v (deg(v) - 1)! as an integer multiplicity, since the polytope only
-  depends on the combinatorial tree.
-
-These factors make a member's constant, its volume without the Delaunay
-constraints, its summand in the decomposition route of
-:mod:`wptrees.volumes` with every gamma_2 = pi^2.  With e_b = deg(b) - 1,
-a vertex's embedding count e_b! (2 at a trivalent inner vertex) cancels
-against its simplex normalisations:
-
-    boundary b           e_b! ((L_b/2)^e_b / e_b!)^2 = t_{e_b}(L_b) / 2
-    half-tight b = 2     e_b! ((L2^2 - L1^2)/4)^e_b / e_b!^2
-                             = ttilde_{e_b}(L2, L1) / 2
-    glued b = 1, 2       ttilde_{e_b}(L_b, l) / 2
-    inner vertex         2 * pi^2/2 = pi^2
-
-The half-tight tree has n - 1 boundaries, so 2^(n-3) / 2^(n-1) = 1/4 and
-its constant is ttilde_{e_2}(L2, L1) / 4 times the rest, which is
-ell_integral(-1, e_2) / 16: boundary 1 is the lone vertex, of degree 0 and
-so of excess -1, as in :func:`wptrees.volumes.htc_volume`, and the
-half-tight tree is sampled as the glued pair (lone vertex 1, tree).  The
-glued pair of two trees has n boundaries,
-so 2^(n-4) / 2^n = 1/16 times int l dl ttilde_{e_1}(L1, l) ttilde_{e_2}(L2, l)
-= ell_integral(e_1, e_2) / 16.  Either way, with j trivalent inner vertices,
-
-    const = (pi^2)^j / 16 * ell_integral(e_1, e_2) * prod_{b>2} t_{e_b}(L_b),
-
-a function of the boundaries' (label, excess) pairs alone.  It is
-evaluated exactly at the reference's binary64 bindings of pi^2 and the
-L_i^2 and rounded once; a run evaluates it once per signature.
+Only top-dimensional members are sampled.  Their conventions and exact
+constants are in :mod:`wptrees.polytope`; a run evaluates one per signature.
 
 The Delaunay acceptance is estimated by conditional Monte Carlo.  The
 three angle fractions of a trivalent vertex are Dirichlet(1, 1, 1), so
@@ -70,7 +20,8 @@ those of the vertices that are no leaf and of those u ends, taken by stick
 breaking: one uniform per slot but a vertex's third, which takes the
 remainder.  Those fractions are exchangeable, so a member's weight has
 the law of its *shape*, the multiset of the unrooted shapes of its
-constraint-forest components over both sides (:func:`_shape`): one stream
+constraint-forest components over both sides (their codes from
+:func:`wptrees.polytope.side`, sorted and joined by spaces): one stream
 per shape serves all of its members.  A sampled row is its constant times
 its shape's mean weight, and its standard error is |const| sqrt(s^2 / N),
 with s^2 the weights' unbiased sample variance over N draws.  The rows of
@@ -113,114 +64,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import PI2, lsq
-from .trees import DoubleTree, Tree, _check_enumeration_size, canonical_key, enumerate_family
-from .volumes import _t, ell_integral, v0n_reduced
+from .polytope import constant, side
+from .trees import canonical_key, check_enumeration_size, enumerate_family
+from .volumes import v0n_reduced
 
-__all__ = [
-    "McReport",
-    "polytope_dimension",
-    "corner_markings",
-    "mc_full_volume",
-    "DRAW_BUDGET",
-]
+__all__ = ["McReport", "mc_full_volume", "DRAW_BUDGET"]
 
 _CHUNK = 1 << 14
 # Draws of one run, samples x sampled shapes, refused above this: 17 to 25
 # minutes of drawing at the 7e7 to 1e8 draws per second measured at n = 5
 # and 6 on 2 vCPU.
 DRAW_BUDGET = 10 ** 11
-
-
-# -- dimension formula and its rank-based verification ---------------------
-
-def polytope_dimension(tree: Tree, ideal=None, mode: str = "formula") -> int:
-    """Dimension of the half-tight polytope of ``tree``.
-
-    ``ideal`` maps a boundary label to its number of ideal corners (default
-    all corners non-ideal); a vertex of degree d has d corners and needs at
-    least one non-ideal one.  ``formula`` mode evaluates
-
-        2n - 6 + sum_v (3 - deg(v)) + sum_b (nonid(b) - deg(b)),
-
-    with n = #boundary vertices + 1.  ``rank`` mode recomputes the same
-    number as the affine dimension of the equality-constraint system (angle
-    slots pinned to 0 at boundary vertices, per-inner-vertex angle sums,
-    per-boundary simplex sums) by exact rank computation over the rationals.
-    """
-    ideal = dict(ideal or {})
-    adj = tree.adjacency()
-    deg = {v: len(nbrs) for v, nbrs in adj.items()}
-    n = len(tree.boundary) + 1
-    for b, i in ideal.items():
-        if b not in tree.boundary:
-            raise ValueError(f"label {b} is not a boundary vertex")
-        if not 0 <= i <= deg[b] - 1:
-            raise ValueError("each boundary vertex needs a non-ideal corner")
-
-    if mode == "formula":
-        return (2 * n - 6 + sum(3 - d for v, d in deg.items() if v < 0)
-                - sum(ideal.values()))
-
-    if mode != "rank":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    columns: dict = {}
-
-    def col(key) -> int:
-        return columns.setdefault(key, len(columns))
-
-    rows: list[dict[int, int]] = []
-    for v in sorted(adj):
-        for u in adj[v]:
-            col(("phi", v, u))
-    for b in tree.boundary:
-        for u in adj[b]:  # boundary slots pinned to zero
-            rows.append({col(("phi", b, u)): 1})
-    for v in sorted(v for v in adj if v < 0):  # angle sum per inner vertex
-        rows.append({col(("phi", v, u)): 1 for u in adj[v]})
-    for b in tree.boundary:
-        nonid = deg[b] - ideal.get(b, 0)
-        rows.append({col(("w", b, j)): 1 for j in range(deg[b])})
-        rows.append({col(("v", b, j)): 1 for j in range(nonid)})
-    return len(columns) - _rank(rows, len(columns))
-
-
-def corner_markings(tree: Tree, max_ideal: int):
-    """All ideal-corner count assignments with at most ``max_ideal`` ideal
-    corners in total (each boundary vertex keeps a non-ideal corner)."""
-    labels = list(tree.boundary)
-    deg = tree.degrees()
-
-    def rec(i: int, budget: int, acc: dict):
-        if i == len(labels):
-            yield dict(acc)
-            return
-        b = labels[i]
-        for ideal in range(min(budget, deg[b] - 1) + 1):
-            if ideal:
-                acc[b] = ideal
-            yield from rec(i + 1, budget - ideal, acc)
-            acc.pop(b, None)
-
-    yield from rec(0, max_ideal, {})
-
-
-def _rank(rows: list[dict[int, int]], ncols: int) -> int:
-    matrix = [[Fraction(r.get(j, 0)) for j in range(ncols)] for r in rows]
-    rank = 0
-    for j in range(ncols):
-        pivot = next((i for i in range(rank, len(matrix)) if matrix[i][j]), None)
-        if pivot is None:
-            continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        inv = 1 / matrix[rank][j]
-        matrix[rank] = [x * inv for x in matrix[rank]]
-        for i in range(len(matrix)):
-            if i != rank and matrix[i][j]:
-                factor = matrix[i][j]
-                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[rank])]
-        rank += 1
-    return rank
 
 
 # -- sampling ---------------------------------------------------------------
@@ -230,36 +84,6 @@ def _stream(seed: int, i: int):
     same stream as ``default_rng(SeedSequence(seed).spawn(count)[i])``."""
     import numpy as np
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-
-
-def _sides(member: DoubleTree) -> list[tuple]:
-    """Per tree of ``member``, read from one adjacency: its degrees and a
-    (u, slot_u, v, slot_v) per edge with both endpoints inner."""
-    out = []
-    for t in (member.t1, member.t2):
-        adj = t.adjacency()
-        out.append(({v: len(nbrs) for v, nbrs in adj.items()},
-                    [(a, adj[a].index(b), b, adj[b].index(a))
-                     for a, b in sorted(t.edges) if a < 0 and b < 0]))
-    return out
-
-
-def _is_top_dimensional(degrees: dict[int, int]) -> bool:
-    return all(d == 3 for v, d in degrees.items() if v < 0)
-
-
-def _constant(excess: tuple[tuple[int, int], ...], squares: dict) -> float:
-    """The volume without Delaunay constraints of a top-dimensional member
-    whose boundaries have the sorted (label, excess) pairs ``excess``: its
-    exact decomposition-route summand at the bindings ``squares``, rounded
-    once."""
-    e = dict(excess)
-    inner = len(e) - 4 - sum(e.values())  # trivalent, so 2n - 4 - sum deg(b)
-    exact = (squares[PI2] ** inner / 16
-             * ell_integral(e[1], e[2], "integral").eval_exact(squares))
-    for b, k in excess[2:]:
-        exact *= _t(k) * squares[lsq(b)] ** k
-    return float(exact)
 
 
 class _Plan:
@@ -348,36 +172,6 @@ def _weigh(plan: _Plan, fractions, weight, scratch, mask) -> None:
     for a, b in plan.tests:
         np.add(fractions[a], fractions[b], out=scratch)
         np.copyto(weight, 0.0, where=np.greater_equal(scratch, 1.0, out=mask))
-
-
-def _code(adj: dict[int, list[int]], v: int, parent: int | None) -> str:
-    """The AHU code of the subtree at v, seen from ``parent``: "(", its
-    children's codes in sorted order, ")"."""
-    return "(" + "".join(sorted(_code(adj, u, v) for u in adj[v] if u != parent)) + ")"
-
-
-def _shape(sampled) -> str:
-    """The label- and slot-free shape of a member's sampled sides: the
-    sorted codes of all their constraint-forest components, joined by
-    spaces, "" if there are none.  A component's code is its least
-    :func:`_code` over all rootings, so equal codes mean isomorphic trees.
-    The angles at a trivalent vertex are exchangeable, so a member's
-    weight has the law of its shape's."""
-    codes = []
-    for constraints in sampled:
-        adj: dict[int, list[int]] = {}
-        for u, _, v, _ in constraints:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        seen: set[int] = set()
-        for root in adj:
-            if root not in seen:
-                component = [root]
-                for v in component:  # grows while it is read
-                    component.extend(u for u in adj[v] if u not in component)
-                seen.update(component)
-                codes.append(min(_code(adj, v, None) for v in component))
-    return " ".join(sorted(codes))
 
 
 def _estimate(sampled, samples: int, seed: int, i: int) -> tuple[float, float]:
@@ -515,7 +309,7 @@ def mc_full_volume(n: int, lengths, samples: int, seed: int) -> McReport:
         raise ValueError("samples must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    _check_enumeration_size(n)
+    check_enumeration_size(n)
     if n >= 5 and samples > DRAW_BUDGET:  # every such n has a sampled shape
         raise ValueError(f"sampling is limited to samples x sampled shapes <= {DRAW_BUDGET}, "
                          f"got {samples} samples of at least one shape")
@@ -532,14 +326,13 @@ def mc_full_volume(n: int, lengths, samples: int, seed: int) -> McReport:
     # rounding a constant or summing finite ones raises on overflow.
     try:
         for m in enumerate_family("graph", n):
-            sides = _sides(m)
-            if all(_is_top_dimensional(d) for d, _ in sides):
-                key = tuple(sorted((b, k - 1) for d, _ in sides
-                                   for b, k in d.items() if b > 0))
+            first, second = side(m.t1), side(m.t2)
+            if first and second:
+                key = tuple(sorted(first[0] + second[0]))
                 if key not in constants:
-                    constants[key] = _constant(key, squares)
-                sampled = tuple(cons for _, cons in sides if cons)
-                shape = _shape(sampled)
+                    constants[key] = constant(key, squares)
+                sampled = tuple(cons for cons in (first[1], second[1]) if cons)
+                shape = " ".join(sorted(first[2] + second[2]))
                 if shape:
                     firsts.setdefault(shape, sampled)
                 glued = bool(m.t1.edges)

@@ -69,6 +69,7 @@ __all__ = [
     "trees_on",
     "enumerate_family",
     "brute_force_enumerate",
+    "check_enumeration_size",
     "family_splits",
     "partitions",
     "prufer_counts",
@@ -254,7 +255,7 @@ def _check_family(family: str, n: int) -> None:
         raise ValueError(f"need n >= 3, got {n}")
 
 
-def _check_enumeration_size(n: int) -> None:
+def check_enumeration_size(n: int) -> None:
     if n > ENUMERATION_MAX_N:
         raise ValueError(
             f"tree enumeration keeps every tree in memory and is limited to "
@@ -270,7 +271,7 @@ def trees_on(labels: tuple[int, ...]) -> tuple[Tree, ...]:
     labels = tuple(sorted(labels))
     if not labels:
         raise ValueError("need at least one boundary label")
-    _check_enumeration_size(len(labels) + 1)
+    check_enumeration_size(len(labels) + 1)
     if len(labels) == 1:
         return (Tree.single(labels[0]),)
     current = {canonical_key(t): t for t in (Tree.edge(labels[0], labels[1]),)}
@@ -325,7 +326,7 @@ def _assemble(family: str, n: int, component_trees) -> tuple:
 def enumerate_family(family: str, n: int) -> tuple:
     """Complete duplicate-free enumeration, sorted by canonical key."""
     _check_family(family, n)
-    _check_enumeration_size(n)
+    check_enumeration_size(n)
     return _assemble(family, n, trees_on)
 
 

@@ -1,4 +1,5 @@
 """CLI smoke and golden tests (fresh interpreter per invocation)."""
+import ast
 import json
 import os
 import subprocess
@@ -217,9 +218,12 @@ def test_volume_size_above_limit_refused(no_routes, capsys, argv):
     (["htc", "--n", "4", "--lengths", ""], "malformed length list '': empty field"),
     (["verify", "mc", "--n", "4", "--lengths", "", "--samples", "10", "--seed", "1"],
      "malformed length list '': empty field"),
+    # Python 3.11's Fraction reads 1_0 as 10 and 3.10's refuses it: both refuse it here.
+    (["vol", "--n", "4", "--lengths", "1,2,3,1_0"],
+     "malformed length list '1,2,3,1_0': digit separators are not accepted"),
 ], ids=["vol-count-n11", "vol-count-n5", "vol-nonpositive", "htc-count", "htc-nonpositive",
         "htc-l1-above-l2", "htc-l1-equals-l2", "vol-empty-field", "vol-trailing-comma",
-        "vol-blank-field", "vol-empty", "htc-empty", "mc-empty"])
+        "vol-blank-field", "vol-empty", "htc-empty", "mc-empty", "vol-digit-separator"])
 def test_bad_lengths_refused_before_any_route(no_routes, capsys, argv, message):
     # Lengths are checked before the volume is computed, so a bad list
     # costs no route time and gets no V_{0,5} note ahead of the error.
@@ -274,6 +278,9 @@ from wptrees import cli
 with contextlib.redirect_stdout(io.StringIO()):
     state["vol"] = cli.main(["vol", "--n", "4"])
     state["numpy_after_vol"] = "numpy" in sys.modules
+    # The dimension checks read the polytope geometry.
+    state["identities"] = cli.main(["verify", "identities", "--max-n", "5"])
+    state["numpy_after_identities"] = "numpy" in sys.modules
     # No member at n = 4 has an inner-inner edge, so nothing is drawn.
     state["exact_mc"] = cli.main(["verify", "mc", "--n", "4", "--lengths", "1,2,1,1",
                                   "--samples", "2000", "--seed", "3"])
@@ -307,12 +314,26 @@ def test_numpy_is_loaded_only_to_sample(probe_state):
     assert state["submodules"] == []  # `import wptrees` loads no submodule
     assert state["vol"] == 0
     assert not state["numpy_after_vol"]
+    assert state["identities"] == 0
+    assert not state["numpy_after_identities"]
     assert state["exact_mc"] == 0
     assert not state["numpy_after_exact_mc"]
     assert state["huge_mc"] == 2
     assert not state["numpy_after_huge_mc"]
     assert state["mc"] == 0
     assert state["numpy_after_mc"]
+
+
+def test_no_module_imports_an_underscore_name():
+    # A module's underscore names are its own: ``from .x import _y`` would
+    # tie one module to another's internals.
+    offending = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                offending += [f"{path.name}: {alias.name}" for alias in node.names
+                              if alias.name.startswith("_")]
+    assert offending == []
 
 
 def test_verify_mc_runs_on_one_os_thread(probe_state):

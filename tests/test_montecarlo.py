@@ -8,9 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wptrees import cli, montecarlo
+from wptrees import cli, montecarlo, polytope
 from wptrees.algebra import Polynomial
-from wptrees.montecarlo import corner_markings, mc_full_volume, polytope_dimension
+from wptrees.montecarlo import mc_full_volume
+from wptrees.polytope import corner_markings, polytope_dimension, side
 from wptrees.trees import DoubleTree, Tree, canonical_key, enumerate_family
 from wptrees.volumes import _component, htc_volume
 
@@ -73,6 +74,17 @@ def top_dimensional(tree: Tree) -> bool:
     return all(d == 3 for v, d in tree.degrees().items() if v < 0)
 
 
+def sampled_sides(member: DoubleTree) -> tuple:
+    """The constraints of each side of ``member`` that has any."""
+    return tuple(cons for t in (member.t1, member.t2) if (cons := side(t)[1]))
+
+
+def shape_of(*trees: Tree) -> str:
+    """The shape ``mc_full_volume`` keys a member by: the codes of its
+    sides' constraint-forest components, sorted and joined by spaces."""
+    return " ".join(sorted(code for t in trees for code in side(t)[2]))
+
+
 def path_n7_tree() -> Tree:
     # four trivalent inner vertices in a row: the edge between the two
     # middle ones joins two vertices that are no leaf, so it is tested
@@ -80,9 +92,10 @@ def path_n7_tree() -> Tree:
                                           (5, -3), (-3, -4), (6, -4), (7, -4)])
 
 
-def constraints_of(tree: Tree) -> list:
-    (_, none), (_, constraints) = montecarlo._sides(lone(tree))
-    assert none == []
+def constraints_of(tree: Tree) -> tuple:
+    member = lone(tree)
+    (_, none, _), (_, constraints, _) = side(member.t1), side(member.t2)
+    assert none == ()
     return constraints
 
 
@@ -109,10 +122,11 @@ def test_sample_angle_polytope():
     # of two uniforms drawn in one call: 1 - sqrt(U0), sqrt(U0) (1 - U1) and
     # the remainder sqrt(U0) U1, which draws nothing.
     star = Tree.make((2, 3, 4), [(2, -1), (3, -1), (4, -1)])  # always accepted
-    assert [cons for _, cons in montecarlo._sides(lone(star))] == [[], []]
-    (vertex, none), (deg, constraints) = montecarlo._sides(lone(star_n7_tree()))
-    assert (vertex, none) == ({1: 0}, [])
-    assert deg == star_n7_tree().degrees()
+    assert [side(t)[1] for t in (lone(star).t1, lone(star).t2)] == [(), ()]
+    member = lone(star_n7_tree())
+    (vertex, none, _), (pairs, constraints, _) = side(member.t1), side(member.t2)
+    assert (vertex, none) == (((1, -1),), ())  # the lone vertex: degree 0
+    assert pairs == tuple((b, d - 1) for b, d in star_n7_tree().degrees().items() if b > 0)
     plan = montecarlo._plan(constraints)
     assert plan.slots == ((-1, 0), (-1, 1), (-1, 2))
     fractions = np.empty((3, 1000))
@@ -200,7 +214,7 @@ def test_sampled_rate_matches_closed_form(tree, moments):
     se = math.sqrt((square - mean ** 2) / draws)
     constraints = constraints_of(tree)
     sums = montecarlo._estimate((constraints,), draws, 9, 0)
-    row = montecarlo._row("k", "half-tight", 1.0, montecarlo._shape((constraints,)), sums, draws)
+    row = montecarlo._row("k", "half-tight", 1.0, shape_of(tree), sums, draws)
     assert not row["exact"]
     assert abs(row["estimate"] - mean) < 5 * se
     assert row["std_error"] == pytest.approx(se, rel=1e-2)
@@ -273,10 +287,10 @@ def reference_weight_sums(sampled, samples: int, seed: int, i: int) -> tuple[flo
 def test_in_place_acceptance_matches_out_of_place_across_chunks(tree):
     # Two full chunks and a ragged one of 5 draws.
     samples = 2 * montecarlo._CHUNK + 5
-    sampled = tuple(cons for _, cons in montecarlo._sides(lone(tree)) if cons)
+    sampled = sampled_sides(lone(tree))
     sums = montecarlo._estimate(sampled, samples, 13, 4)
     assert sums == reference_weight_sums(sampled, samples, 13, 4)
-    row = montecarlo._row("k", "half-tight", 1.0, montecarlo._shape(sampled), sums, samples)
+    row = montecarlo._row("k", "half-tight", 1.0, shape_of(tree), sums, samples)
     assert not row["exact"]
     assert row["estimate"] == sums[0] / samples
 
@@ -288,12 +302,12 @@ def test_glued_pair_samples_both_sides():
     t1 = Tree.make((1, 3, 4, 5), [(1, -1), (3, -1), (-1, -2), (4, -2), (5, -2)])
     t2 = Tree.make((2, 6, 7, 8), [(2, -1), (6, -1), (-1, -2), (7, -2), (8, -2)])
     pair = DoubleTree(t1, t2)
-    sampled = tuple(cons for _, cons in montecarlo._sides(pair))
+    sampled = tuple(side(t)[1] for t in (pair.t1, pair.t2))
     assert [len(cons) for cons in sampled] == [1, 1]
     mean, square = leaf_weight_moments(1)
     draws, rate = 10 ** 6, mean ** 2
     sums = montecarlo._estimate(sampled, draws, 21, 3)
-    row = montecarlo._row("k", "full", 1.0, montecarlo._shape(sampled), sums, draws)
+    row = montecarlo._row("k", "full", 1.0, shape_of(t1, t2), sums, draws)
     assert row["shape"] == "(()) (())" and not row["exact"]
     assert abs(row["estimate"] - rate) < 5 * math.sqrt((square ** 2 - rate ** 2) / draws)
     assert sums == reference_weight_sums(sampled, draws, 21, 3)
@@ -564,37 +578,53 @@ def test_mc_thread_count_invariance(capsys):
 
 
 def test_shape_key_is_label_and_slot_free():
-    # An edge, a three-vertex path and a two-sided pair of edges, as
-    # (u, slot_u, v, slot_v) constraints per sampled side.
-    edge = montecarlo._shape(([(-1, 0, -2, 0)],))
+    # An edge, a three-vertex path and a two-sided pair of edges, each read
+    # off trees by ``side`` as (u, slot_u, v, slot_v) constraints per side.
+    edge = shape_of(trivalent_n5_tree())
     assert edge == "(())"
-    assert montecarlo._shape(([(-7, 2, -3, 1)],)) == edge  # other labels and slots
-    assert montecarlo._shape(([(-2, 1, -1, 2)],)) == edge
-    path = montecarlo._shape(([(-1, 0, -2, 0), (-2, 1, -3, 0)],))
-    assert path == montecarlo._shape(([(-5, 2, -9, 1), (-4, 0, -5, 1)],)) != edge
-    pair = montecarlo._shape(([(-1, 0, -2, 0)], [(-1, 0, -2, 0)]))
+    other_ids = Tree.make((2, 3, 4, 5), [(2, -7), (3, -7), (-7, -3), (4, -3), (5, -3)])
+    assert side(other_ids)[1] != side(trivalent_n5_tree())[1]
+    assert shape_of(other_ids) == edge  # other labels
+    path = shape_of(path_n6_tree())
+    middle_first = Tree.make((2, 3, 4, 5, 6), [(2, -2), (3, -2), (-2, -1), (4, -1),
+                                               (-1, -3), (5, -3), (6, -3)])
+    assert side(middle_first)[1] == ((-3, 0, -1, 0), (-2, 0, -1, 1))  # other slots
+    assert side(path_n6_tree())[1] == ((-3, 0, -2, 0), (-2, 1, -1, 0))
+    assert path == shape_of(middle_first) != edge
+    t1 = Tree.make((1, 3, 4, 5), [(1, -1), (3, -1), (-1, -2), (4, -2), (5, -2)])
+    pair = shape_of(t1, Tree.make((2, 6, 7, 8), [(2, -1), (6, -1), (-1, -2), (7, -2), (8, -2)]))
     assert pair == "(()) (())" != edge
     # Components are pooled over both sides, in sorted order.
-    assert montecarlo._shape(([(-1, 0, -2, 0)], [(-1, 0, -2, 0), (-2, 1, -3, 0)])) == (
-        montecarlo._shape(([(-4, 0, -5, 0), (-4, 1, -6, 0)], [(-8, 0, -9, 2)])))
+    assert shape_of(t1, Tree.make((2, 6, 7, 8, 9), [(2, -1), (6, -1), (-1, -2), (7, -2),
+                                                     (-2, -3), (8, -3), (9, -3)])) == (
+        shape_of(Tree.make((1, 3, 4, 5, 6), [(1, -4), (3, -4), (-4, -5), (4, -5),
+                                             (-5, -6), (5, -6), (6, -6)]),
+                 Tree.make((2, 7, 8, 9), [(2, -8), (7, -8), (-8, -9), (8, -9), (9, -9)])))
     # A path and a star on four vertices differ; their rootings do not matter.
-    star = montecarlo._shape(([(-1, 0, -2, 0), (-1, 1, -3, 0), (-1, 2, -4, 0)],))
-    leaf_first = montecarlo._shape(([(-2, 0, -1, 0), (-3, 0, -1, 1), (-4, 0, -1, 2)],))
-    long_path = montecarlo._shape(([(-1, 0, -2, 0), (-2, 1, -3, 0), (-3, 1, -4, 0)],))
-    assert star == leaf_first != long_path
-    assert montecarlo._shape(()) == ""
+    star = shape_of(star_n7_tree())  # each constraint has its leaf as u
+    centre_first = Tree.make((2, 3, 4, 5, 6, 7), [(-4, -1), (-4, -2), (-4, -3), (2, -1), (3, -1),
+                                                  (4, -2), (5, -2), (6, -3), (7, -3)])
+    assert [u for u, *_ in side(centre_first)[1]] == [-4, -4, -4]
+    long_path = shape_of(path_n7_tree())
+    assert star == shape_of(centre_first) != long_path
+    assert shape_of(Tree.single(1), Tree.make((2, 3, 4), [(2, -1), (3, -1), (4, -1)])) == ""
     # Members with the same forest under other labels, or on the other
     # side, share a key.
     relabelled = Tree.make((2, 3, 4, 5), [(3, -2), (5, -2), (-2, -1), (2, -1), (4, -1)])
-    t1 = Tree.make((1, 3, 4, 5), [(1, -1), (3, -1), (-1, -2), (4, -2), (5, -2)])
     glued = DoubleTree(t1, Tree.make((2, 6), [(2, 6)]))
-    keys = {montecarlo._shape(tuple(cons for _, cons in montecarlo._sides(member) if cons))
+    keys = {shape_of(member.t1, member.t2)
             for member in (lone(trivalent_n5_tree()), lone(relabelled), glued)}
     assert keys == {edge}
 
 
-@pytest.mark.parametrize("n, shapes, rows", [(5, 1, 3), (6, 2, 99), (7, 4, 2805)])
+@pytest.mark.parametrize("n, shapes, rows", [
+    (5, ["(())"], 3),
+    (6, ["((()))", "(())"], 99),
+    (7, ["(((())))", "((()()))", "((()))", "(())"], 2805),
+])
 def test_mc_rows_of_a_shape_share_their_draws(n, shapes, rows):
+    # Shape i in sorted order draws on stream i, so the code format seeds
+    # every sampled row: the shape strings are pinned, not only counted.
     report = mc_full_volume(n, [1.0, 2.0] + [1.0] * (n - 2), samples=200, seed=5)
     sampled = [row for row in report.per_tree if not row["exact"]]
     assert len(sampled) == rows
@@ -602,7 +632,8 @@ def test_mc_rows_of_a_shape_share_their_draws(n, shapes, rows):
     groups = {}
     for row in sampled:
         groups.setdefault(row["shape"], []).append(row)
-    assert len(groups) == shapes
+    assert len(groups) == len(shapes)
+    assert sorted(groups) == shapes
     ratios = []
     for group in groups.values():
         mean = group[0]["estimate"] / group[0]["constant"]
@@ -611,7 +642,7 @@ def test_mc_rows_of_a_shape_share_their_draws(n, shapes, rows):
             assert row["estimate"] / row["constant"] == pytest.approx(mean, rel=1e-15)
             assert row["std_error"] / row["constant"] == pytest.approx(spread, rel=1e-15)
         ratios.append(mean)
-    assert len(set(ratios)) == shapes  # independent streams
+    assert len(set(ratios)) == len(shapes)  # independent streams
 
 
 def test_mc_total_std_error_is_calibrated():
@@ -641,9 +672,9 @@ def first_members(n: int) -> dict:
     firsts = {}
     for member in enumerate_family("graph", n):
         if all(top_dimensional(t) for t in (member.t1, member.t2)):
-            sampled = tuple(cons for _, cons in montecarlo._sides(member) if cons)
+            sampled = sampled_sides(member)
             if sampled:
-                firsts.setdefault(montecarlo._shape(sampled), sampled)
+                firsts.setdefault(shape_of(member.t1, member.t2), sampled)
     return firsts
 
 
@@ -747,7 +778,7 @@ def refuse_draws(monkeypatch):
 def test_mc_overflowing_constants_refused_before_drawing(monkeypatch):
     # An exact constant past the binary64 maximum overflows when rounded.
     refuse_draws(monkeypatch)
-    monkeypatch.setattr(montecarlo, "ell_integral",
+    monkeypatch.setattr(polytope, "ell_integral",
                         lambda *args: Polynomial.const(Fraction(10) ** 400))
     with pytest.raises(ValueError, match="binary64"):
         mc_full_volume(5, [1.0, 2.0, 1.0, 1.0, 1.0], samples=100, seed=1)
@@ -756,7 +787,7 @@ def test_mc_overflowing_constants_refused_before_drawing(monkeypatch):
 def test_mc_overflowing_constant_sum_refused_before_drawing(monkeypatch):
     # Every constant is finite, but their sum is not.
     refuse_draws(monkeypatch)
-    monkeypatch.setattr(montecarlo, "_constant", lambda *args: sys.float_info.max)
+    monkeypatch.setattr(montecarlo, "constant", lambda *args: sys.float_info.max)
     with pytest.raises(ValueError, match="binary64"):
         mc_full_volume(5, [1.0, 2.0, 1.0, 1.0, 1.0], samples=100, seed=1)
 
