@@ -621,7 +621,7 @@ def test_shape_key_is_label_and_slot_free():
     (5, ["(())"], 3),
     (6, ["((()))", "(())"], 99),
     (7, ["(((())))", "((()()))", "((()))", "(())"], 2805),
-])
+], ids=["5-1-3", "6-2-99", "7-4-2805"])  # n, number of shapes, sampled rows
 def test_mc_rows_of_a_shape_share_their_draws(n, shapes, rows):
     # Shape i in sorted order draws on stream i, so the code format seeds
     # every sampled row: the shape strings are pinned, not only counted.
