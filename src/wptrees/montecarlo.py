@@ -19,10 +19,9 @@ leaves; it integrates its v end and samples its u end.  The drawn slots are
 those of the vertices that are no leaf and of those u ends, taken by stick
 breaking: one uniform per slot but a vertex's third, which takes the
 remainder.  Those fractions are exchangeable, so a member's weight has
-the law of its *shape*, the multiset of the unrooted shapes of its
-constraint-forest components over both sides (their codes from
-:func:`wptrees.polytope.side`, sorted and joined by spaces): one stream
-per shape serves all of its members.  A sampled row is its constant times
+the law of its *shape* (:func:`wptrees.polytope.member`), the multiset of
+the unrooted shapes of its constraint-forest components over both sides:
+one stream per shape serves all of its members.  A sampled row is its constant times
 its shape's mean weight, and its standard error is |const| sqrt(s^2 / N),
 with s^2 the weights' unbiased sample variance over N draws.  The rows of
 one shape share their draws, so their errors are fully correlated: the
@@ -43,9 +42,8 @@ the ``htc`` order of their trees, then the ``full`` pairs in ``full``
 order), so a report depends only on (seed, samples).  The shapes are drawn
 one after another in the calling thread.  ``_stream`` builds a shape's
 generator when its job first draws; a member with no inner-inner edge is
-exact and draws nothing.  Members are kept as (key, kind, constant,
-shape), not as trees.  Draws go in chunks of ``_CHUNK``, small enough that
-each chunk's arrays stay in cache.  Each job allocates its arrays once,
+exact and draws nothing.  Draws go in chunks of ``_CHUNK``, small enough
+that each chunk's arrays stay in cache.  Each job allocates its arrays once,
 and every chunk works on views of them: per side one ``rng.random`` call
 fills the drawn slots, stick breaking runs in place, and the weights and
 their squares are summed by ufuncs and ``.sum()``.  Fresh 128 KiB arrays
@@ -64,7 +62,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import PI2, lsq
-from .polytope import constant, side
+from .polytope import constant, member
 from .trees import canonical_key, check_enumeration_size, enumerate_family
 from .volumes import v0n_reduced
 
@@ -326,22 +324,18 @@ def mc_full_volume(n: int, lengths, samples: int, seed: int) -> McReport:
     # rounding a constant or summing finite ones raises on overflow.
     try:
         for m in enumerate_family("graph", n):
-            first, second = side(m.t1), side(m.t2)
-            if first and second:
-                key = tuple(sorted(first[0] + second[0]))
+            if read := member(m):
+                key, sampled, shape = read
                 if key not in constants:
                     constants[key] = constant(key, squares)
-                sampled = tuple(cons for cons in (first[1], second[1]) if cons)
-                shape = " ".join(sorted(first[2] + second[2]))
-                if shape:
-                    firsts.setdefault(shape, sampled)
+                firsts.setdefault(shape, sampled)
                 glued = bool(m.t1.edges)
                 members.append((canonical_key(m if glued else m.t2).decode(),
                                 "full" if glued else "half-tight", constants[key], shape))
         math.fsum(const for _, _, const, _ in members)
     except OverflowError:
         raise ValueError("the per-tree volumes overflow binary64 at these lengths") from None
-    shapes = sorted(firsts)
+    shapes = sorted(s for s in firsts if s)  # "" is the exact members'
     if samples * len(shapes) > DRAW_BUDGET:
         raise ValueError(f"sampling is limited to samples x sampled shapes <= {DRAW_BUDGET}, "
                          f"got {samples} x {len(shapes)} = {samples * len(shapes)}")

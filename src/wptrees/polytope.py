@@ -2,8 +2,8 @@
 
 The tree bijection sends each half-tight tree, and each glued pair of
 trees, to a polytope of angles and simplices.  Here are its dimension,
-one tree's part of a member's polytope (:func:`side`) and a member's
-volume without the Delaunay constraints (:func:`constant`);
+a tree's part (:func:`side`), a member's reading of its two (:func:`member`)
+and its volume without the Delaunay constraints (:func:`constant`);
 :mod:`wptrees.montecarlo` samples the constraints.  Conventions:
 
 * Only top-dimensional strata enter the volumes: every inner vertex
@@ -65,7 +65,7 @@ from .algebra import PI2
 from .trees import Tree
 from .volumes import ell_integral, weight_t
 
-__all__ = ["polytope_dimension", "corner_markings", "side", "constant"]
+__all__ = ["polytope_dimension", "corner_markings", "side", "member", "constant"]
 
 
 # -- dimension formula and its rank-based verification ---------------------
@@ -150,11 +150,9 @@ def _rank(rows: list[dict[int, int]], ncols: int) -> int:
         if pivot is None:
             continue
         matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        inv = 1 / matrix[rank][j]
-        matrix[rank] = [x * inv for x in matrix[rank]]
-        for i in range(len(matrix)):
-            if i != rank and matrix[i][j]:
-                factor = matrix[i][j]
+        for i in range(rank + 1, len(matrix)):  # the rank needs no reduced form
+            if matrix[i][j]:
+                factor = matrix[i][j] / matrix[rank][j]
                 matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[rank])]
         rank += 1
     return rank
@@ -164,8 +162,8 @@ def side(tree: Tree) -> tuple | None:
     """``tree``'s part of a member's polytope, from one adjacency: None
     unless every inner vertex is trivalent, else its boundaries' (label,
     deg - 1) pairs, a (u, slot_u, v, slot_v) per inner-inner edge (slots
-    index ascending neighbours) and, sorted, the least :func:`_code` over
-    all rootings of each constraint-forest component, equal iff isomorphic."""
+    index ascending neighbours) and the least :func:`_code` over all
+    rootings of each constraint-forest component, equal iff isomorphic."""
     adj = tree.adjacency()
     if any(len(nbrs) != 3 for v, nbrs in adj.items() if v < 0):
         return None
@@ -179,8 +177,17 @@ def side(tree: Tree) -> tuple | None:
                 component.extend(u for u in adj[v] if u < 0 and u not in component)
             seen.update(component)
             codes.append(min(_code(adj, v, None) for v in component))
-    return (tuple((b, len(adj[b]) - 1) for b in tree.boundary), constraints,
-            tuple(sorted(codes)))
+    return tuple((b, len(adj[b]) - 1) for b in tree.boundary), constraints, tuple(codes)
+
+
+def member(pair) -> tuple | None:
+    """None unless both trees of a glued ``pair`` are top-dimensional, else its
+    sorted (label, excess) pairs, the constraints of each :func:`side` that
+    has any, and its *shape*: both sides' codes, sorted and joined by spaces."""
+    sides = side(pair.t1), side(pair.t2)
+    if None not in sides:
+        (e1, c1, k1), (e2, c2, k2) = sides
+        return tuple(sorted(e1 + e2)), tuple(c for c in (c1, c2) if c), " ".join(sorted(k1 + k2))
 
 
 def _code(adj: dict[int, list[int]], v: int, parent: int | None) -> str:

@@ -11,7 +11,7 @@ import pytest
 from wptrees import cli, montecarlo, polytope
 from wptrees.algebra import Polynomial
 from wptrees.montecarlo import mc_full_volume
-from wptrees.polytope import corner_markings, polytope_dimension, side
+from wptrees.polytope import corner_markings, member, polytope_dimension, side
 from wptrees.trees import DoubleTree, Tree, canonical_key, enumerate_family
 from wptrees.volumes import _component, htc_volume
 
@@ -38,6 +38,19 @@ def test_dimension_rank_mode_matches_formula():
             for marks in corner_markings(tree, 2):
                 assert (polytope_dimension(tree, marks, "formula")
                         == polytope_dimension(tree, marks, "rank"))
+
+
+@pytest.mark.parametrize("rows, ncols, rank", [
+    ([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}], 3, 2),  # row 3 = row 1 - row 2
+    ([{0: 1}, {0: 2}, {1: 3}], 2, 2),
+    ([{0: 1, 1: 1}, {0: 1, 1: 1}, {0: 2, 1: 2}], 2, 1),
+    ([{1: 1}, {0: 1, 1: 1}, {0: 1}], 2, 2),  # a pivot found below its row
+    ([{0: 2, 1: 2}, {0: 1, 1: 1}], 2, 1),  # a pivot other than 1
+], ids=["difference", "multiple", "three-copies", "swap", "scaled-pivot"])
+def test_exact_rank_eliminates_dependent_rows(rows, ncols, rank):
+    # The dimension systems' rows have disjoint supports, so they never
+    # exercise the elimination; these do.
+    assert polytope._rank(rows, ncols) == rank
 
 
 def test_dimension_validation():
@@ -74,17 +87,6 @@ def top_dimensional(tree: Tree) -> bool:
     return all(d == 3 for v, d in tree.degrees().items() if v < 0)
 
 
-def sampled_sides(member: DoubleTree) -> tuple:
-    """The constraints of each side of ``member`` that has any."""
-    return tuple(cons for t in (member.t1, member.t2) if (cons := side(t)[1]))
-
-
-def shape_of(*trees: Tree) -> str:
-    """The shape ``mc_full_volume`` keys a member by: the codes of its
-    sides' constraint-forest components, sorted and joined by spaces."""
-    return " ".join(sorted(code for t in trees for code in side(t)[2]))
-
-
 def path_n7_tree() -> Tree:
     # four trivalent inner vertices in a row: the edge between the two
     # middle ones joins two vertices that are no leaf, so it is tested
@@ -93,8 +95,8 @@ def path_n7_tree() -> Tree:
 
 
 def constraints_of(tree: Tree) -> tuple:
-    member = lone(tree)
-    (_, none, _), (_, constraints, _) = side(member.t1), side(member.t2)
+    pair = lone(tree)
+    (_, none, _), (_, constraints, _) = side(pair.t1), side(pair.t2)
     assert none == ()
     return constraints
 
@@ -123,10 +125,12 @@ def test_sample_angle_polytope():
     # the remainder sqrt(U0) U1, which draws nothing.
     star = Tree.make((2, 3, 4), [(2, -1), (3, -1), (4, -1)])  # always accepted
     assert [side(t)[1] for t in (lone(star).t1, lone(star).t2)] == [(), ()]
-    member = lone(star_n7_tree())
-    (vertex, none, _), (pairs, constraints, _) = side(member.t1), side(member.t2)
+    pair = lone(star_n7_tree())
+    (vertex, none, _), (pairs, constraints, _) = side(pair.t1), side(pair.t2)
     assert (vertex, none) == (((1, -1),), ())  # the lone vertex: degree 0
     assert pairs == tuple((b, d - 1) for b, d in star_n7_tree().degrees().items() if b > 0)
+    # ``member`` pools both sides' pairs and keeps the sides with constraints.
+    assert member(pair)[:2] == (tuple(sorted(vertex + pairs)), (constraints,))
     plan = montecarlo._plan(constraints)
     assert plan.slots == ((-1, 0), (-1, 1), (-1, 2))
     fractions = np.empty((3, 1000))
@@ -213,8 +217,10 @@ def test_sampled_rate_matches_closed_form(tree, moments):
     draws = 10 ** 6
     se = math.sqrt((square - mean ** 2) / draws)
     constraints = constraints_of(tree)
-    sums = montecarlo._estimate((constraints,), draws, 9, 0)
-    row = montecarlo._row("k", "half-tight", 1.0, shape_of(tree), sums, draws)
+    _, sampled, shape = member(lone(tree))
+    assert sampled == (constraints,)
+    sums = montecarlo._estimate(sampled, draws, 9, 0)
+    row = montecarlo._row("k", "half-tight", 1.0, shape, sums, draws)
     assert not row["exact"]
     assert abs(row["estimate"] - mean) < 5 * se
     assert row["std_error"] == pytest.approx(se, rel=1e-2)
@@ -287,10 +293,10 @@ def reference_weight_sums(sampled, samples: int, seed: int, i: int) -> tuple[flo
 def test_in_place_acceptance_matches_out_of_place_across_chunks(tree):
     # Two full chunks and a ragged one of 5 draws.
     samples = 2 * montecarlo._CHUNK + 5
-    sampled = sampled_sides(lone(tree))
+    _, sampled, shape = member(lone(tree))
     sums = montecarlo._estimate(sampled, samples, 13, 4)
     assert sums == reference_weight_sums(sampled, samples, 13, 4)
-    row = montecarlo._row("k", "half-tight", 1.0, shape_of(tree), sums, samples)
+    row = montecarlo._row("k", "half-tight", 1.0, shape, sums, samples)
     assert not row["exact"]
     assert row["estimate"] == sums[0] / samples
 
@@ -301,13 +307,12 @@ def test_glued_pair_samples_both_sides():
     # (5/6)^2 and its second moment (11/15)^2.
     t1 = Tree.make((1, 3, 4, 5), [(1, -1), (3, -1), (-1, -2), (4, -2), (5, -2)])
     t2 = Tree.make((2, 6, 7, 8), [(2, -1), (6, -1), (-1, -2), (7, -2), (8, -2)])
-    pair = DoubleTree(t1, t2)
-    sampled = tuple(side(t)[1] for t in (pair.t1, pair.t2))
+    _, sampled, shape = member(DoubleTree(t1, t2))
     assert [len(cons) for cons in sampled] == [1, 1]
     mean, square = leaf_weight_moments(1)
     draws, rate = 10 ** 6, mean ** 2
     sums = montecarlo._estimate(sampled, draws, 21, 3)
-    row = montecarlo._row("k", "full", 1.0, shape_of(t1, t2), sums, draws)
+    row = montecarlo._row("k", "full", 1.0, shape, sums, draws)
     assert row["shape"] == "(()) (())" and not row["exact"]
     assert abs(row["estimate"] - rate) < 5 * math.sqrt((square ** 2 - rate ** 2) / draws)
     assert sums == reference_weight_sums(sampled, draws, 21, 3)
@@ -579,41 +584,46 @@ def test_mc_thread_count_invariance(capsys):
 
 def test_shape_key_is_label_and_slot_free():
     # An edge, a three-vertex path and a two-sided pair of edges, each read
-    # off trees by ``side`` as (u, slot_u, v, slot_v) constraints per side.
-    edge = shape_of(trivalent_n5_tree())
+    # off trees by ``side`` as (u, slot_u, v, slot_v) constraints per side
+    # and keyed by ``member``.
+    edge = member(lone(trivalent_n5_tree()))[2]
     assert edge == "(())"
     other_ids = Tree.make((2, 3, 4, 5), [(2, -7), (3, -7), (-7, -3), (4, -3), (5, -3)])
     assert side(other_ids)[1] != side(trivalent_n5_tree())[1]
-    assert shape_of(other_ids) == edge  # other labels
-    path = shape_of(path_n6_tree())
+    assert member(lone(other_ids))[2] == edge  # other labels
+    path = member(lone(path_n6_tree()))[2]
     middle_first = Tree.make((2, 3, 4, 5, 6), [(2, -2), (3, -2), (-2, -1), (4, -1),
                                                (-1, -3), (5, -3), (6, -3)])
     assert side(middle_first)[1] == ((-3, 0, -1, 0), (-2, 0, -1, 1))  # other slots
     assert side(path_n6_tree())[1] == ((-3, 0, -2, 0), (-2, 1, -1, 0))
-    assert path == shape_of(middle_first) != edge
+    assert path == member(lone(middle_first))[2] != edge
     t1 = Tree.make((1, 3, 4, 5), [(1, -1), (3, -1), (-1, -2), (4, -2), (5, -2)])
-    pair = shape_of(t1, Tree.make((2, 6, 7, 8), [(2, -1), (6, -1), (-1, -2), (7, -2), (8, -2)]))
+    pair = member(DoubleTree(t1, Tree.make((2, 6, 7, 8), [(2, -1), (6, -1), (-1, -2), (7, -2),
+                                                          (8, -2)])))[2]
     assert pair == "(()) (())" != edge
     # Components are pooled over both sides, in sorted order.
-    assert shape_of(t1, Tree.make((2, 6, 7, 8, 9), [(2, -1), (6, -1), (-1, -2), (7, -2),
-                                                     (-2, -3), (8, -3), (9, -3)])) == (
-        shape_of(Tree.make((1, 3, 4, 5, 6), [(1, -4), (3, -4), (-4, -5), (4, -5),
-                                             (-5, -6), (5, -6), (6, -6)]),
-                 Tree.make((2, 7, 8, 9), [(2, -8), (7, -8), (-8, -9), (8, -9), (9, -9)])))
+    edge_then_path = member(DoubleTree(t1, Tree.make((2, 6, 7, 8, 9), [
+        (2, -1), (6, -1), (-1, -2), (7, -2), (-2, -3), (8, -3), (9, -3)])))[2]
+    assert edge_then_path == "((())) (())"
+    assert edge_then_path == member(DoubleTree(
+        Tree.make((1, 3, 4, 5, 6), [(1, -4), (3, -4), (-4, -5), (4, -5), (-5, -6), (5, -6),
+                                    (6, -6)]),
+        Tree.make((2, 7, 8, 9), [(2, -8), (7, -8), (-8, -9), (8, -9), (9, -9)])))[2]
     # A path and a star on four vertices differ; their rootings do not matter.
-    star = shape_of(star_n7_tree())  # each constraint has its leaf as u
+    star = member(lone(star_n7_tree()))[2]  # each constraint has its leaf as u
     centre_first = Tree.make((2, 3, 4, 5, 6, 7), [(-4, -1), (-4, -2), (-4, -3), (2, -1), (3, -1),
                                                   (4, -2), (5, -2), (6, -3), (7, -3)])
     assert [u for u, *_ in side(centre_first)[1]] == [-4, -4, -4]
-    long_path = shape_of(path_n7_tree())
-    assert star == shape_of(centre_first) != long_path
-    assert shape_of(Tree.single(1), Tree.make((2, 3, 4), [(2, -1), (3, -1), (4, -1)])) == ""
+    long_path = member(lone(path_n7_tree()))[2]
+    assert star == member(lone(centre_first))[2] != long_path
+    assert member(lone(Tree.make((2, 3, 4), [(2, -1), (3, -1), (4, -1)])))[2] == ""
+    # A degree-4 inner vertex is not top-dimensional: the member is not read.
+    assert member(lone(Tree.make((2, 3, 4, 5), [(2, -1), (3, -1), (4, -1), (5, -1)]))) is None
     # Members with the same forest under other labels, or on the other
     # side, share a key.
     relabelled = Tree.make((2, 3, 4, 5), [(3, -2), (5, -2), (-2, -1), (2, -1), (4, -1)])
     glued = DoubleTree(t1, Tree.make((2, 6), [(2, 6)]))
-    keys = {shape_of(member.t1, member.t2)
-            for member in (lone(trivalent_n5_tree()), lone(relabelled), glued)}
+    keys = {member(m)[2] for m in (lone(trivalent_n5_tree()), lone(relabelled), glued)}
     assert keys == {edge}
 
 
@@ -670,11 +680,11 @@ def first_members(n: int) -> dict:
     """Shape -> the sampled sides of its first top-dimensional member in
     the graph family's order."""
     firsts = {}
-    for member in enumerate_family("graph", n):
-        if all(top_dimensional(t) for t in (member.t1, member.t2)):
-            sampled = sampled_sides(member)
+    for pair in enumerate_family("graph", n):
+        if all(top_dimensional(t) for t in (pair.t1, pair.t2)):
+            _, sampled, shape = member(pair)
             if sampled:
-                firsts.setdefault(shape_of(member.t1, member.t2), sampled)
+                firsts.setdefault(shape, sampled)
     return firsts
 
 
