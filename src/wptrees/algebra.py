@@ -14,10 +14,8 @@ rational coefficients.  The atoms are:
                          series variable of the root-finding problem and as
                          the substitution symbol u = l^2 during integration;
 * ``t0, t1, ...``,
-  ``gam2, gam3, ...``,
-  ``invgam1``            counting variables of the boundary-insertion
-                         recursion; ``invgam1`` stands for 1/gam1 and carries
-                         its own derivative convention (see genfun).
+  ``gam2, gam3, ...``    counting variables of the boundary-insertion
+                         recursion.
 
 A monomial is a sorted tuple of ``(atom, exponent)`` pairs with exponent
 >= 1; a polynomial maps monomials to nonzero ``Fraction`` coefficients.  The
@@ -29,7 +27,7 @@ exact rationals, evaluates exactly, and rounds once at the end
 Canonical term order, used by every serializer: ascending total degree, then
 descending lexicographic with respect to the atom order
 
-    pi2 < L1^2 < L2^2 < ... < m0 < m1 < ... < r < t0 < ... < invgam1.
+    pi2 < L1^2 < L2^2 < ... < m0 < m1 < ... < r < t0 < ... < gam2 < ...
 
 Monomials and coefficients are immutable and operations are pure functions,
 so values can be shared freely across threads and summed in any order.
@@ -45,7 +43,6 @@ __all__ = [
     "Atom",
     "PI2",
     "AUX",
-    "INV_GAMMA1",
     "lsq",
     "mom",
     "that",
@@ -60,7 +57,7 @@ __all__ = [
 ]
 
 # Atom kinds, listed in canonical sort order.
-_PI2, _LSQ, _MOM, _AUX, _THAT, _GHAT, _INVG1 = range(7)
+_PI2, _LSQ, _MOM, _AUX, _THAT, _GHAT = range(6)
 
 
 class Atom(NamedTuple):
@@ -80,14 +77,11 @@ class Atom(NamedTuple):
             return "r"
         if self.kind == _THAT:
             return f"t{self.index}"
-        if self.kind == _GHAT:
-            return f"gam{self.index}"
-        return "invgam1"
+        return f"gam{self.index}"
 
 
 PI2 = Atom(_PI2)
 AUX = Atom(_AUX)
-INV_GAMMA1 = Atom(_INVG1)
 
 
 def lsq(i: int) -> Atom:
@@ -425,10 +419,8 @@ class Polynomial:
             base = "r"
         elif a.kind == _THAT:
             base = f"\\hat t_{{{a.index}}}"
-        elif a.kind == _GHAT:
-            base = f"\\hat\\gamma_{{{a.index}}}"
         else:
-            base = "\\hat\\gamma_1^{-1}"
+            base = f"\\hat\\gamma_{{{a.index}}}"
         return base if e == 1 else f"{base}^{{{e}}}"
 
     @staticmethod

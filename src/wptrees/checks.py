@@ -13,7 +13,6 @@ from math import comb, factorial
 
 from .algebra import PI2, Polynomial, mom
 from .genfun import (
-    MomentContext,
     f_from_trees,
     f_recursion,
     f_substituted,
@@ -74,7 +73,7 @@ def identity_checks(max_n: int) -> dict:
         ell_integral(a, b) == ell_integral(a, b, mode="integral")
         for a in range(-1, 4) for b in range(4))
     checks["z-root-through-grade-5"] = lambda: all(
-        _z_root(cap) for cap in range(1, 6))
+        z_residual(solve_r(cap)).is_zero() for cap in range(1, 6))
     checks["r-grade-2"] = _check_r_grade_2
     checks["h-genfun-matches-averages"] = (
         lambda: _check_h_genfun(min(3, max(1, max_n - 2)), htc))
@@ -84,7 +83,7 @@ def identity_checks(max_n: int) -> dict:
     for n in range(3, min(max_n, 7) + 1):
         checks[f"recursion-vs-volume-{n}"] = lambda n=n: (
             f_substituted(n)
-            == mu_average(reduced(n), range(1, n + 1), MomentContext(n)).body)
+            == mu_average(reduced(n), range(1, n + 1)))
 
     for n in range(3, min(max_n, 6) + 1):
         checks[f"enumerator-oracle-{n}"] = lambda n=n: (
@@ -116,24 +115,18 @@ def _check_zograf(volume: Polynomial, n: int) -> bool:
         Fraction(2 ** (n - 3), factorial(n - 3)) * zograf_v(n), [(PI2, n - 3)])
 
 
-def _z_root(cap: int) -> bool:
-    ctx = MomentContext(cap)
-    return z_residual(solve_r(ctx), ctx).is_zero()
-
-
 def _check_r_grade_2() -> bool:
     expected = (Polynomial.of_atom(mom(0))
                 + Polynomial.monomial(Fraction(1, 2), [(mom(0), 1), (mom(1), 1)])
                 + Polynomial.monomial(1, [(PI2, 1), (mom(0), 2)]))
-    return solve_r(MomentContext(2)).body == expected
+    return solve_r(2).body == expected
 
 
 def _check_h_genfun(max_p: int, htc) -> bool:
-    ctx = MomentContext(max_p)
-    h = htc_genfun(ctx)
+    h = htc_genfun(max_p)
     for p in range(1, max_p + 1):
-        avg = mu_average(htc(p + 2), range(3, p + 3), ctx)
-        if h.grade_part(p) != avg.body * Fraction(1, factorial(p)):
+        avg = mu_average(htc(p + 2), range(3, p + 3))
+        if h.grade_part(p) != avg * Fraction(1, factorial(p)):
             return False
     return True
 

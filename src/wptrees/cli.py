@@ -16,13 +16,13 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
 from .algebra import Polynomial, lsq, poly_to_json_terms
 from .checks import identity_checks
 from .genfun import (
-    MomentContext,
     f_substituted,
     htc_genfun,
     solve_r,
@@ -50,6 +50,16 @@ VOLUME_MAX_N = 13
 # orders.
 GF_MAX_ORDER = 20
 
+# The most digits a length's numerator or denominator may have: CPython's
+# default limit for converting between int and decimal text, so every admitted
+# length can be read and printed back.
+LENGTH_MAX_DIGITS = 4300
+_TOO_LONG = 10 ** LENGTH_MAX_DIGITS
+
+# A length field: a decimal with optional exponent, or p/q, in ASCII digits.
+_LENGTH_FIELD = re.compile(r"[-+]?(?=\.?[0-9])(?P<int>[0-9]*)(?:/(?P<den>[0-9]+)"
+                           r"|(?:\.(?P<frac>[0-9]*))?(?:[eE](?P<exp>[-+]?[0-9]+))?)")
+
 ABLATION_SIGMA = 5.0  # the ablation's rows are exact: its |z| is 0 or infinite
 
 
@@ -59,6 +69,30 @@ def _check_volume_size(n: int, flag: str = "--n") -> None:
         raise ValueError(f"volumes are limited to n <= {VOLUME_MAX_N}, got {flag} {n}")
 
 
+def _parse_length(field: str) -> Fraction:
+    """One ``--lengths`` field, refused before any large number is built when
+    its numerator or denominator would have more than ``LENGTH_MAX_DIGITS``
+    digits."""
+    match = _LENGTH_FIELD.fullmatch(field)
+    if match is None:
+        raise ValueError("digit separators are not accepted" if "_" in field
+                         else f"{field!r} is not a decimal or p/q in ASCII digits")
+    frac, exp = match["frac"] or "", match["exp"] or "0"
+    num, den = (match["int"] + frac).lstrip("0"), (match["den"] or "1").lstrip("0")
+    # The value is num / den * 10^scale.  With num within the bound, a |scale|
+    # past twice the bound puts the numerator or the denominator past it; an
+    # exponent of ten digits or more stands for such a scale.
+    scale = 0 if not num else 10 ** 9 if len(exp.lstrip("+-0")) > 9 else int(exp) - len(frac)
+    value = None
+    if max(len(num), len(den), abs(scale) // 2) <= LENGTH_MAX_DIGITS:
+        value = Fraction(int(num or "0") * 10 ** max(scale, 0),
+                         int(den or "0") * 10 ** max(-scale, 0))
+    if value is None or max(value.numerator, value.denominator) >= _TOO_LONG:
+        raise ValueError(f"length {field!r} has more than {LENGTH_MAX_DIGITS} digits "
+                         f"in its numerator or denominator")
+    return -value if field[0] == "-" else value
+
+
 def _parse_lengths(text: str, n: int) -> list[Fraction]:
     parts = [p.strip() for p in text.split(",")]
     if not all(parts):
@@ -66,9 +100,7 @@ def _parse_lengths(text: str, n: int) -> list[Fraction]:
     if len(parts) != n:
         raise ValueError(f"expected {n} comma-separated lengths, got {len(parts)}")
     try:
-        if any("_" in p for p in parts):  # 3.11's Fraction takes 1_0, 3.10's does not
-            raise ValueError("digit separators are not accepted")
-        values = [Fraction(p) for p in parts]
+        values = [_parse_length(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed length list {text!r}: {exc}") from None
     if any(v <= 0 for v in values):
@@ -83,6 +115,9 @@ def _print_volume(poly: Polynomial, args, meta: dict, lengths) -> None:
     if lengths:
         poly = poly.substitute(
             {lsq(i + 1): Polynomial.const(v * v) for i, v in enumerate(lengths)})
+        if any(max(abs(c.numerator), c.denominator) >= _TOO_LONG for _, c in poly.items()):
+            raise ValueError(f"the value at these lengths has a coefficient of more than "
+                             f"{LENGTH_MAX_DIGITS} digits, too long to print")
         meta["lengths"] = [str(v) for v in lengths]
         n_lengths = 0
     if args.format == "text":
@@ -133,12 +168,7 @@ def _cmd_gf(args) -> int:
     if args.order > GF_MAX_ORDER:
         raise ValueError(f"series are limited to --order <= {GF_MAX_ORDER}, "
                          f"got --order {args.order}")
-    ctx = MomentContext(args.order)
-    series = {
-        "z": lambda: z_series(ctx),
-        "r": lambda: solve_r(ctx),
-        "h": lambda: htc_genfun(ctx),
-    }[args.target]()
+    series = {"z": z_series, "r": solve_r, "h": htc_genfun}[args.target](args.order)
     if args.format == "text":
         print(series.body.text())
     elif args.format == "latex":

@@ -21,29 +21,23 @@ The module provides
                     truncated series;
 * ``htc_genfun``    H(L1, L2) = sum_{k>=0} 2^(-k) R^(k+1) (L2^2 - L1^2)^k
                     / (k! (k+1)!);
-* ``f_recursion``   the polynomial sequence f_3, f_4, ... in the counting
-                    variables t0.., gam2.., invgam1, built by the
-                    boundary-insertion operator;
+* ``f_recursion``   the polynomials f_3, f_4, ... in t0.., gam2.., built by
+                    the boundary-insertion operator;
 * ``f_from_trees``  the same polynomials read off directly from the
                     ``two-three`` tree family, one enumerated tree at a
                     time (the reference for the recursion);
 * ``mu_average``    termwise replacement L_i^(2a) -> m_a over a label subset;
 * ``symmetric_from_moments``   the inverse of a full mu-average, recovering
                     the (symmetric) length polynomial.
-
-``invgam1`` is its own atom with derivative convention
-d(gam1^-e)/d gam1 = -e gam1^-(e+1); substituting gam1 = -1 maps it to -1.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
 from .algebra import (
     AUX,
-    INV_GAMMA1,
     PI2,
     GradedSeries,
     Polynomial,
@@ -57,7 +51,6 @@ from .trees import enumerate_family
 from .volumes import weight_gamma
 
 __all__ = [
-    "MomentContext",
     "t_moment",
     "z_series",
     "z_residual",
@@ -71,18 +64,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MomentContext:
-    """Working precision: series keep moment grade <= grade_cap and use the
-    moment atoms m_0 .. m_grade_cap."""
-
-    grade_cap: int
-
-    def __post_init__(self):
-        if self.grade_cap < 1:
-            raise ValueError("grade_cap must be >= 1")
-
-
 def t_moment(k: int) -> Polynomial:
     """t_k[mu] = 2 m_k / (4^k k!) as a moment polynomial."""
     if k < 0:
@@ -90,16 +71,18 @@ def t_moment(k: int) -> Polynomial:
     return Polynomial.of_atom(mom(k)) * Fraction(2, 4 ** k * factorial(k))
 
 
-def z_series(ctx: MomentContext) -> GradedSeries:
-    """Z expanded to order r^grade_cap, moments expressed in the m_k atoms."""
+def z_series(cap: int) -> GradedSeries:
+    """Z to order r^cap in the moment atoms m_0 .. m_cap, truncated to grade cap."""
+    if cap < 1:
+        raise ValueError("grade_cap must be >= 1")
     terms = []
-    for k in range(ctx.grade_cap):  # r^(k+1) term of the J1 part
+    for k in range(cap):  # r^(k+1) term of the J1 part
         coeff = Fraction((-1) ** k * 2 ** k, factorial(k) * factorial(k + 1))
         terms.append(Polynomial.monomial(coeff, [(PI2, k), (AUX, k + 1)]))
-    for k in range(ctx.grade_cap + 1):  # r^k term of the I0 part
+    for k in range(cap + 1):  # r^k term of the I0 part
         coeff = Fraction(-1, 2 ** k * factorial(k) ** 2)
         terms.append(Polynomial.monomial(coeff, [(mom(k), 1), (AUX, k)]))
-    return GradedSeries(Polynomial.sum(terms), ctx.grade_cap)
+    return GradedSeries(Polynomial.sum(terms), cap)
 
 
 def _compose_aux(p: Polynomial, r: GradedSeries) -> GradedSeries:
@@ -125,19 +108,19 @@ def _compose_aux(p: Polynomial, r: GradedSeries) -> GradedSeries:
     return GradedSeries(Polynomial.sum(terms), cap)
 
 
-def solve_r(ctx: MomentContext) -> GradedSeries:
+def solve_r(cap: int) -> GradedSeries:
     """The series root R of Z(R) = 0 with R = m_0 + (grade >= 2).
 
     Fixed-point iteration R <- R - Z(R) on truncated series, starting from
     m_0.  Z(r) = r - m_0 + r * (grade >= 1) + r^2 * (...), so the step map
     r - Z(r) has derivative 1 - Z'(R) of grade >= 1 at any R of grade >= 1:
     an error of grade g becomes one of grade >= g + 1.  Every step thus
-    gains at least one exact grade, and grade_cap + 1 steps always suffice;
+    gains at least one exact grade, and cap + 1 steps always suffice;
     a residual still nonzero after them raises ``ArithmeticError``.
     """
-    z = z_series(ctx).body
-    r = GradedSeries(Polynomial.of_atom(mom(0)), ctx.grade_cap)
-    for _ in range(ctx.grade_cap + 2):
+    z = z_series(cap).body
+    r = GradedSeries(Polynomial.of_atom(mom(0)), cap)
+    for _ in range(cap + 2):
         residual = _compose_aux(z, r)
         if residual.is_zero():
             return r
@@ -145,64 +128,61 @@ def solve_r(ctx: MomentContext) -> GradedSeries:
     raise ArithmeticError("root iteration did not reach a zero residual")
 
 
-def z_residual(r: GradedSeries, ctx: MomentContext) -> GradedSeries:
-    """Z evaluated at a series, truncated to the context grade."""
-    return _compose_aux(z_series(ctx).body, r)
+def z_residual(r: GradedSeries) -> GradedSeries:
+    """Z evaluated at a series, truncated to the series' grade cap."""
+    return _compose_aux(z_series(r.grade_cap).body, r)
 
 
-def htc_genfun(ctx: MomentContext) -> GradedSeries:
+def htc_genfun(cap: int) -> GradedSeries:
     """H(L1, L2) = sum_k 2^(-k) R^(k+1) (L2^2 - L1^2)^k / (k! (k+1)!).
 
-    Terms with k >= grade_cap vanish under truncation since R has grade >= 1.
+    Terms with k >= cap vanish under truncation since R has grade >= 1.
     """
-    r = solve_r(ctx)
+    r = solve_r(cap)
     diff = Polynomial.of_atom(lsq(2)) - Polynomial.of_atom(lsq(1))
-    out = GradedSeries(Polynomial.zero(), ctx.grade_cap)
+    out = GradedSeries(Polynomial.zero(), cap)
     r_power = r
-    for k in range(ctx.grade_cap):
+    for k in range(cap):
         coeff = Fraction(1, 2 ** k * factorial(k) * factorial(k + 1))
-        out = out + r_power * GradedSeries(diff ** k * coeff, ctx.grade_cap)
+        out = out + r_power * GradedSeries(diff ** k * coeff, cap)
         r_power = r_power * r
     return out
 
 
 # -- the boundary-insertion recursion ------------------------------------
 
-_T0_OVER_G1 = Polynomial.monomial(1, [(that(0), 1), (INV_GAMMA1, 1)])
-
-
 def _d_gamma(p: Polynomial, k: int) -> Polynomial:
-    """d/d gam_k; for k = 1 this acts on the inverse atom."""
+    """d/d gam_k; at gam1 = -1, d/d gam1 scales a degree-V term by V - 2."""
     if k >= 2:
         return p.partial(ghat(k))
-    terms = []
-    for mono, c in p.items():
-        pairs = dict(mono)
-        e = pairs.get(INV_GAMMA1, 0)
-        if e == 0:
-            continue
-        pairs[INV_GAMMA1] = e + 1
-        terms.append(Polynomial.monomial(c * (-e), pairs.items()))
-    return Polynomial.sum(terms)
+    return Polynomial({mono: c * (sum(e for _, e in mono) - 2)
+                       for mono, c in p.items()})
 
 
 def f_recursion(n: int) -> Polynomial:
-    """f_n in t0.., gam2.., invgam1, from f_3 = -t0^3/gam1 and
+    """f_n in t0.., gam2.., taken at gam1 = -1.
 
-    f_{m+1} = sum_{k=0}^{m-3} [ t_{k+1} (d/d gam_{k+1}
-                                         - t0 invgam1 d/d t_k)
-                                - gam_{k+2} t0 invgam1 d/d gam_{k+1} ] f_m.
+    With gam1 formal, f_3 = -t0^3/gam1 and each term of f_n carries
+    gam1^-(V-2), V its total degree in the t and gam atoms: a pair of trees
+    on V vertices has V - 2 edges, and every term of the operator keeps
+    this.  At gam1 = -1 the power folds into the sign and d/d gam1 scales a
+    term by V - 2, so the coefficients count the ``two-three`` trees by
+    degree profile, f_3 = t0^3 and
+
+    f_{m+1} = sum_{k=0}^{m-3} [ t_{k+1} (d/d gam_{k+1} + t0 d/d t_k)
+                                + gam_{k+2} t0 d/d gam_{k+1} ] f_m.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    f = Polynomial.monomial(-1, [(that(0), 3), (INV_GAMMA1, 1)])
+    t0 = Polynomial.of_atom(that(0))
+    f = t0 ** 3
     for m in range(3, n):
         terms = []
         for k in range(m - 2):
             dg = _d_gamma(f, k + 1)
             dt = f.partial(that(k))
-            terms.append(Polynomial.of_atom(that(k + 1)) * (dg - _T0_OVER_G1 * dt))
-            terms.append(-(Polynomial.of_atom(ghat(k + 2)) * _T0_OVER_G1 * dg))
+            terms.append(Polynomial.of_atom(that(k + 1)) * (dg + t0 * dt))
+            terms.append(Polynomial.of_atom(ghat(k + 2)) * t0 * dg)
         f = Polynomial.sum(terms)
     return f
 
@@ -210,32 +190,31 @@ def f_recursion(n: int) -> Polynomial:
 def f_from_trees(n: int) -> Polynomial:
     """f_n read off the ``two-three`` family, one double tree at a time.
 
-    A double tree contributes prod_b t_{deg(b)-1} (with a half-edge added to
-    boundary 1, so it contributes t_{deg(b1)}), prod_v gam_{deg(v)-1}, and
-    each edge contributes -invgam1.  Enumeration is refused above
+    A double tree contributes the monomial prod_b t_{deg(b)-1} (with a
+    half-edge added to boundary 1, so it contributes t_{deg(b1)}) times
+    prod_v gam_{deg(v)-1}, with coefficient 1.  Enumeration is refused above
     ``ENUMERATION_MAX_N``, and so is this sum.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
 
     def term(d):
-        edges = len(d.t1.edges) + len(d.t2.edges)
-        pairs = Counter({INV_GAMMA1: edges})
+        pairs = Counter()
         for t in (d.t1, d.t2):
             for v, deg in t.degrees().items():
                 pairs[that(deg) if v == 1 else that(deg - 1) if v > 0 else ghat(deg - 1)] += 1
-        return Polynomial.monomial((-1) ** edges, pairs.items())
+        return Polynomial.monomial(1, pairs.items())
 
     return Polynomial.sum(term(d) for d in enumerate_family("two-three", n))
 
 
 def f_substituted(n: int) -> Polynomial:
-    """(1/8) f_n with t_k -> t_k[mu], gam_k -> gamma_k, invgam1 -> -1.
+    """(1/8) f_n with t_k -> t_k[mu], gam_k -> gamma_k.
 
     Equals the full mu-average of V_{0,n}.
     """
     f = f_recursion(n)
-    mapping: dict = {INV_GAMMA1: Polynomial.const(-1)}
+    mapping: dict = {}
     for k in range(n - 2):
         mapping[that(k)] = t_moment(k)
     for k in range(2, n - 1):
@@ -245,12 +224,13 @@ def f_substituted(n: int) -> Polynomial:
 
 # -- moment averaging ------------------------------------------------------
 
-def mu_average(p: Polynomial, subset, ctx: MomentContext) -> GradedSeries:
+def mu_average(p: Polynomial, subset) -> Polynomial:
     """Integrate the boundaries in ``subset`` against mu.
 
     Termwise, each factor L_i^(2a) with i in the subset becomes the moment
     atom m_a; a boundary absent from a term contributes m_0.  Evenness in
-    every averaged length is guaranteed by the squared-length atoms.
+    every averaged length is guaranteed by the squared-length atoms.  A term
+    free of moment atoms averages to moment grade exactly ``len(subset)``.
     """
     subset = set(subset)
     terms = []
@@ -265,7 +245,7 @@ def mu_average(p: Polynomial, subset, ctx: MomentContext) -> GradedSeries:
             if not any(a.kind == lsq(1).kind and a.index == i for a, _ in mono):
                 pairs[mom(0)] += 1
         terms.append(Polynomial.monomial(c, pairs.items()))
-    return GradedSeries(Polynomial.sum(terms), ctx.grade_cap)
+    return Polynomial.sum(terms)
 
 
 def symmetric_from_moments(p: Polynomial, n: int) -> Polynomial:

@@ -83,6 +83,9 @@ def polytope_dimension(tree: Tree, ideal=None, mode: str = "formula") -> int:
     number as the affine dimension of the equality-constraint system (angle
     slots pinned to 0 at boundary vertices, per-inner-vertex angle sums,
     per-boundary simplex sums) by exact rank computation over the rationals.
+    Every row of that system has columns of its own, so its rank is its row
+    count and ``rank`` mode is columns minus rows, a recount of the formula
+    rather than an independent check.
     """
     ideal = dict(ideal or {})
     adj = tree.adjacency()

@@ -49,6 +49,7 @@ MOMENT_GOLDEN = {
     "vol-n8-recursion": "vol --n 8 --method recursion",
     "gf-r7": "gf --target r --order 7",
     "gf-h6-json": "gf --target h --order 6 --format json",
+    "gf-z3-latex": "gf --target z --order 3 --format latex",
 }
 
 
@@ -149,6 +150,24 @@ def test_lengths_allow_whitespace_around_fields(capsys):
     assert capsys.readouterr().out == (GOLDEN_DIR / "vol-n4-lengths.txt").read_text()
 
 
+@pytest.mark.parametrize("lengths", ["5e-1,1/1,1.0,+1", "0.50,01,1e0,10E-1", ".5,1.,2/2,+3/3"])
+def test_equal_lengths_in_other_ascii_forms_print_the_same_bytes(capsys, lengths):
+    assert cli.main(["vol", "--n", "4", "--lengths", lengths]) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / "vol-n4-lengths-decimal.txt").read_text()
+
+
+def test_value_too_long_to_print_is_refused_in_plain_words(capsys):
+    # 1e2150 squared and halved has 4300 digits and prints; 1e4000 is
+    # admitted, but its value has more digits than Python prints.
+    assert cli.main(["vol", "--n", "4", "--lengths", "1,2,3,1e2150"]) == 0
+    assert len(capsys.readouterr().out) > 4300
+    assert cli.main(["vol", "--n", "4", "--lengths", "1,2,3,1e4000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the value at these lengths has a coefficient of more "
+                            "than 4300 digits, too long to print\n")
+
+
 def test_enumeration_above_limit_exits_2_fast(capsys):
     start = time.perf_counter()
     code = cli.main(["trees", "--family", "two-three", "--n", "9"])
@@ -221,9 +240,25 @@ def test_volume_size_above_limit_refused(no_routes, capsys, argv):
     # Python 3.11's Fraction reads 1_0 as 10 and 3.10's refuses it: both refuse it here.
     (["vol", "--n", "4", "--lengths", "1,2,3,1_0"],
      "malformed length list '1,2,3,1_0': digit separators are not accepted"),
+    # Python's Fraction reads any Unicode digit; a length is ASCII only.
+    (["vol", "--n", "4", "--lengths", "\u0661,2,3,4"],
+     "malformed length list '\u0661,2,3,4': '\u0661' is not a decimal or p/q in ASCII digits"),
+    # Refused before 10^999999999 or 10^10000000 is built, and 10^-4300 has
+    # one digit too many in its denominator.
+    (["vol", "--n", "4", "--lengths", "1,2,3,1e999999999"],
+     "malformed length list '1,2,3,1e999999999': length '1e999999999' has more than "
+     "4300 digits in its numerator or denominator"),
+    (["verify", "mc", "--n", "4", "--lengths", "1,2,3,1e10000000", "--samples", "10",
+      "--seed", "1"],
+     "malformed length list '1,2,3,1e10000000': length '1e10000000' has more than "
+     "4300 digits in its numerator or denominator"),
+    (["htc", "--n", "4", "--lengths", "1,2,3,1e-4300"],
+     "malformed length list '1,2,3,1e-4300': length '1e-4300' has more than "
+     "4300 digits in its numerator or denominator"),
 ], ids=["vol-count-n11", "vol-count-n5", "vol-nonpositive", "htc-count", "htc-nonpositive",
         "htc-l1-above-l2", "htc-l1-equals-l2", "vol-empty-field", "vol-trailing-comma",
-        "vol-blank-field", "vol-empty", "htc-empty", "mc-empty", "vol-digit-separator"])
+        "vol-blank-field", "vol-empty", "htc-empty", "mc-empty", "vol-digit-separator",
+        "vol-non-ascii-digit", "vol-huge-exponent", "mc-huge-exponent", "htc-tiny-exponent"])
 def test_bad_lengths_refused_before_any_route(no_routes, capsys, argv, message):
     # Lengths are checked before the volume is computed, so a bad list
     # costs no route time and gets no V_{0,5} note ahead of the error.

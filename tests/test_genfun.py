@@ -6,9 +6,8 @@ from math import factorial
 
 import pytest
 
-from wptrees.algebra import AUX, INV_GAMMA1, PI2, GradedSeries, Polynomial, ghat, lsq, mom, that
+from wptrees.algebra import AUX, PI2, GradedSeries, Polynomial, ghat, lsq, mom, that
 from wptrees.genfun import (
-    MomentContext,
     f_from_trees,
     f_recursion,
     f_substituted,
@@ -20,6 +19,7 @@ from wptrees.genfun import (
     z_residual,
     z_series,
 )
+from wptrees.trees import enumerate_family, family_splits, prufer_counts
 from wptrees.volumes import htc_volume, v0n_reduced
 
 P = Polynomial
@@ -28,7 +28,7 @@ P = Polynomial
 def test_z_series_low_coefficients():
     # Recomputed by hand from J1(x) = sum (-1)^k (x/2)^(2k+1)/(k!(k+1)!)
     # and I0(x) = sum (x/2)^(2k)/(k!)^2 at x = 2 pi sqrt(2r), L sqrt(2r).
-    z = z_series(MomentContext(3)).body
+    z = z_series(3).body
     assert z.coefficient([(mom(0), 1)]) == -1
     assert z.coefficient([(AUX, 1)]) == 1
     assert z.coefficient([(mom(1), 1), (AUX, 1)]) == Fraction(-1, 2)
@@ -45,14 +45,14 @@ def test_t_moment_conversion():
 
 
 def test_solve_r_grade_1():
-    assert solve_r(MomentContext(1)).body == P.of_atom(mom(0))
+    assert solve_r(1).body == P.of_atom(mom(0))
 
 
 def test_solve_r_grade_2():
     expected = (P.of_atom(mom(0))
                 + P.monomial(Fraction(1, 2), [(mom(0), 1), (mom(1), 1)])
                 + P.monomial(1, [(PI2, 1), (mom(0), 2)]))
-    assert solve_r(MomentContext(2)).body == expected
+    assert solve_r(2).body == expected
 
 
 def test_solve_r_grade_3():
@@ -60,7 +60,7 @@ def test_solve_r_grade_3():
     # Its grade-3 part, with R_1 = m0 and R_2 = 1/2 m0 m1 + pi^2 m0^2, is
     # R_3 = m1 R_2/2 + 2 pi^2 R_1 R_2 + m2 R_1^2/16 - pi^4 R_1^3/3
     #     = 5/3 pi^4 m0^3 + 3/2 pi^2 m0^2 m1 + 1/4 m0 m1^2 + 1/16 m0^2 m2.
-    grade3 = solve_r(MomentContext(3)).grade_part(3)
+    grade3 = solve_r(3).grade_part(3)
     expected = (P.monomial(Fraction(5, 3), [(PI2, 2), (mom(0), 3)])
                 + P.monomial(Fraction(3, 2), [(PI2, 1), (mom(0), 2), (mom(1), 1)])
                 + P.monomial(Fraction(1, 4), [(mom(0), 1), (mom(1), 2)])
@@ -70,8 +70,7 @@ def test_solve_r_grade_3():
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 6, 9, 10])
 def test_z_root_vanishes(cap):
-    ctx = MomentContext(cap)
-    assert z_residual(solve_r(ctx), ctx).is_zero()
+    assert z_residual(solve_r(cap)).is_zero()
 
 
 def test_root_guard_survives_optimize():
@@ -81,12 +80,11 @@ def test_root_guard_survives_optimize():
     code = ("import wptrees.genfun as g\n"
             "compose = g._compose_aux\n"
             "g._compose_aux = lambda p, r: g.GradedSeries(g.Polynomial.one(), r.grade_cap)\n"
-            "ctx = g.MomentContext(3)\n"
             "try:\n"
-            "    g.solve_r(ctx)\n"
+            "    g.solve_r(3)\n"
             "except ArithmeticError:\n"
             "    g._compose_aux = compose\n"
-            "    if not g.z_residual(g.solve_r(ctx), ctx).is_zero():\n"
+            "    if not g.z_residual(g.solve_r(3)).is_zero():\n"
             "        raise SystemExit('no root after the patch was undone')\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit('solve_r returned despite a nonzero residual')\n")
@@ -96,13 +94,12 @@ def test_root_guard_survives_optimize():
 
 
 def test_graded_product_of_series_root():
-    r = solve_r(MomentContext(6))
+    r = solve_r(6)
     assert (r * r).body == GradedSeries(r.body * r.body, 6).body
 
 
 def test_htc_genfun_low_grades():
-    ctx = MomentContext(2)
-    h = htc_genfun(ctx)
+    h = htc_genfun(2)
     assert h.grade_part(1) == P.of_atom(mom(0))
     expected2 = (P.monomial(Fraction(1, 2), [(mom(0), 1), (mom(1), 1)])
                  + P.monomial(1, [(PI2, 1), (mom(0), 2)])
@@ -113,37 +110,37 @@ def test_htc_genfun_low_grades():
 
 def test_htc_genfun_structure():
     # Each power of (L2^2 - L1^2) appears with weight 2^-k R^(k+1)/(k!(k+1)!).
-    ctx = MomentContext(3)
-    h = htc_genfun(ctx)
-    r = solve_r(ctx)
+    cap = 3
+    h = htc_genfun(cap)
+    r = solve_r(cap)
     diff = P.of_atom(lsq(2)) - P.of_atom(lsq(1))
-    total = GradedSeries(P.zero(), ctx.grade_cap)
+    total = GradedSeries(P.zero(), cap)
     r_power = r
-    for k in range(ctx.grade_cap):
+    for k in range(cap):
         coeff = Fraction(1, 2 ** k * factorial(k) * factorial(k + 1))
-        total = total + r_power * GradedSeries(diff ** k * coeff, ctx.grade_cap)
+        total = total + r_power * GradedSeries(diff ** k * coeff, cap)
         r_power = r_power * r
     assert h.body == total.body
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_htc_genfun_matches_averaged_volumes(p):
-    ctx = MomentContext(3)
-    h = htc_genfun(ctx)
-    avg = mu_average(htc_volume(p + 2), range(3, p + 3), ctx)
-    assert h.grade_part(p) == avg.body * Fraction(1, factorial(p))
+    h = htc_genfun(3)
+    avg = mu_average(htc_volume(p + 2), range(3, p + 3))
+    assert h.grade_part(p) == avg * Fraction(1, factorial(p))
 
 
 def test_htc_genfun_collapses_to_r_at_equal_lengths():
-    ctx = MomentContext(4)
-    collapsed = htc_genfun(ctx).body.substitute({lsq(2): P.of_atom(lsq(1))})
-    assert collapsed == solve_r(ctx).body
+    collapsed = htc_genfun(4).body.substitute({lsq(2): P.of_atom(lsq(1))})
+    assert collapsed == solve_r(4).body
 
 
 def test_f_base_and_one_step():
-    assert f_recursion(3) == P.monomial(-1, [(that(0), 3), (INV_GAMMA1, 1)])
-    expected4 = (P.monomial(4, [(that(0), 3), (that(1), 1), (INV_GAMMA1, 2)])
-                 - P.monomial(1, [(that(0), 4), (ghat(2), 1), (INV_GAMMA1, 3)]))
+    # At gam1 = -1: -t0^3/gam1 is t0^3, and 4 t0^3 t1/gam1^2 - t0^4 gam2/gam1^3
+    # is 4 t0^3 t1 + t0^4 gam2.
+    assert f_recursion(3) == P.of_atom(that(0), 3)
+    expected4 = (P.monomial(4, [(that(0), 3), (that(1), 1)])
+                 + P.monomial(1, [(that(0), 4), (ghat(2), 1)]))
     assert f_recursion(4) == expected4
     with pytest.raises(ValueError):
         f_recursion(2)
@@ -154,8 +151,7 @@ def test_f4_substitution_matches_averaged_v04():
     expected = (P.monomial(2, [(mom(0), 3), (mom(1), 1)])
                 + P.monomial(2, [(PI2, 1), (mom(0), 4)]))
     assert sub == expected
-    avg = mu_average(v0n_reduced(4), range(1, 5), MomentContext(4))
-    assert sub == avg.body
+    assert sub == mu_average(v0n_reduced(4), range(1, 5))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -163,17 +159,42 @@ def test_f_from_trees_equals_recursion(n):
     assert f_from_trees(n) == f_recursion(n)
 
 
+# The number of double trees in the two-three family at n = 3 .. 11.
+TWO_THREE_SIZES = [1, 5, 44, 572, 9952, 217968, 5768464, 179189872, 6394573984]
+
+
+def _trees_on(m):
+    """The number of trees on m boundary labels, from the Pruefer counts: the
+    boundary excesses summing to s spread over the labels in m^s / s! ways."""
+    if m == 1:
+        return 1
+    return sum(count * Fraction(m ** s, factorial(s))
+               for s in range(m - 1) for _, count in prufer_counts(m, s))
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_f_coefficients_count_two_three_trees(n):
+    # At gam1 = -1 each double tree adds its degree monomial with coefficient
+    # 1, so f_n's coefficients are positive integers summing to the family size.
+    coefficients = [c for _, c in f_recursion(n).items()]
+    assert all(c.denominator == 1 and c > 0 for c in coefficients)
+    total = sum(coefficients)
+    if n <= 6:
+        assert total == len(enumerate_family("two-three", n))
+    assert total == sum(_trees_on(len(s1)) * _trees_on(len(s2))
+                        for s1, s2 in family_splits("two-three", n))
+    assert total == TWO_THREE_SIZES[n - 3]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_recursion_equals_averaged_volumes(n):
     lhs = f_substituted(n)
-    rhs = mu_average(v0n_reduced(n), range(1, n + 1), MomentContext(n))
-    assert lhs == rhs.body
+    assert lhs == mu_average(v0n_reduced(n), range(1, n + 1))
 
 
 def test_mu_average_examples():
-    ctx = MomentContext(4)
-    assert mu_average(P.one(), (1, 2, 3), ctx).body == P.of_atom(mom(0), 3)
-    avg = mu_average(v0n_reduced(4), range(1, 5), ctx).body
+    assert mu_average(P.one(), (1, 2, 3)) == P.of_atom(mom(0), 3)
+    avg = mu_average(v0n_reduced(4), range(1, 5))
     assert avg == (P.monomial(2, [(PI2, 1), (mom(0), 4)])
                    + P.monomial(2, [(mom(0), 3), (mom(1), 1)]))
 
@@ -181,7 +202,7 @@ def test_mu_average_examples():
 def test_symmetric_from_moments_round_trip():
     for n in (3, 4, 5):
         poly = v0n_reduced(n)
-        avg = mu_average(poly, range(1, n + 1), MomentContext(n)).body
+        avg = mu_average(poly, range(1, n + 1))
         assert symmetric_from_moments(avg, n) == poly
 
 
@@ -192,4 +213,4 @@ def test_symmetric_from_moments_degree_check():
 
 def test_moment_context_validation():
     with pytest.raises(ValueError):
-        MomentContext(0)
+        z_series(0)
