@@ -8,9 +8,9 @@ with a seeded Monte Carlo sampler.  See the ``wptrees`` command-line tool.
 
 The API is the submodules: ``algebra`` (exact polynomials and graded
 series), ``trees`` (tree families), ``volumes`` (the tree-sum routes),
-``genfun`` (generating functions and the recursion), ``checks`` (the
-identity battery), ``montecarlo`` (the sampler) and ``cli``;
-``import wptrees`` loads none of them.
+``genfun`` (generating functions and the recursion), ``polytope`` (the
+polytope geometry), ``checks`` (the identity battery), ``montecarlo`` (the
+sampler) and ``cli``; ``import wptrees`` loads none of them.
 """
 
 __version__ = "0.1.0"

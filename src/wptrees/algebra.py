@@ -34,7 +34,6 @@ so values can be shared freely across threads and summed in any order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -137,11 +136,17 @@ def _mul_into(out: dict[Mono, Fraction], a, b) -> None:
     """Add the product of the term lists ``a`` and ``b`` into ``out``.
 
     Cancelled terms are left in place as zeros; :func:`_nonzero` drops them.
+    A new monomial stores its product as is: ``0 + Fraction`` would take
+    the slow ``Fraction.__radd__`` path.
     """
     for ma, ca in a:
         for mb, cb in b:
             m = _mono_mul(ma, mb)
-            out[m] = out.get(m, 0) + ca * cb
+            c = ca * cb
+            if m in out:
+                out[m] += c
+            else:
+                out[m] = c
 
 
 def _nonzero(terms: dict[Mono, Fraction]) -> dict[Mono, Fraction]:
@@ -166,13 +171,13 @@ class Polynomial:
                 c = Fraction(c)
                 if c != 0:
                     cleaned[m] = c
-        object.__setattr__(self, "_terms", cleaned)
+        self._terms = cleaned
 
     @staticmethod
     def _of_terms(terms: dict[Mono, Fraction]) -> "Polynomial":
         """Wrap a dict of nonzero Fraction coefficients without copying it."""
         p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "_terms", terms)
+        p._terms = terms
         return p
 
     # -- constructors -------------------------------------------------
@@ -389,18 +394,17 @@ class Polynomial:
             return "0"
         out = ""
         for m, c in self.sorted_terms():
-            mag = -c if c < 0 else c
+            negative = c.numerator < 0
             atoms = sep.join(atom_text(a, e) for a, e in m)
-            if not atoms:
-                body = coeff_text(mag)
-            elif mag == 1:
+            if atoms and c.denominator == 1 and abs(c.numerator) == 1:
                 body = atoms
             else:
-                body = f"{coeff_text(mag)}{sep}{atoms}"
+                mag = -c if negative else c
+                body = f"{coeff_text(mag)}{sep}{atoms}" if atoms else coeff_text(mag)
             if out:
-                out += f" {'-' if c < 0 else '+'} {body}"
+                out += f" {'-' if negative else '+'} {body}"
             else:
-                out = f"-{body}" if c < 0 else body
+                out = f"-{body}" if negative else body
         return out
 
     def text(self) -> str:
@@ -465,23 +469,28 @@ def integrate_halfsquare(p: Polynomial, upper: Atom) -> Polynomial:
     return Polynomial.sum(antiderivative(m, c) for m, c in p.items())
 
 
-@dataclass(frozen=True)
 class GradedSeries:
     """A polynomial truncated by total degree in the moment atoms.
 
     The grade of a term is its total degree in m_0, m_1, ...; every stored
     term has grade <= grade_cap.  Sums re-truncate; products never form a
     term above the cap, since only term pairs whose grades add up to at most
-    grade_cap are multiplied.  Operands must share the same cap.
+    grade_cap are multiplied.  Operands must share the same cap.  Equal when
+    body and cap are.
     """
 
-    body: Polynomial
-    grade_cap: int
+    __slots__ = ("body", "grade_cap")
 
-    def __post_init__(self):
-        if self.grade_cap < 0:
+    def __init__(self, body: Polynomial, grade_cap: int):
+        if grade_cap < 0:
             raise ValueError("grade_cap must be >= 0")
-        object.__setattr__(self, "body", _truncate(self.body, self.grade_cap))
+        self.body = _truncate(body, grade_cap)
+        self.grade_cap = grade_cap
+
+    def __eq__(self, other):
+        if other.__class__ is not GradedSeries:
+            return NotImplemented
+        return self.body == other.body and self.grade_cap == other.grade_cap
 
     def _check(self, other: "GradedSeries") -> None:
         if self.grade_cap != other.grade_cap:
@@ -594,7 +603,10 @@ def expand_orbits(n: int, orbits, fixed: int = 0, singled: int = 0) -> Polynomia
         head = low + tuple((atoms[i], e) for i, e in enumerate(exponents[:fixed]) if e)
         for tail in multiset_permutations(exponents[fixed:]):
             mono = head + tuple((atoms[i], e) for i, e in enumerate(tail, fixed) if e) + high
-            out[mono] = out.get(mono, 0) + coefficient
+            if mono in out:
+                out[mono] += coefficient
+            else:
+                out[mono] = coefficient
     return Polynomial._of_terms(_nonzero(out))
 
 

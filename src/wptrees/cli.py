@@ -21,7 +21,6 @@ import sys
 from fractions import Fraction
 
 from .algebra import Polynomial, lsq, poly_to_json_terms
-from .checks import identity_checks
 from .genfun import (
     f_substituted,
     htc_genfun,
@@ -201,6 +200,7 @@ def _cmd_verify_identities(args) -> int:
     if args.max_n < 3:
         raise ValueError("need --max-n >= 3")
     _check_volume_size(args.max_n, "--max-n")
+    from .checks import identity_checks  # here, so no other command loads it
     failures = 0
     for name, thunk in identity_checks(args.max_n).items():
         ok = thunk()

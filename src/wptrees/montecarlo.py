@@ -58,11 +58,9 @@ rows back as exact rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import PI2, lsq
-from .polytope import constant, member
 from .trees import canonical_key, check_enumeration_size, enumerate_family
 from .volumes import v0n_reduced
 
@@ -93,8 +91,7 @@ class _Plan:
     take what their vertex's first two left.  ``sticks`` lists each sampled
     vertex's rows in slot order, ``squares`` the rows whose partner is an
     integrated leaf (weight 1 - f^2), in edge order, and ``tests`` the row
-    pairs of the edges tested f_a + f_b < 1.  A plain class: a dataclass
-    would add a millisecond to every command's import."""
+    pairs of the edges tested f_a + f_b < 1."""
 
     __slots__ = ("slots", "drawn", "sticks", "squares", "tests")
 
@@ -214,7 +211,6 @@ def _row(key: str, kind: str, const: float, shape: str, sums, samples: int) -> d
     return row | {"estimate": const * (total / samples), "std_error": se, "exact": False}
 
 
-@dataclass
 class McReport:
     """A Monte Carlo estimate next to its exact reference.
 
@@ -223,16 +219,31 @@ class McReport:
     of both; when every row is exact it is 0 for agreement to a relative
     1e-9 and infinite otherwise.  A sampled row is never exact, whatever its
     draws.  Each row keeps the member's ``constant``, its volume without the
-    Delaunay constraints, and its ``shape``, "" for an exact row.
+    Delaunay constraints, and its ``shape``, "" for an exact row.  Two
+    reports are equal when every field is.
     """
 
-    estimate: float
-    std_error: float
-    samples: int
-    seed: int
-    reference: float
-    z_score: float
-    per_tree: list = field(default_factory=list)
+    __slots__ = ("estimate", "std_error", "samples", "seed", "reference", "z_score",
+                 "per_tree")
+
+    def __init__(self, estimate: float, std_error: float, samples: int, seed: int,
+                 reference: float, z_score: float, per_tree: list | None = None):
+        self.estimate, self.std_error = estimate, std_error
+        self.samples, self.seed = samples, seed
+        self.reference, self.z_score = reference, z_score
+        self.per_tree = [] if per_tree is None else per_tree
+
+    def _fields(self) -> list:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __eq__(self, other):
+        if other.__class__ is not McReport:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "McReport(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())) + ")"
 
     def unconstrained(self) -> "McReport":
         """The ablation: every row exact at its constant, the volume without
@@ -302,6 +313,7 @@ def mc_full_volume(n: int, lengths, samples: int, seed: int) -> McReport:
 
     The reference is the exact reduced tree sum evaluated at the lengths.
     """
+    from .polytope import constant, member  # here, so vol, htc, gf and trees never load it
     _check_lengths(n, lengths)
     if samples < 1:
         raise ValueError("samples must be >= 1")

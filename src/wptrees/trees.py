@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import factorial, prod
@@ -91,12 +90,24 @@ def _norm_edge(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
 class Tree:
-    """A boundary-labeled tree; a single boundary vertex has no edges."""
+    """A boundary-labeled tree; a single boundary vertex has no edges.
+    Treated as immutable: equal and hashed by (boundary, edges)."""
 
-    boundary: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
+    def __init__(self, boundary: tuple[int, ...], edges: frozenset[tuple[int, int]]):
+        self.boundary = boundary
+        self.edges = edges
+
+    def __eq__(self, other):
+        if other.__class__ is not Tree:
+            return NotImplemented
+        return self.boundary == other.boundary and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.boundary, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Tree(boundary={self.boundary!r}, edges={self.edges!r})"
 
     @staticmethod
     def make(boundary, edges) -> "Tree":
@@ -136,16 +147,26 @@ class Tree:
         return _encode(self.adjacency(), min(self.boundary), None)
 
 
-@dataclass(frozen=True)
 class DoubleTree:
-    """An ordered pair of trees with label 1 in t1 and label 2 in t2."""
+    """An ordered pair of trees with label 1 in t1 and label 2 in t2.
+    Treated as immutable: equal and hashed by (t1, t2)."""
 
-    t1: Tree
-    t2: Tree
-
-    def __post_init__(self):
-        if 1 not in self.t1.boundary or 2 not in self.t2.boundary:
+    def __init__(self, t1: Tree, t2: Tree):
+        if 1 not in t1.boundary or 2 not in t2.boundary:
             raise ValueError("double tree needs label 1 in t1 and 2 in t2")
+        self.t1 = t1
+        self.t2 = t2
+
+    def __eq__(self, other):
+        if other.__class__ is not DoubleTree:
+            return NotImplemented
+        return self.t1 == other.t1 and self.t2 == other.t2
+
+    def __hash__(self) -> int:
+        return hash((self.t1, self.t2))
+
+    def __repr__(self) -> str:
+        return f"DoubleTree(t1={self.t1!r}, t2={self.t2!r})"
 
     @cached_property
     def _key(self) -> bytes:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from wptrees import cli
+from wptrees import checks, cli
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -190,9 +190,11 @@ def no_routes(monkeypatch):
         raise AssertionError("a volume route or series was called")
 
     for name in ("v0n_reduced", "v0n_graph_sum", "full_decomposition_v0n",
-                 "f_substituted", "htc_volume", "identity_checks",
+                 "f_substituted", "htc_volume",
                  "z_series", "solve_r", "htc_genfun", "mc_full_volume"):
         monkeypatch.setattr(cli, name, computed)
+    # `verify identities` imports the battery from checks when it runs.
+    monkeypatch.setattr(checks, "identity_checks", computed)
 
 
 @pytest.mark.parametrize("argv", [
@@ -307,14 +309,19 @@ def test_ablation_sigma_is_not_an_option(no_routes, capsys):
 # threads left after sampling (None where /proc is absent).
 IMPORT_PROBE = """
 import contextlib, io, json, os, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("wptrees.") or m == "dataclasses")
 import wptrees
-state = {"submodules": sorted(m for m in sys.modules if m.startswith("wptrees."))}
+state = {"submodules": loaded()}
 from wptrees import cli
+state["after_cli"] = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     state["vol"] = cli.main(["vol", "--n", "4"])
+    state["after_vol"] = loaded()
     state["numpy_after_vol"] = "numpy" in sys.modules
     # The dimension checks read the polytope geometry.
     state["identities"] = cli.main(["verify", "identities", "--max-n", "5"])
+    state["after_identities"] = loaded()
     state["numpy_after_identities"] = "numpy" in sys.modules
     # No member at n = 4 has an inner-inner edge, so nothing is drawn.
     state["exact_mc"] = cli.main(["verify", "mc", "--n", "4", "--lengths", "1,2,1,1",
@@ -357,6 +364,21 @@ def test_numpy_is_loaded_only_to_sample(probe_state):
     assert not state["numpy_after_huge_mc"]
     assert state["mc"] == 0
     assert state["numpy_after_mc"]
+
+
+# The layers that perfbench/spans.py wraps right after `import wptrees.cli`,
+# plus cli itself.
+CLI_MODULES = ["wptrees." + name for name in
+               ("algebra", "cli", "genfun", "montecarlo", "trees", "volumes")]
+
+
+def test_exact_commands_load_only_the_layers_they_use(probe_state):
+    # No dataclasses (nor the inspect it loads), and the identity battery and
+    # the polytope geometry only with the commands that use them.
+    assert probe_state["after_cli"] == CLI_MODULES
+    assert probe_state["after_vol"] == CLI_MODULES
+    assert probe_state["after_identities"] == sorted(
+        CLI_MODULES + ["wptrees.checks", "wptrees.polytope"])
 
 
 def test_no_module_imports_an_underscore_name():

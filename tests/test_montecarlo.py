@@ -797,7 +797,8 @@ def test_mc_overflowing_constants_refused_before_drawing(monkeypatch):
 def test_mc_overflowing_constant_sum_refused_before_drawing(monkeypatch):
     # Every constant is finite, but their sum is not.
     refuse_draws(monkeypatch)
-    monkeypatch.setattr(montecarlo, "constant", lambda *args: sys.float_info.max)
+    # mc_full_volume imports the constant from polytope when it runs.
+    monkeypatch.setattr(polytope, "constant", lambda *args: sys.float_info.max)
     with pytest.raises(ValueError, match="binary64"):
         mc_full_volume(5, [1.0, 2.0, 1.0, 1.0, 1.0], samples=100, seed=1)
 
