@@ -35,7 +35,7 @@ so values can be shared freely across threads and summed in any order.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
@@ -571,11 +571,11 @@ def _placements(exponents, k: int) -> Iterator[tuple]:
         yield head + tuple(rest)
 
 
-def expand_orbits(n: int, orbits, fixed: int = 0, singled: int = 0) -> Polynomial:
-    """The sum of monomial orbits in the squared lengths L_1^2 .. L_n^2.
+def expand_orbits(orbits, fixed: int = 0, singled: int = 0) -> Polynomial:
+    """The sum of monomial orbits in pi^2 and the squared lengths L_1^2 .. L_n^2.
 
-    ``orbits`` yields ``(pairs, exponents, coefficient)``: the monomials
-    prod(pairs) * prod_i L_i^(2 e_i), where e keeps the first ``fixed``
+    ``orbits`` yields ``(p, exponents, coefficient)``, n = len(exponents): the
+    monomials pi^(2p) * prod_i L_i^(2 e_i), where e keeps the first ``fixed``
     ``exponents`` in place and runs over the distinct arrangements of the
     rest, each with ``coefficient`` (if callable, its value at ``exponents``).
     With ``singled`` = k > 0 the callable singles out labels 1..k and is
@@ -583,9 +583,9 @@ def expand_orbits(n: int, orbits, fixed: int = 0, singled: int = 0) -> Polynomia
     ordered choice of exponents for labels 1..k, and a disagreement raises
     ``ArithmeticError``, so the orbit's symmetry is checked, not assumed.
     """
-    atoms = [lsq(i) for i in range(1, n + 1)]
+    pairs: dict[tuple[int, int], tuple] = {}  # (i - 1, e) -> the shared (L_i^2, e)
     out: dict[Mono, Fraction] = {}
-    for pairs, exponents, coefficient in orbits:
+    for p, exponents, coefficient in orbits:
         if callable(coefficient):
             values = {coefficient(a) for a in _placements(exponents, singled)}
             if len(values) != 1:
@@ -595,14 +595,12 @@ def expand_orbits(n: int, orbits, fixed: int = 0, singled: int = 0) -> Polynomia
         coefficient = Fraction(coefficient)
         if not coefficient:
             continue
-        pairs = sorted((a, e) for a, e in pairs if e)
-        if any(a.kind == _LSQ for a, _ in pairs):
-            raise ValueError("orbit pairs must not hold squared-length atoms")
-        low = tuple(ae for ae in pairs if ae[0].kind < _LSQ)
-        high = tuple(ae for ae in pairs if ae[0].kind > _LSQ)
-        head = low + tuple((atoms[i], e) for i, e in enumerate(exponents[:fixed]) if e)
+        for i, e in product(range(len(exponents)), set(exponents) - {0}):
+            pairs.setdefault((i, e), (lsq(i + 1), e))
+        head = ((PI2, p),) if p else ()
+        head += tuple(pairs[i, e] for i, e in enumerate(exponents[:fixed]) if e)
         for tail in multiset_permutations(exponents[fixed:]):
-            mono = head + tuple((atoms[i], e) for i, e in enumerate(tail, fixed) if e) + high
+            mono = head + tuple(pairs[i, e] for i, e in enumerate(tail, fixed) if e)
             if mono in out:
                 out[mono] += coefficient
             else:

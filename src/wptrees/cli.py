@@ -40,8 +40,8 @@ from .volumes import (
 )
 
 
-# The largest n whose volumes were measured to finish: on a 2-vCPU, 7 GB VM
-# ``vol --n 12`` takes about 11 s and 350 MB, ``vol --n 13`` 50 s and 1.8 GB.
+# The largest n whose volumes were measured to finish: on a 2-vCPU, 8 GB VM
+# ``vol --n 12`` takes about 9 s and 220 MB, ``vol --n 13`` 34 s and 870 MB.
 VOLUME_MAX_N = 13
 
 # The largest series order measured to finish: ``gf --target h`` takes 7 s at
@@ -78,6 +78,8 @@ def _parse_length(field: str) -> Fraction:
                          else f"{field!r} is not a decimal or p/q in ASCII digits")
     frac, exp = match["frac"] or "", match["exp"] or "0"
     num, den = (match["int"] + frac).lstrip("0"), (match["den"] or "1").lstrip("0")
+    if not den:
+        raise ValueError(f"{field!r} has a zero denominator")
     # The value is num / den * 10^scale.  With num within the bound, a |scale|
     # past twice the bound puts the numerator or the denominator past it; an
     # exponent of ten digits or more stands for such a scale.
@@ -100,7 +102,7 @@ def _parse_lengths(text: str, n: int) -> list[Fraction]:
         raise ValueError(f"expected {n} comma-separated lengths, got {len(parts)}")
     try:
         values = [_parse_length(p) for p in parts]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ValueError(f"malformed length list {text!r}: {exc}") from None
     if any(v <= 0 for v in values):
         raise ValueError("lengths must be positive")

@@ -251,21 +251,21 @@ def mu_average(p: Polynomial, subset) -> Polynomial:
 def symmetric_from_moments(p: Polynomial, n: int) -> Polynomial:
     """Invert a full mu-average back to the symmetric length polynomial.
 
-    Each term must have total moment degree exactly n.  A moment monomial
-    prod_k m_k^(c_k) with coefficient C is the average of the monomial orbit
-    whose exponent multiset is {k with multiplicity c_k}; every monomial of
-    that orbit receives coefficient C * prod_k c_k! / n!, and
-    :func:`~wptrees.algebra.expand_orbits` writes them out.
+    Each term is a power of pi^2 times moments of total degree exactly n;
+    any other term raises ``ValueError``.  A moment monomial prod_k m_k^(c_k)
+    with coefficient C averages the orbit whose exponent multiset is {k with
+    multiplicity c_k}; each of its monomials receives C * prod_k c_k! / n!,
+    and :func:`~wptrees.algebra.expand_orbits` writes them out.
     """
     def orbits():
         for mono, c in p.items():
-            moments = [(a, e) for a, e in mono if a.kind == mom(0).kind]
-            orders = tuple(a.index for a, e in moments for _ in range(e))
+            exps = dict(mono)
+            pi2 = exps.pop(PI2, 0)
+            if any(a.kind != mom(0).kind for a in exps):
+                raise ValueError("a term holds an atom besides pi2 and the moments")
+            orders = tuple(a.index for a, e in exps.items() for _ in range(e))
             if len(orders) != n:
-                raise ValueError(
-                    f"term has moment degree {len(orders)}, expected {n}")
-            mult = prod(factorial(e) for _, e in moments)
-            yield ([ae for ae in mono if ae not in moments], orders,
-                   c * mult / factorial(n))
+                raise ValueError(f"term has moment degree {len(orders)}, expected {n}")
+            yield pi2, orders, c * prod(map(factorial, exps.values())) / factorial(n)
 
-    return expand_orbits(n, orbits())
+    return expand_orbits(orbits())

@@ -41,9 +41,9 @@ canonical order of the ``graph`` family (the lone-vertex pairs first, in
 the ``htc`` order of their trees, then the ``full`` pairs in ``full``
 order), so a report depends only on (seed, samples).  The shapes are drawn
 one after another in the calling thread.  ``_stream`` builds a shape's
-generator when its job first draws; a member with no inner-inner edge is
-exact and draws nothing.  Draws go in chunks of ``_CHUNK``, small enough
-that each chunk's arrays stay in cache.  Each job allocates its arrays once,
+generator when the shape is first drawn; a member with no inner-inner edge
+is exact and draws nothing.  Draws go in chunks of ``_CHUNK``, small enough
+that each chunk's arrays stay in cache.  Each shape allocates its arrays once,
 and every chunk works on views of them: per side one ``rng.random`` call
 fills the drawn slots, stick breaking runs in place, and the weights and
 their squares are summed by ufuncs and ``.sum()``.  Fresh 128 KiB arrays

@@ -147,8 +147,8 @@ def _orbit_sum(n: int, coefficient, fixed: int = 0, singled: int = 0) -> Polynom
     """The volume with coefficient(a) on pi^(2(n - 3 - sum a)) prod_b L_b^(2 a_b)."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    return expand_orbits(n, ((((PI2, n - 3 - sum(a)),), a, coefficient)
-                             for a in _representatives(n, fixed)), fixed, singled)
+    return expand_orbits(((n - 3 - sum(a), a, coefficient) for a in _representatives(n, fixed)),
+                         fixed, singled)
 
 
 def _split_sum(splits, factor):
@@ -307,8 +307,7 @@ def known_v0n(n: int) -> Polynomial:
     """
     if n not in _KNOWN_V0N:
         raise ValueError(f"no reference form for n = {n}")
-    return expand_orbits(n, ((((PI2, p),), shape + (0,) * (n - len(shape)), c)
-                             for shape, p, c in _KNOWN_V0N[n]))
+    return expand_orbits((p, shape + (0,) * (n - len(shape)), c) for shape, p, c in _KNOWN_V0N[n])
 
 
 def is_homogeneous(p: Polynomial, degree: int) -> bool:

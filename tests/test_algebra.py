@@ -140,24 +140,21 @@ def test_multiset_permutations(items):
 
 
 def test_expand_orbits_writes_each_arrangement_in_canonical_order():
-    # Atoms below and above the squared lengths, a fixed head, and a tail
-    # with repeats; the expected sum goes through Polynomial.monomial.
-    pairs = [(AUX, 2), (PI2, 1)]
-    got = expand_orbits(4, [(pairs, (1, 0, 2, 0), Fraction(3, 2))], fixed=1)
-    expected = P.sum(P.monomial(Fraction(3, 2), pairs + [(lsq(1), 1)] + [
+    # A pi^2 power, a fixed head, and a tail with repeats; the expected sum
+    # goes through Polynomial.monomial.
+    got = expand_orbits([(1, (1, 0, 2, 0), Fraction(3, 2))], fixed=1)
+    expected = P.sum(P.monomial(Fraction(3, 2), [(PI2, 1), (lsq(1), 1)] + [
         (lsq(i), e) for i, e in zip((2, 3, 4), tail) if e])
         for tail in set(permutations((0, 2, 0))))
     assert got == expected and len(got) == 3
-    with pytest.raises(ValueError, match="squared-length"):
-        expand_orbits(2, [([(lsq(1), 1)], (0, 0), 1)])
 
 
 def test_expand_orbits_guards_the_singled_labels():
     # A coefficient symmetric in labels 3.. by construction but not in 1, 2.
-    symmetric = expand_orbits(3, [((), (1, 0, 0), lambda a: 5)], singled=2)
+    symmetric = expand_orbits([(0, (1, 0, 0), lambda a: 5)], singled=2)
     assert symmetric == P.sum(P.monomial(5, [(lsq(i), 1)]) for i in (1, 2, 3))
     with pytest.raises(ArithmeticError):
-        expand_orbits(3, [((), (1, 0, 0), lambda a: 5 + a[1])], singled=2)
+        expand_orbits([(0, (1, 0, 0), lambda a: 5 + a[1])], singled=2)
 
 
 def test_series_cap_mismatch():

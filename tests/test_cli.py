@@ -257,10 +257,16 @@ def test_volume_size_above_limit_refused(no_routes, capsys, argv):
     (["htc", "--n", "4", "--lengths", "1,2,3,1e-4300"],
      "malformed length list '1,2,3,1e-4300': length '1e-4300' has more than "
      "4300 digits in its numerator or denominator"),
+    # A zero denominator is refused in words, not as Fraction's own error text.
+    (["vol", "--n", "4", "--lengths", "1,2,3,1/0"],
+     "malformed length list '1,2,3,1/0': '1/0' has a zero denominator"),
+    (["verify", "mc", "--n", "4", "--lengths", "1,2,3,0/0", "--samples", "10", "--seed", "1"],
+     "malformed length list '1,2,3,0/0': '0/0' has a zero denominator"),
 ], ids=["vol-count-n11", "vol-count-n5", "vol-nonpositive", "htc-count", "htc-nonpositive",
         "htc-l1-above-l2", "htc-l1-equals-l2", "vol-empty-field", "vol-trailing-comma",
         "vol-blank-field", "vol-empty", "htc-empty", "mc-empty", "vol-digit-separator",
-        "vol-non-ascii-digit", "vol-huge-exponent", "mc-huge-exponent", "htc-tiny-exponent"])
+        "vol-non-ascii-digit", "vol-huge-exponent", "mc-huge-exponent", "htc-tiny-exponent",
+        "vol-zero-denominator", "mc-zero-denominator"])
 def test_bad_lengths_refused_before_any_route(no_routes, capsys, argv, message):
     # Lengths are checked before the volume is computed, so a bad list
     # costs no route time and gets no V_{0,5} note ahead of the error.

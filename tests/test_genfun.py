@@ -211,6 +211,14 @@ def test_symmetric_from_moments_degree_check():
         symmetric_from_moments(P.of_atom(mom(0), 2), 3)
 
 
+@pytest.mark.parametrize("stray", [AUX, lsq(1)], ids=["r", "squared-length"])
+def test_symmetric_from_moments_refuses_other_atoms(stray):
+    # A term of the right moment degree is still refused if it holds any atom
+    # besides pi^2 and the moments, rather than passing the atom through.
+    with pytest.raises(ValueError, match="besides pi2 and the moments"):
+        symmetric_from_moments(P.monomial(1, [(PI2, 1), (mom(0), 2), (stray, 1)]), 2)
+
+
 def test_moment_context_validation():
     with pytest.raises(ValueError):
         z_series(0)
