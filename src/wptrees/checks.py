@@ -42,7 +42,8 @@ def identity_checks(max_n: int) -> dict:
 
     Each family of checks runs for n = 3 .. max_n, capped where the
     reference data or the running time ends: the table at n = 6, the
-    recursion identity at n = 7, the dimension formula at n = 5.  Zograf's
+    recursion identity at n = 7.  The dimension formula stops at n = 5 to
+    keep the command's output stable, not to save time.  Zograf's
     constant terms run from n = 4 with no cap, an oracle independent of
     the tree routes past the table.  The reduced and half-tight volumes are
     computed once per n and shared by every check of one registry.
@@ -62,10 +63,7 @@ def identity_checks(max_n: int) -> dict:
         checks[f"homogeneity-{n}"] = lambda n=n: (
             is_homogeneous(reduced(n), n - 3)
             and is_homogeneous(htc(n), n - 3))
-        # Every permutation while n! is small, the generating
-        # transpositions beyond.
-        checks[f"symmetry-{n}"] = lambda n=n: is_symmetric(
-            reduced(n), n, all_permutations=n <= 5)
+        checks[f"symmetry-{n}"] = lambda n=n: is_symmetric(reduced(n), n)
     for n in range(4, max_n + 1):
         checks[f"zograf-{n}"] = lambda n=n: _check_zograf(reduced(n), n)
 
@@ -132,13 +130,17 @@ def _check_h_genfun(max_p: int, htc) -> bool:
 
 
 def _check_dimensions(n: int) -> bool:
+    """The dimension formula against a count of the polytope's free
+    coordinates: deg - 1 angles at an inner vertex, and at boundary b
+    deg(b) - 1 for one simplex and nonid(b) - 1 for the other.  Every
+    top-dimensional tree without ideal corners has dimension 2n - 6."""
     for tree in enumerate_family("htc", n):
         top = side(tree) is not None
+        deg = tree.degrees()
         for marks in corner_markings(tree, 2):
-            a = polytope_dimension(tree, marks, mode="formula")
-            b = polytope_dimension(tree, marks, mode="rank")
-            if a != b:
-                return False
-            if top and not marks and a != 2 * n - 6:
+            count = sum(d - 1 for v, d in deg.items() if v < 0) + sum(
+                2 * deg[b] - marks.get(b, 0) - 2 for b in tree.boundary)
+            dimension = polytope_dimension(tree, marks)
+            if dimension != count or (top and not marks and dimension != 2 * n - 6):
                 return False
     return True

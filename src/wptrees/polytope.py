@@ -1,10 +1,12 @@
 """Exact geometry of the polytopes behind the tree sums, free of numpy.
 
 The tree bijection sends each half-tight tree, and each glued pair of
-trees, to a polytope of angles and simplices.  Here are its dimension,
-a tree's part (:func:`side`), a member's reading of its two (:func:`member`)
-and its volume without the Delaunay constraints (:func:`constant`);
-:mod:`wptrees.montecarlo` samples the constraints.  Conventions:
+trees, to a polytope of angles and simplices.  Here are its dimension by
+formula (:func:`polytope_dimension`; :mod:`wptrees.checks` counts its
+coordinates against it), a tree's part (:func:`side`), a member's reading
+of its two (:func:`member`) and its volume without the Delaunay
+constraints (:func:`constant`); :mod:`wptrees.montecarlo` samples the
+constraints.  Conventions:
 
 * Only top-dimensional strata enter the volumes: every inner vertex
   trivalent and all corners non-ideal.  Lower-dimensional polytopes carry
@@ -59,8 +61,6 @@ L_i^2 and rounded once.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import PI2
 from .trees import Tree
 from .volumes import ell_integral, weight_t
@@ -68,61 +68,27 @@ from .volumes import ell_integral, weight_t
 __all__ = ["polytope_dimension", "corner_markings", "side", "member", "constant"]
 
 
-# -- dimension formula and its rank-based verification ---------------------
+# -- dimension formula ------------------------------------------------------
 
-def polytope_dimension(tree: Tree, ideal=None, mode: str = "formula") -> int:
-    """Dimension of the half-tight polytope of ``tree``.
-
-    ``ideal`` maps a boundary label to its number of ideal corners (default
-    all corners non-ideal); a vertex of degree d has d corners and needs at
-    least one non-ideal one.  ``formula`` mode evaluates
+def polytope_dimension(tree: Tree, ideal=None) -> int:
+    """Dimension of the half-tight polytope of ``tree``:
 
         2n - 6 + sum_v (3 - deg(v)) + sum_b (nonid(b) - deg(b)),
 
-    with n = #boundary vertices + 1.  ``rank`` mode recomputes the same
-    number as the affine dimension of the equality-constraint system (angle
-    slots pinned to 0 at boundary vertices, per-inner-vertex angle sums,
-    per-boundary simplex sums) by exact rank computation over the rationals.
-    Every row of that system has columns of its own, so its rank is its row
-    count and ``rank`` mode is columns minus rows, a recount of the formula
-    rather than an independent check.
+    with n = #boundary vertices + 1.  ``ideal`` maps a boundary label to
+    its number of ideal corners (default all corners non-ideal); a vertex
+    of degree d has d corners and needs at least one non-ideal one.
     """
     ideal = dict(ideal or {})
-    adj = tree.adjacency()
-    deg = {v: len(nbrs) for v, nbrs in adj.items()}
+    deg = tree.degrees()
     n = len(tree.boundary) + 1
     for b, i in ideal.items():
         if b not in tree.boundary:
             raise ValueError(f"label {b} is not a boundary vertex")
         if not 0 <= i <= deg[b] - 1:
             raise ValueError("each boundary vertex needs a non-ideal corner")
-
-    if mode == "formula":
-        return (2 * n - 6 + sum(3 - d for v, d in deg.items() if v < 0)
-                - sum(ideal.values()))
-
-    if mode != "rank":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    columns: dict = {}
-
-    def col(key) -> int:
-        return columns.setdefault(key, len(columns))
-
-    rows: list[dict[int, int]] = []
-    for v in sorted(adj):
-        for u in adj[v]:
-            col(("phi", v, u))
-    for b in tree.boundary:
-        for u in adj[b]:  # boundary slots pinned to zero
-            rows.append({col(("phi", b, u)): 1})
-    for v in sorted(v for v in adj if v < 0):  # angle sum per inner vertex
-        rows.append({col(("phi", v, u)): 1 for u in adj[v]})
-    for b in tree.boundary:
-        nonid = deg[b] - ideal.get(b, 0)
-        rows.append({col(("w", b, j)): 1 for j in range(deg[b])})
-        rows.append({col(("v", b, j)): 1 for j in range(nonid)})
-    return len(columns) - _rank(rows, len(columns))
+    return (2 * n - 6 + sum(3 - d for v, d in deg.items() if v < 0)
+            - sum(ideal.values()))
 
 
 def corner_markings(tree: Tree, max_ideal: int):
@@ -143,22 +109,6 @@ def corner_markings(tree: Tree, max_ideal: int):
             acc.pop(b, None)
 
     yield from rec(0, max_ideal, {})
-
-
-def _rank(rows: list[dict[int, int]], ncols: int) -> int:
-    matrix = [[Fraction(r.get(j, 0)) for j in range(ncols)] for r in rows]
-    rank = 0
-    for j in range(ncols):
-        pivot = next((i for i in range(rank, len(matrix)) if matrix[i][j]), None)
-        if pivot is None:
-            continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        for i in range(rank + 1, len(matrix)):  # the rank needs no reduced form
-            if matrix[i][j]:
-                factor = matrix[i][j] / matrix[rank][j]
-                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[rank])]
-        rank += 1
-    return rank
 
 
 def side(tree: Tree) -> tuple | None:

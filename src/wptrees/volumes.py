@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import permutations, product
+from itertools import product
 from math import factorial, prod
 
 from .algebra import AUX, PI2, Polynomial, expand_orbits, integrate_halfsquare, lsq
@@ -323,20 +323,13 @@ def is_homogeneous(p: Polynomial, degree: int) -> bool:
     return True
 
 
-def is_symmetric(p: Polynomial, n: int, all_permutations: bool = False) -> bool:
-    """Invariance of p under permutations of L_1^2 .. L_n^2.
-
-    By default only the adjacent transpositions are checked; they generate
-    the full permutation group, so this is a complete test.  Set
-    ``all_permutations`` to check every permutation explicitly.
-    """
+def is_symmetric(p: Polynomial, n: int) -> bool:
+    """Invariance of p under permutations of L_1^2 .. L_n^2, tested on the
+    adjacent transpositions: they generate the full permutation group, so
+    this is a complete test."""
     atoms = [lsq(i) for i in range(1, n + 1)]
-    if all_permutations:
-        renamings = ({atoms[i]: atoms[perm[i]] for i in range(n)}
-                     for perm in permutations(range(n)))
-    else:
-        renamings = ({atoms[i]: atoms[i + 1], atoms[i + 1]: atoms[i]}
-                     for i in range(n - 1))
+    renamings = ({atoms[i]: atoms[i + 1], atoms[i + 1]: atoms[i]}
+                 for i in range(n - 1))
     # A renaming permutes the monomials, so p is invariant iff each renamed
     # monomial carries the coefficient of the one it came from.
     return all(p.coefficient((rename.get(a, a), e) for a, e in mono) == c

@@ -87,7 +87,7 @@ def test_criterion_7_enumerator_integrity():
 
 def test_criterion_8_dimension_formula():
     ok = passes(5, each_n("dimension-formula", 5))
-    report(8, "dimension formula = rank mode, n<=5, <=2 ideal corners", ok)
+    report(8, "dimension formula = coordinate count, n<=5, <=2 ideal corners", ok)
 
 
 def test_criterion_9_monte_carlo():
@@ -103,7 +103,7 @@ def test_criterion_9_monte_carlo():
 
 
 def test_criterion_10_invariants():
-    # Symmetry: every permutation for n <= 5, the generators of S_6 at n = 6.
+    # Symmetry on the adjacent transpositions, which generate S_n.
     ok = passes(6, each_n("homogeneity", 6) + each_n("symmetry", 6))
     poly = v0n_reduced(5)
     ok = ok and poly_from_json_terms(poly_to_json_terms(poly)) == poly

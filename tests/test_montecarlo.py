@@ -8,10 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wptrees import cli, montecarlo, polytope
+from wptrees import checks, cli, montecarlo, polytope
 from wptrees.algebra import Polynomial
 from wptrees.montecarlo import mc_full_volume
-from wptrees.polytope import corner_markings, member, polytope_dimension, side
+from wptrees.polytope import member, polytope_dimension, side
 from wptrees.trees import DoubleTree, Tree, canonical_key, enumerate_family
 from wptrees.volumes import _component, htc_volume
 
@@ -32,31 +32,13 @@ def test_dimension_formula_examples():
     assert polytope_dimension(star) == 3  # one degree-4 inner vertex
 
 
-def test_dimension_rank_mode_matches_formula():
-    for n in (3, 4, 5):
-        for tree in enumerate_family("htc", n):
-            for marks in corner_markings(tree, 2):
-                assert (polytope_dimension(tree, marks, "formula")
-                        == polytope_dimension(tree, marks, "rank"))
-
-
-@pytest.mark.parametrize("rows, ncols, rank", [
-    ([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}], 3, 2),  # row 3 = row 1 - row 2
-    ([{0: 1}, {0: 2}, {1: 3}], 2, 2),
-    ([{0: 1, 1: 1}, {0: 1, 1: 1}, {0: 2, 1: 2}], 2, 1),
-    ([{1: 1}, {0: 1, 1: 1}, {0: 1}], 2, 2),  # a pivot found below its row
-    ([{0: 2, 1: 2}, {0: 1, 1: 1}], 2, 1),  # a pivot other than 1
-], ids=["difference", "multiple", "three-copies", "swap", "scaled-pivot"])
-def test_exact_rank_eliminates_dependent_rows(rows, ncols, rank):
-    # The dimension systems' rows have disjoint supports, so they never
-    # exercise the elimination; these do.
-    assert polytope._rank(rows, ncols) == rank
+def test_dimension_check_counts_coordinates():
+    # n = 6 runs past the registry's cap of 5
+    assert all(checks._check_dimensions(n) for n in (3, 4, 5, 6))
 
 
 def test_dimension_validation():
     t = trivalent_n5_tree()
-    with pytest.raises(ValueError):
-        polytope_dimension(t, {2: 1}, mode="nope")
     with pytest.raises(ValueError):
         polytope_dimension(t, {2: 5})
     with pytest.raises(ValueError):
