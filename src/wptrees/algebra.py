@@ -128,10 +128,6 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted(merged.items()))
 
 
-def _mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
-
-
 def _mul_into(out: dict[Mono, Fraction], a, b) -> None:
     """Add the product of the term lists ``a`` and ``b`` into ``out``.
 
@@ -153,10 +149,17 @@ def _nonzero(terms: dict[Mono, Fraction]) -> dict[Mono, Fraction]:
     return {m: c for m, c in terms.items() if c}
 
 
-def _mono_order(m: Mono):
-    # Graded order: total degree first; within a degree the pair list
-    # (atom, -exponent) realizes descending lexicographic comparison.
-    return (_mono_degree(m), tuple((a, -e) for a, e in m))
+def _mono_order(m: Mono) -> tuple[int, ...]:
+    # Graded order: total degree first; within a degree the flattened
+    # (kind, index, -exponent) triples realize descending lexicographic
+    # comparison, exactly as the nested (atom, -exponent) pairs would.
+    key = [0]
+    degree = 0
+    for (kind, index), e in m:
+        key += (kind, index, -e)
+        degree += e
+    key[0] = degree
+    return tuple(key)
 
 
 class Polynomial:
@@ -392,20 +395,28 @@ class Polynomial:
         joins the coefficient and the atom powers of a term."""
         if not self._terms:
             return "0"
-        out = ""
+        texts: dict[tuple[Atom, int], str] = {}  # each atom power rendered once
+        parts: list[str] = []
         for m, c in self.sorted_terms():
             negative = c.numerator < 0
-            atoms = sep.join(atom_text(a, e) for a, e in m)
+            atom_parts = []
+            for pair in m:
+                text = texts.get(pair)
+                if text is None:
+                    text = texts[pair] = atom_text(*pair)
+                atom_parts.append(text)
+            atoms = sep.join(atom_parts)
             if atoms and c.denominator == 1 and abs(c.numerator) == 1:
                 body = atoms
             else:
                 mag = -c if negative else c
                 body = f"{coeff_text(mag)}{sep}{atoms}" if atoms else coeff_text(mag)
-            if out:
-                out += f" {'-' if negative else '+'} {body}"
-            else:
-                out = f"-{body}" if negative else body
-        return out
+            if parts:
+                parts.append(" - " if negative else " + ")
+            elif negative:
+                parts.append("-")
+            parts.append(body)
+        return "".join(parts)
 
     def text(self) -> str:
         """Canonical plain-text form, e.g. ``2*pi2 + 1/2*L1^2``."""
@@ -475,17 +486,20 @@ class GradedSeries:
     The grade of a term is its total degree in m_0, m_1, ...; every stored
     term has grade <= grade_cap.  Sums re-truncate; products never form a
     term above the cap, since only term pairs whose grades add up to at most
-    grade_cap are multiplied.  Operands must share the same cap.  Equal when
-    body and cap are.
+    grade_cap are multiplied.  A series buckets its terms by grade on its
+    first product and keeps the buckets, so one operand reused across
+    products is bucketed once.  Operands must share the same cap.  Equal
+    when body and cap are.
     """
 
-    __slots__ = ("body", "grade_cap")
+    __slots__ = ("body", "grade_cap", "_buckets")
 
     def __init__(self, body: Polynomial, grade_cap: int):
         if grade_cap < 0:
             raise ValueError("grade_cap must be >= 0")
         self.body = _truncate(body, grade_cap)
         self.grade_cap = grade_cap
+        self._buckets = None
 
     def __eq__(self, other):
         if other.__class__ is not GradedSeries:
@@ -509,12 +523,21 @@ class GradedSeries:
         self._check(other)
         cap = self.grade_cap
         out: dict[Mono, Fraction] = {}
-        others = _by_grade(other.body)
-        for ga, terms_a in _by_grade(self.body).items():
+        others = other._by_grade()
+        for ga, terms_a in self._by_grade().items():
             for gb, terms_b in others.items():
                 if ga + gb <= cap:
                     _mul_into(out, terms_a, terms_b)
         return GradedSeries(Polynomial._of_terms(_nonzero(out)), cap)
+
+    def _by_grade(self) -> dict[int, list[tuple[Mono, Fraction]]]:
+        """The terms of the body bucketed by moment grade, built once."""
+        if self._buckets is None:
+            buckets: dict[int, list[tuple[Mono, Fraction]]] = {}
+            for m, c in self.body.items():
+                buckets.setdefault(self.body.moment_grade(m), []).append((m, c))
+            self._buckets = buckets
+        return self._buckets
 
     def is_zero(self) -> bool:
         return self.body.is_zero()
@@ -531,14 +554,6 @@ def _truncate(p: Polynomial, cap: int) -> Polynomial:
     if len(kept) == len(p):
         return p
     return Polynomial(kept)
-
-
-def _by_grade(p: Polynomial) -> dict[int, list[tuple[Mono, Fraction]]]:
-    """The terms of p bucketed by moment grade."""
-    buckets: dict[int, list[tuple[Mono, Fraction]]] = {}
-    for m, c in p.items():
-        buckets.setdefault(p.moment_grade(m), []).append((m, c))
-    return buckets
 
 
 def multiset_permutations(items: Iterable) -> Iterator[tuple]:

@@ -44,9 +44,9 @@ from .volumes import (
 # ``vol --n 12`` takes about 9 s and 220 MB, ``vol --n 13`` 34 s and 870 MB.
 VOLUME_MAX_N = 13
 
-# The largest series order measured to finish: ``gf --target h`` takes 7 s at
-# order 14 and 171 s (146 MB) at order 20 on the same VM, about 3x per two
-# orders.
+# The largest series order measured to finish: ``gf --target h`` takes about
+# 1.7 s at order 14 and 29 s (111 MB) at order 20 on the same VM, about 2-4x
+# per two orders.
 GF_MAX_ORDER = 20
 
 # The most digits a length's numerator or denominator may have: CPython's

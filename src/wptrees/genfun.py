@@ -17,8 +17,9 @@ The module provides
                     Z(r) = sum_{k>=0} (-1)^k 2^k pi^(2k) r^(k+1) / (k!(k+1)!)
                            - sum_{k>=0} m_k r^k / (2^k (k!)^2);
 * ``solve_r``       the unique series root R = m_0 + O(grade 2) of Z(R) = 0,
-                    found by the fixed-point iteration R <- R - Z(R) on
-                    truncated series;
+                    lifted one grade per step: for r exact below grade g,
+                    the grade-g part of Z(r) is r's grade-g error, and
+                    subtracting it makes r exact through grade g;
 * ``htc_genfun``    H(L1, L2) = sum_{k>=0} 2^(-k) R^(k+1) (L2^2 - L1^2)^k
                     / (k! (k+1)!);
 * ``f_recursion``   the polynomials f_3, f_4, ... in t0.., gam2.., built by
@@ -111,21 +112,26 @@ def _compose_aux(p: Polynomial, r: GradedSeries) -> GradedSeries:
 def solve_r(cap: int) -> GradedSeries:
     """The series root R of Z(R) = 0 with R = m_0 + (grade >= 2).
 
-    Fixed-point iteration R <- R - Z(R) on truncated series, starting from
-    m_0.  Z(r) = r - m_0 + r * (grade >= 1) + r^2 * (...), so the step map
-    r - Z(r) has derivative 1 - Z'(R) of grade >= 1 at any R of grade >= 1:
-    an error of grade g becomes one of grade >= g + 1.  Every step thus
-    gains at least one exact grade, and cap + 1 steps always suffice;
-    a residual still nonzero after them raises ``ArithmeticError``.
+    Lifted one grade per step from R = m_0, which is exact through grade 1.
+    Z(r) = r - m_0 + r * (grade >= 1) + r^2 * (...), so Z'(R) = 1 + (grade
+    >= 1): if r agrees with R below grade g, then Z(r) = r - R up to grade
+    g.  The step for g = 2 .. cap composes Z at working cap g, with r and z
+    truncated to g; the residual is r's grade-g error and is subtracted.
+    Two guards raise ``ArithmeticError``: a residual with a term below grade
+    g at any step, and a nonzero residual of one full-cap composition after
+    the last step.
     """
     z = z_series(cap).body
-    r = GradedSeries(Polynomial.of_atom(mom(0)), cap)
-    for _ in range(cap + 2):
-        residual = _compose_aux(z, r)
-        if residual.is_zero():
-            return r
+    r = Polynomial.of_atom(mom(0))
+    for g in range(2, cap + 1):
+        residual = _compose_aux(z, GradedSeries(r, g)).body
+        if any(residual.moment_grade(m) < g for m, _ in residual.items()):
+            raise ArithmeticError(f"root lifting left a residual below grade {g}")
         r = r - residual
-    raise ArithmeticError("root iteration did not reach a zero residual")
+    root = GradedSeries(r, cap)
+    if not _compose_aux(z, root).is_zero():
+        raise ArithmeticError("root lifting did not reach a zero residual")
+    return root
 
 
 def z_residual(r: GradedSeries) -> GradedSeries:

@@ -13,12 +13,14 @@ from wptrees.algebra import (
     GradedSeries,
     Polynomial,
     expand_orbits,
+    ghat,
     integrate_halfsquare,
     lsq,
     mom,
     multiset_permutations,
     poly_from_json_terms,
     poly_to_json_terms,
+    that,
 )
 
 P = Polynomial
@@ -203,8 +205,43 @@ def test_ring_axioms(a, b, c):
 @settings(max_examples=40, deadline=None)
 def test_graded_product_matches_truncated_product(cap, a, b):
     # Operands mix pi2, r, lengths and moments, with grades up to 6 per term.
-    product = GradedSeries(a, cap) * GradedSeries(b, cap)
-    assert product.body == GradedSeries(a * b, cap).body
+    # A series keeps the grade buckets of its first product; reusing it as
+    # either operand, next to other series, must not read stale or foreign ones.
+    sa, sb = GradedSeries(a, cap), GradedSeries(b, cap)
+    ab = sa * sb
+    assert ab.body == GradedSeries(a * b, cap).body
+    assert (sa * sa).body == GradedSeries(a * a, cap).body
+    assert (ab * sa).body == GradedSeries(a * b * a, cap).body
+    assert (sb * sa).body == GradedSeries(b * a, cap).body
+
+
+# Every atom kind, with indices that tie and differ within a kind.
+ALL_KINDS = [PI2, lsq(1), lsq(2), mom(0), mom(1), AUX, that(0), that(2), ghat(2), ghat(3)]
+
+
+def nested_order(mono):
+    """The graded order as nested pairs: degree, then (atom, -exponent)."""
+    return (sum(e for _, e in mono), tuple((a, -e) for a, e in mono))
+
+
+@given(st.lists(st.dictionaries(st.sampled_from(ALL_KINDS), st.integers(1, 3), max_size=4),
+                max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_sorted_terms_follow_the_nested_graded_order(drawn):
+    # Every leading part of a drawn monomial is added, and again with its last
+    # exponent raised, which ties in degree with the part one pair longer
+    # when that pair's exponent is 1.
+    monos = set()
+    for pairs in drawn:
+        mono = tuple(sorted(pairs.items()))
+        for k in range(len(mono) + 1):
+            monos.add(mono[:k])
+            if k:
+                monos.add(mono[:k - 1] + ((mono[k - 1][0], mono[k - 1][1] + 1),))
+    expected = sorted(monos, key=nested_order)
+    # Inserted in reverse, so a key that ties two monomials keeps them reversed.
+    p = P.sum(P.monomial(1, mono) for mono in reversed(expected))
+    assert [mono for mono, _ in p.sorted_terms()] == expected
 
 
 @given(polynomials(), polynomials(), st.sampled_from(ATOMS))

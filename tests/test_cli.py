@@ -48,6 +48,7 @@ SHARED_PATH_GOLDEN = {
 MOMENT_GOLDEN = {
     "vol-n8-recursion": "vol --n 8 --method recursion",
     "gf-r7": "gf --target r --order 7",
+    "gf-r10": "gf --target r --order 10",
     "gf-h6-json": "gf --target h --order 6 --format json",
     "gf-z3-latex": "gf --target z --order 3 --format latex",
 }

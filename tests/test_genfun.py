@@ -73,22 +73,50 @@ def test_z_root_vanishes(cap):
     assert z_residual(solve_r(cap)).is_zero()
 
 
+# Each mutant of the composition adds m1, a term of grade 1, to the residual
+# at the calls it names, and the guard that must catch it is named by its
+# message (a grade-1 error keeps every power of the root truncated, so a
+# missing guard shows as the wrong message, not as a long run): at every
+# call the step for grade 2 refuses it; at the working cap 3 only, the step
+# for grade 3; at the final full-cap call only (the second call at cap 5,
+# after the step for grade 5), the closing zero-residual check.
+ROOT_GUARD_SCRIPT = """\
+import wptrees.genfun as g
+compose = g._compose_aux
+mutants = [
+    (lambda r, calls: True, "below grade 2"),
+    (lambda r, calls: r.grade_cap == 3, "below grade 3"),
+    (lambda r, calls: calls.count(5) == 2, "did not reach a zero residual"),
+]
+for when, message in mutants:
+    calls = []
+
+    def spurious(p, r):
+        calls.append(r.grade_cap)
+        out = compose(p, r)
+        if when(r, calls):
+            out = out + g.GradedSeries(g.Polynomial.of_atom(g.mom(1)), r.grade_cap)
+        return out
+
+    g._compose_aux = spurious
+    try:
+        g.solve_r(5)
+    except ArithmeticError as exc:
+        if message not in str(exc):
+            raise SystemExit(f"{message}: another guard fired: {exc}")
+    else:
+        raise SystemExit(f"{message}: solve_r returned despite a nonzero residual")
+    g._compose_aux = compose
+    if not g.z_residual(g.solve_r(5)).is_zero():
+        raise SystemExit(f"{message}: no root after the patch was undone")
+"""
+
+
 def test_root_guard_survives_optimize():
-    # Under ``python -O`` a bare assert would vanish; the guard must not.
-    # With a nonzero residual at every step the iteration never settles, so
-    # it must raise; it solves cleanly again once the composition is restored.
-    code = ("import wptrees.genfun as g\n"
-            "compose = g._compose_aux\n"
-            "g._compose_aux = lambda p, r: g.GradedSeries(g.Polynomial.one(), r.grade_cap)\n"
-            "try:\n"
-            "    g.solve_r(3)\n"
-            "except ArithmeticError:\n"
-            "    g._compose_aux = compose\n"
-            "    if not g.z_residual(g.solve_r(3)).is_zero():\n"
-            "        raise SystemExit('no root after the patch was undone')\n"
-            "    raise SystemExit(0)\n"
-            "raise SystemExit('solve_r returned despite a nonzero residual')\n")
-    out = subprocess.run([sys.executable, "-O", "-c", code],
+    # Under ``python -O`` a bare assert would vanish; both guards must not.
+    # Each mutant must make solve_r raise from the guard meant for it, and
+    # solve_r must solve again once the composition is restored.
+    out = subprocess.run([sys.executable, "-O", "-c", ROOT_GUARD_SCRIPT],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
 
