@@ -24,6 +24,12 @@ appears only in :meth:`Polynomial.eval_float`, which converts the bindings to
 exact rationals, evaluates exactly, and rounds once at the end
 (round-to-nearest into binary64).
 
+Substitution, differentiation, evaluation and the half-square integral (and
+elsewhere the mu-average and the symmetry test) are term rules handed to
+:meth:`Polynomial.map_terms`, the one place where the like terms of a
+rewritten polynomial are summed.  Ring operations, the series grade filters
+and :func:`expand_orbits` keep their own loops.
+
 Canonical term order, used by every serializer: ascending total degree, then
 descending lexicographic with respect to the atom order
 
@@ -35,7 +41,7 @@ so values can be shared freely across threads and summed in any order.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
@@ -168,13 +174,7 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Mono, Fraction] | None = None):
-        cleaned: dict[Mono, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    cleaned[m] = c
-        self._terms = cleaned
+        self._terms = {m: f for m, c in (terms or {}).items() if (f := Fraction(c))}
 
     @staticmethod
     def _of_terms(terms: dict[Mono, Fraction]) -> "Polynomial":
@@ -318,57 +318,65 @@ class Polynomial:
             e >>= 1
         return result
 
-    # -- calculus -------------------------------------------------------
+    # -- term rewriting --------------------------------------------------
+
+    def map_terms(self, rule) -> "Polynomial":
+        """One term ``rule(monomial, coefficient)`` per term, a ``(monomial,
+        coefficient)`` pair or None to drop the term.  Like terms are summed,
+        and zeros dropped, once at the end."""
+        out: dict[Mono, Fraction] = {}
+        for m, c in self._terms.items():
+            term = rule(m, c)
+            if term is not None:
+                m, c = term
+                if m in out:
+                    out[m] += c
+                else:
+                    out[m] = c
+        return Polynomial._of_terms(_nonzero(out))
 
     def partial(self, x: Atom) -> "Polynomial":
         """Formal partial derivative with respect to the atom x."""
-        out: dict[Mono, Fraction] = {}
-        for m, c in self._terms.items():
+        def rule(m: Mono, c: Fraction):
             for i, (a, e) in enumerate(m):
                 if a == x:
                     rest = m[:i] + ((a, e - 1),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
-                    s = out.get(rest, Fraction(0)) + c * e
-                    if s:
-                        out[rest] = s
-                    else:
-                        out.pop(rest, None)
-                    break
-        return Polynomial(out)
+                    return rest, c * e
+            return None
 
-    def substitute(self, mapping: Mapping[Atom, "Polynomial"]) -> "Polynomial":
-        """Simultaneous substitution of atoms by polynomials."""
-        # Powers of each replacement are cached; unmapped atoms pass through.
-        power_cache: dict[tuple[Atom, int], Polynomial] = {}
+        return self.map_terms(rule)
 
-        def powered(a: Atom, e: int) -> Polynomial:
-            key = (a, e)
-            got = power_cache.get(key)
-            if got is None:
-                got = mapping[a] ** e
-                power_cache[key] = got
-            return got
+    def substitute(self, mapping: Mapping[Atom, "Polynomial | Fraction | int"]) -> "Polynomial":
+        """Substitute numbers or one-term polynomials for atoms, all at once;
+        unmapped atoms pass through, and a longer image raises ``ValueError``."""
+        if any(isinstance(v, Polynomial) and len(v) > 1 for v in mapping.values()):
+            raise ValueError("an atom's image must be a number or a one-term polynomial")
+        images = {a: next(v.items(), (_EMPTY_MONO, 0)) if isinstance(v, Polynomial)
+                  else (_EMPTY_MONO, Fraction(v)) for a, v in mapping.items()}
 
-        def term(m: Mono, c: Fraction) -> Polynomial:
-            out = Polynomial.const(c)
+        def rule(m: Mono, c: Fraction):
+            merged: dict[Atom, int] = {}
             for a, e in m:
-                out = out * (powered(a, e) if a in mapping else Polynomial.of_atom(a, e))
-            return out
+                if a in images:
+                    mono, value = images[a]
+                    c *= value ** e
+                    for b, f in mono:
+                        merged[b] = merged.get(b, 0) + f * e
+                else:
+                    merged[a] = merged.get(a, 0) + e
+            return tuple(sorted(merged.items())), c
 
-        return Polynomial.sum(term(m, c) for m, c in self._terms.items())
+        return self.map_terms(rule)
 
     # -- evaluation -----------------------------------------------------
 
     def eval_exact(self, bindings: Mapping[Atom, Fraction]) -> Fraction:
         """Evaluate with exact rational bindings for every atom present."""
-        total = Fraction(0)
-        for m, c in self._terms.items():
-            val = c
-            for a, e in m:
-                if a not in bindings:
-                    raise KeyError(f"unbound atom {a.name()}")
-                val *= Fraction(bindings[a]) ** e
-            total += val
-        return total
+        atoms = dict.fromkeys(a for m in self._terms for a, _ in m)
+        unbound = [a for a in atoms if a not in bindings]
+        if unbound:
+            raise KeyError(f"unbound atom {unbound[0].name()}")
+        return self.substitute({a: bindings[a] for a in atoms}).coefficient(())
 
     def eval_float(self, bindings: Mapping[Atom, float]) -> float:
         """Correctly rounded float evaluation.
@@ -465,31 +473,26 @@ def integrate_halfsquare(p: Polynomial, upper: Atom) -> Polynomial:
     if upper == AUX:
         raise ValueError("upper bound must not be the integration symbol")
 
-    def antiderivative(m: Mono, c: Fraction) -> Polynomial:
-        aux_exp = 0
-        rest: list[tuple[Atom, int]] = []
-        for a, e in m:
-            if a == AUX:
-                aux_exp = e
-            else:
-                rest.append((a, e))
+    def antiderivative(m: Mono, c: Fraction):
         # c * u^j integrates to c * upper^(j+1) / (j+1); the 1/2 is global.
-        coeff = Fraction(c, 2 * (aux_exp + 1))
-        return Polynomial.monomial(coeff, rest) * Polynomial.of_atom(upper, aux_exp + 1)
+        powers = dict(m)
+        j = powers.pop(AUX, 0)
+        powers[upper] = powers.get(upper, 0) + j + 1
+        return tuple(sorted(powers.items())), c / (2 * (j + 1))
 
-    return Polynomial.sum(antiderivative(m, c) for m, c in p.items())
+    return p.map_terms(antiderivative)
 
 
 class GradedSeries:
     """A polynomial truncated by total degree in the moment atoms.
 
     The grade of a term is its total degree in m_0, m_1, ...; every stored
-    term has grade <= grade_cap.  Sums re-truncate; products never form a
-    term above the cap, since only term pairs whose grades add up to at most
-    grade_cap are multiplied.  A series buckets its terms by grade on its
-    first product and keeps the buckets, so one operand reused across
-    products is bucketed once.  Operands must share the same cap.  Equal
-    when body and cap are.
+    term has grade <= grade_cap.  A body passed in is truncated; sums and
+    products of series are not: sums stay within the cap, and products
+    multiply only term pairs whose grades add up to at most grade_cap.  A
+    series buckets its terms by grade on its first product and keeps the
+    buckets, so one operand reused across products is bucketed once.
+    Operands must share the same cap.  Equal when body and cap are.
     """
 
     __slots__ = ("body", "grade_cap", "_buckets")
@@ -500,6 +503,13 @@ class GradedSeries:
         self.body = _truncate(body, grade_cap)
         self.grade_cap = grade_cap
         self._buckets = None
+
+    @staticmethod
+    def _within_cap(body: Polynomial, grade_cap: int) -> "GradedSeries":
+        """Wrap a body with no term above the cap, without re-truncating it."""
+        s = GradedSeries.__new__(GradedSeries)
+        s.body, s.grade_cap, s._buckets = body, grade_cap, None
+        return s
 
     def __eq__(self, other):
         if other.__class__ is not GradedSeries:
@@ -513,11 +523,11 @@ class GradedSeries:
 
     def __add__(self, other: "GradedSeries") -> "GradedSeries":
         self._check(other)
-        return GradedSeries(self.body + other.body, self.grade_cap)
+        return GradedSeries._within_cap(self.body + other.body, self.grade_cap)
 
     def __sub__(self, other: "GradedSeries") -> "GradedSeries":
         self._check(other)
-        return GradedSeries(self.body - other.body, self.grade_cap)
+        return GradedSeries._within_cap(self.body - other.body, self.grade_cap)
 
     def __mul__(self, other: "GradedSeries") -> "GradedSeries":
         self._check(other)
@@ -528,7 +538,7 @@ class GradedSeries:
             for gb, terms_b in others.items():
                 if ga + gb <= cap:
                     _mul_into(out, terms_a, terms_b)
-        return GradedSeries(Polynomial._of_terms(_nonzero(out)), cap)
+        return GradedSeries._within_cap(Polynomial._of_terms(_nonzero(out)), cap)
 
     def _by_grade(self) -> dict[int, list[tuple[Mono, Fraction]]]:
         """The terms of the body bucketed by moment grade, built once."""
@@ -577,36 +587,17 @@ def multiset_permutations(items: Iterable) -> Iterator[tuple]:
         a[i + 1:] = reversed(a[i + 1:])
 
 
-def _placements(exponents, k: int) -> Iterator[tuple]:
-    """``exponents`` with each distinct ordered choice of k of them in front."""
-    for head in set(permutations(exponents, k)):
-        rest = list(exponents)
-        for x in head:
-            rest.remove(x)
-        yield head + tuple(rest)
-
-
-def expand_orbits(orbits, fixed: int = 0, singled: int = 0) -> Polynomial:
+def expand_orbits(orbits, fixed: int = 0) -> Polynomial:
     """The sum of monomial orbits in pi^2 and the squared lengths L_1^2 .. L_n^2.
 
     ``orbits`` yields ``(p, exponents, coefficient)``, n = len(exponents): the
     monomials pi^(2p) * prod_i L_i^(2 e_i), where e keeps the first ``fixed``
     ``exponents`` in place and runs over the distinct arrangements of the
-    rest, each with ``coefficient`` (if callable, its value at ``exponents``).
-    With ``singled`` = k > 0 the callable singles out labels 1..k and is
-    symmetric in the others by construction; it is read at every distinct
-    ordered choice of exponents for labels 1..k, and a disagreement raises
-    ``ArithmeticError``, so the orbit's symmetry is checked, not assumed.
+    rest, each with the number ``coefficient``.
     """
     pairs: dict[tuple[int, int], tuple] = {}  # (i - 1, e) -> the shared (L_i^2, e)
     out: dict[Mono, Fraction] = {}
     for p, exponents, coefficient in orbits:
-        if callable(coefficient):
-            values = {coefficient(a) for a in _placements(exponents, singled)}
-            if len(values) != 1:
-                raise ArithmeticError(
-                    "orbit coefficient depends on the placement of its exponents")
-            (coefficient,) = values
         coefficient = Fraction(coefficient)
         if not coefficient:
             continue
@@ -646,7 +637,8 @@ def poly_to_json_terms(p: Polynomial,
                 max_m = max(max_m, a.index)
             elif a.kind == _AUX:
                 has_aux = True
-    nl = max_l if n_lengths is None else n_lengths
+    lengths = [lsq(i) for i in range(1, (max_l if n_lengths is None else n_lengths) + 1)]
+    moments = [mom(k) for k in range(max_m + 1)]
 
     out = []
     for mono, c in p.sorted_terms():
@@ -654,8 +646,8 @@ def poly_to_json_terms(p: Polynomial,
         term = {
             "coeff": f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator),
             "pi2": exps.get(PI2, 0),
-            "L": [exps.get(lsq(i), 0) for i in range(1, nl + 1)],
-            "m": [exps.get(mom(k), 0) for k in range(max_m + 1)],
+            "L": [exps.get(a, 0) for a in lengths],
+            "m": [exps.get(a, 0) for a in moments],
         }
         if has_aux:
             term["r"] = exps.get(AUX, 0)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from .algebra import PI2, Polynomial, mom
+from .algebra import PI2, Polynomial, lsq, mom
 from .genfun import (
     f_from_trees,
     f_recursion,
@@ -106,10 +106,9 @@ def zograf_v(n: int) -> Fraction:
 
 
 def _check_zograf(volume: Polynomial, n: int) -> bool:
-    """The pi-only part of V_{0,n} is 2^(n-3) / (n-3)! * v_n * pi^(2(n-3))."""
-    pi_only = Polynomial({mono: c for mono, c in volume.items()
-                          if all(a == PI2 for a, _ in mono)})
-    return pi_only == Polynomial.monomial(
+    """V_{0,n} at zero lengths is 2^(n-3) / (n-3)! * v_n * pi^(2(n-3))."""
+    at_zero = volume.substitute({lsq(i): 0 for i in range(1, n + 1)})
+    return at_zero == Polynomial.monomial(
         Fraction(2 ** (n - 3), factorial(n - 3)) * zograf_v(n), [(PI2, n - 3)])
 
 

@@ -88,24 +88,16 @@ def z_series(cap: int) -> GradedSeries:
 
 def _compose_aux(p: Polynomial, r: GradedSeries) -> GradedSeries:
     """Substitute the auxiliary variable by the series r, truncating."""
-    by_exp: dict[int, list[Polynomial]] = {}
-    for mono, c in p.items():
-        e = 0
-        rest = []
-        for a, ex in mono:
-            if a == AUX:
-                e = ex
-            else:
-                rest.append((a, ex))
-        by_exp.setdefault(e, []).append(Polynomial.monomial(c, rest))
     cap = r.grade_cap
     terms = []
     power = GradedSeries(Polynomial.one(), cap)
-    for e in range(max(by_exp, default=-1) + 1):
+    for e in range(max((dict(m).get(AUX, 0) for m, _ in p.items()), default=-1) + 1):
         if e:
             power = power * r
-        if e in by_exp:
-            terms.append((power * GradedSeries(Polynomial.sum(by_exp[e]), cap)).body)
+        # the coefficient of r^e: its terms, with r^e struck out
+        part = p.map_terms(lambda m, c: (tuple(x for x in m if x[0] != AUX), c)
+                           if dict(m).get(AUX, 0) == e else None)
+        terms.append((power * GradedSeries(part, cap)).body)
     return GradedSeries(Polynomial.sum(terms), cap)
 
 
@@ -161,8 +153,7 @@ def _d_gamma(p: Polynomial, k: int) -> Polynomial:
     """d/d gam_k; at gam1 = -1, d/d gam1 scales a degree-V term by V - 2."""
     if k >= 2:
         return p.partial(ghat(k))
-    return Polynomial({mono: c * (sum(e for _, e in mono) - 2)
-                       for mono, c in p.items()})
+    return p.map_terms(lambda mono, c: (mono, c * (sum(e for _, e in mono) - 2)))
 
 
 def f_recursion(n: int) -> Polynomial:
@@ -219,13 +210,9 @@ def f_substituted(n: int) -> Polynomial:
 
     Equals the full mu-average of V_{0,n}.
     """
-    f = f_recursion(n)
-    mapping: dict = {}
-    for k in range(n - 2):
-        mapping[that(k)] = t_moment(k)
-    for k in range(2, n - 1):
-        mapping[ghat(k)] = weight_gamma(k)
-    return f.substitute(mapping) * Fraction(1, 8)
+    mapping = {that(k): t_moment(k) for k in range(n - 2)}
+    mapping.update({ghat(k): weight_gamma(k) for k in range(2, n - 1)})
+    return f_recursion(n).substitute(mapping) * Fraction(1, 8)
 
 
 # -- moment averaging ------------------------------------------------------
@@ -239,19 +226,22 @@ def mu_average(p: Polynomial, subset) -> Polynomial:
     free of moment atoms averages to moment grade exactly ``len(subset)``.
     """
     subset = set(subset)
-    terms = []
-    for mono, c in p.items():
+    length, m0 = lsq(1).kind, mom(0)
+
+    def average(mono, c):
         pairs: Counter = Counter()
+        absent = len(subset)
         for a, e in mono:
-            if a.kind == lsq(1).kind and a.index in subset:
+            if a.kind == length and a.index in subset:
                 pairs[mom(e)] += 1
+                absent -= 1
             else:
                 pairs[a] += e
-        for i in subset:
-            if not any(a.kind == lsq(1).kind and a.index == i for a, _ in mono):
-                pairs[mom(0)] += 1
-        terms.append(Polynomial.monomial(c, pairs.items()))
-    return Polynomial.sum(terms)
+        if absent:
+            pairs[m0] += absent
+        return tuple(sorted(pairs.items())), c
+
+    return p.map_terms(average)
 
 
 def symmetric_from_moments(p: Polynomial, n: int) -> Polynomial:

@@ -43,9 +43,10 @@ pi^2 power is m - 2 - s, and
 (see :func:`wptrees.trees.prufer_counts`).  Each route computes one
 coefficient per monomial orbit, and :func:`wptrees.algebra.expand_orbits`
 writes the monomials out.  The V routes are symmetric though their families
-single out labels (1, 2, 3 for ``two-three``, else 1, 2); the expander reads
-each orbit coefficient at every placement of its exponents on those labels
-and raises ``ArithmeticError`` on a mismatch, so symmetry is never assumed.
+single out labels (1, 2, 3 for ``two-three``, else 1, 2); :func:`_orbit_sum`
+reads each orbit coefficient at every placement of its exponents on those
+labels and raises ``ArithmeticError`` on a mismatch, so symmetry is never
+assumed.
 The side conditions l < L and L1 < L2 are bookkeeping on intermediate
 objects only; the final V_{0,n} are symmetric in all lengths and the
 assumption drops out.
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
+from itertools import permutations, product
 from math import factorial, prod
 
 from .algebra import AUX, PI2, Polynomial, expand_orbits, integrate_halfsquare, lsq
@@ -143,12 +144,34 @@ def _representatives(n: int, fixed: int = 0):
                     yield lead + part + (0,) * (n - fixed - k)
 
 
+def _placements(exponents, k: int):
+    """``exponents`` with each distinct ordered choice of k of them in front."""
+    for head in set(permutations(exponents, k)):
+        rest = list(exponents)
+        for x in head:
+            rest.remove(x)
+        yield head + tuple(rest)
+
+
 def _orbit_sum(n: int, coefficient, fixed: int = 0, singled: int = 0) -> Polynomial:
-    """The volume with coefficient(a) on pi^(2(n - 3 - sum a)) prod_b L_b^(2 a_b)."""
+    """The volume with coefficient(a) on pi^(2(n - 3 - sum a)) prod_b L_b^(2 a_b).
+
+    A coefficient that singles out labels 1..``singled`` (and is symmetric in
+    the others by construction) is read at every distinct ordered choice of
+    exponents for them; a disagreement raises ``ArithmeticError``.
+    """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    return expand_orbits(((n - 3 - sum(a), a, coefficient) for a in _representatives(n, fixed)),
-                         fixed, singled)
+
+    def orbits():
+        for a in _representatives(n, fixed):
+            values = {coefficient(b) for b in _placements(a, singled)}
+            if len(values) != 1:
+                raise ArithmeticError(
+                    "orbit coefficient depends on the placement of its exponents")
+            yield n - 3 - sum(a), a, values.pop()
+
+    return expand_orbits(orbits(), fixed)
 
 
 def _split_sum(splits, factor):
@@ -312,25 +335,17 @@ def known_v0n(n: int) -> Polynomial:
 
 def is_homogeneous(p: Polynomial, degree: int) -> bool:
     """True iff every monomial has pi^2-degree + squared-length degree == degree."""
-    for mono, _ in p.items():
-        total = 0
-        for a, e in mono:
-            if a.kind not in (PI2.kind, lsq(1).kind):
-                return False
-            total += e
-        if total != degree:
-            return False
-    return True
+    kinds = (PI2.kind, lsq(1).kind)
+    return all(all(a.kind in kinds for a, _ in mono) and sum(e for _, e in mono) == degree
+               for mono, _ in p.items())
 
 
 def is_symmetric(p: Polynomial, n: int) -> bool:
     """Invariance of p under permutations of L_1^2 .. L_n^2, tested on the
     adjacent transpositions: they generate the full permutation group, so
     this is a complete test."""
-    atoms = [lsq(i) for i in range(1, n + 1)]
-    renamings = ({atoms[i]: atoms[i + 1], atoms[i + 1]: atoms[i]}
-                 for i in range(n - 1))
-    # A renaming permutes the monomials, so p is invariant iff each renamed
-    # monomial carries the coefficient of the one it came from.
-    return all(p.coefficient((rename.get(a, a), e) for a, e in mono) == c
-               for rename in renamings for mono, c in p.items())
+    def swapped(i):  # p with L_i^2 and L_(i+1)^2 exchanged
+        swap = {lsq(i): lsq(i + 1), lsq(i + 1): lsq(i)}
+        return p.map_terms(lambda m, c: (tuple(sorted((swap.get(a, a), e) for a, e in m)), c))
+
+    return all(swapped(i) == p for i in range(1, n))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wptrees import algebra
 from wptrees.algebra import (
     AUX,
     PI2,
@@ -151,12 +152,48 @@ def test_expand_orbits_writes_each_arrangement_in_canonical_order():
     assert got == expected and len(got) == 3
 
 
-def test_expand_orbits_guards_the_singled_labels():
-    # A coefficient symmetric in labels 3.. by construction but not in 1, 2.
-    symmetric = expand_orbits([(0, (1, 0, 0), lambda a: 5)], singled=2)
-    assert symmetric == P.sum(P.monomial(5, [(lsq(i), 1)]) for i in (1, 2, 3))
-    with pytest.raises(ArithmeticError):
-        expand_orbits([(0, (1, 0, 0), lambda a: 5 + a[1])], singled=2)
+def test_map_terms_merges_like_terms_and_drops_cancelled_ones():
+    L1, L2 = lsq(1), lsq(2)
+    p = atom_poly(L1) - atom_poly(L2)
+    swap = {L1: L2, L2: L1}
+    renamed = p.map_terms(lambda m, c: (tuple(sorted((swap.get(a, a), e) for a, e in m)), c))
+    assert renamed == -p
+    assert p.substitute({L1: atom_poly(L2), L2: atom_poly(L1)}) == -p
+    collapsed = p.substitute({L2: atom_poly(L1)})
+    assert collapsed == P.zero() and len(collapsed) == 0
+    # Two terms onto one monomial, and a rule that drops every other term.
+    q = atom_poly(L1) * atom_poly(L2) + P.const(3) * atom_poly(L1, 2)
+    merged = q.substitute({L2: atom_poly(L1)})
+    assert merged == P.const(4) * atom_poly(L1, 2) and len(merged) == 1
+    assert q.map_terms(lambda m, c: (m, c) if len(m) == 1 else None) == P.const(3) * atom_poly(L1, 2)
+
+
+def test_substitute_refuses_a_two_term_image():
+    with pytest.raises(ValueError):
+        atom_poly(lsq(1)).substitute({lsq(1): atom_poly(lsq(2)) + atom_poly(PI2)})
+
+
+def test_series_sums_and_products_are_not_truncated_again(monkeypatch):
+    # Their terms never exceed the cap; only a body from outside is truncated.
+    sa = GradedSeries(atom_poly(mom(0)) + atom_poly(PI2) * atom_poly(mom(1), 2), 2)
+    sb = GradedSeries(atom_poly(mom(1)) + atom_poly(mom(0), 3), 2)
+
+    def refuse(p, cap):
+        raise AssertionError("truncated again")
+
+    monkeypatch.setattr(algebra, "_truncate", refuse)
+    assert (sa * sb).body == atom_poly(mom(0)) * atom_poly(mom(1))
+    assert (sa + sb).body == sa.body + sb.body
+    assert (sa - sb).body == sa.body - sb.body
+
+
+def test_json_terms_build_each_length_atom_once(monkeypatch):
+    p = P.sum(P.monomial(k, [(lsq(i), k)]) for i in range(1, 5) for k in (1, 2))
+    expected = poly_to_json_terms(p, n_lengths=6)
+    calls = []
+    monkeypatch.setattr(algebra, "lsq", lambda i: calls.append(i) or lsq(i))
+    assert poly_to_json_terms(p, n_lengths=6) == expected
+    assert calls == [1, 2, 3, 4, 5, 6]
 
 
 def test_series_cap_mismatch():
@@ -259,6 +296,14 @@ def test_integrate_then_differentiate(p):
     recovered = integrated.partial(upper)
     substituted = p.substitute({AUX: P.of_atom(upper)})
     assert recovered * 2 == substituted
+
+
+@given(polynomials(), st.fractions(max_denominator=20), st.sampled_from(ATOMS))
+@settings(max_examples=60, deadline=None)
+def test_number_image_equals_constant_image(p, value, atom):
+    by_number = p.substitute({atom: value})
+    assert by_number == p.substitute({atom: P.const(value)})
+    assert all(a != atom for mono, _ in by_number.items() for a, _ in mono)
 
 
 @given(polynomials(include_aux=True))

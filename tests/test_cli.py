@@ -446,6 +446,27 @@ def test_verify_identities_exit_zero():
     assert out.stdout.strip().endswith("0 failing identity check(s)")
 
 
+def test_verify_identities_reports_a_raising_check_as_fail(monkeypatch, capsys):
+    # A reduced-route weight scaled by (1 + a_1) trips the symmetry guard in
+    # every check that reads V_{0,n} for n >= 4; the others still run.
+    from wptrees import volumes
+    reduced_factor = volumes._reduced
+
+    def scaled(a1, a2):
+        return tuple((e1, e2, lambda w=w: w() * (1 + a1)) for e1, e2, w in reduced_factor(a1, a2))
+
+    monkeypatch.setattr(volumes, "_reduced", scaled)
+    code = cli.main(["verify", "identities", "--max-n", "4"])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == 1
+    assert {"FAIL table-v0-4", "FAIL symmetry-4", "PASS table-v0-3",
+            "PASS ell-integral-grid", "PASS enumerator-oracle-4"} <= set(lines)
+    failed = [line for line in lines if line.startswith("FAIL ")]
+    assert lines[-1] == f"FAILED: {len(failed)} failing identity check(s)"
+    assert "table-v0-4: orbit coefficient depends on the placement" in captured.err
+
+
 def test_verify_mc_small_run():
     out = run_cli("verify", "mc", "--n", "4", "--lengths", "1,2,1,1",
                   "--samples", "20000", "--seed", "1")

@@ -162,6 +162,27 @@ def test_symmetry_guard_survives_optimize():
     assert out.returncode == 0, out.stderr
 
 
+def test_orbit_sum_guards_the_singled_labels():
+    # A coefficient symmetric in labels 3.. by construction but not in 1, 2.
+    symmetric = volumes._orbit_sum(4, lambda a: 5, singled=2)
+    assert symmetric == P.sum(P.monomial(5, [(lsq(i), 1)]) for i in range(1, 5)) + 5 * P.of_atom(PI2)
+    with pytest.raises(ArithmeticError):
+        volumes._orbit_sum(4, lambda a: 5 + a[1], singled=2)
+
+
+def test_reduced_guard_catches_an_asymmetric_weight(monkeypatch):
+    # The reduced route's special factor scaled by (1 + a_1) depends on the
+    # exponent placed on label 1, so the guard's reads of an orbit disagree.
+    reduced_factor = volumes._reduced
+
+    def scaled(a1, a2):
+        return tuple((e1, e2, lambda w=w: w() * (1 + a1)) for e1, e2, w in reduced_factor(a1, a2))
+
+    monkeypatch.setattr(volumes, "_reduced", scaled)
+    with pytest.raises(ArithmeticError):
+        v0n_reduced(6)
+
+
 # -- the defining per-tree sums --------------------------------------------
 
 def tree_weight(t, skip=()):
