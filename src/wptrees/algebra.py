@@ -27,16 +27,18 @@ exact rationals, evaluates exactly, and rounds once at the end
 Substitution, differentiation, evaluation and the half-square integral (and
 elsewhere the mu-average and the symmetry test) are term rules handed to
 :meth:`Polynomial.map_terms`, the one place where the like terms of a
-rewritten polynomial are summed.  Ring operations, the series grade filters
-and :func:`expand_orbits` keep their own loops.
+rewritten polynomial are summed.  Ring operations, :func:`expand_orbits` and
+the sums and products of a :class:`GradedSeries`, which stores its terms by
+moment grade, keep their own loops.
 
 Canonical term order, used by every serializer: ascending total degree, then
 descending lexicographic with respect to the atom order
 
     pi2 < L1^2 < L2^2 < ... < m0 < m1 < ... < r < t0 < ... < gam2 < ...
 
-Monomials and coefficients are immutable and operations are pure functions,
-so values can be shared freely across threads and summed in any order.
+Monomials, coefficients, polynomials and series are immutable (a series
+writes nothing after it is built) and operations are pure functions, so
+values can be shared freely across threads and summed in any order.
 """
 from __future__ import annotations
 
@@ -155,6 +157,11 @@ def _nonzero(terms: dict[Mono, Fraction]) -> dict[Mono, Fraction]:
     return {m: c for m, c in terms.items() if c}
 
 
+def _grade(mono: Mono) -> int:
+    """The moment grade of a monomial: its total degree in the atoms m_k."""
+    return sum(e for a, e in mono if a.kind == _MOM)
+
+
 def _mono_order(m: Mono) -> tuple[int, ...]:
     # Graded order: total degree first; within a degree the flattened
     # (kind, index, -exponent) triples realize descending lexicographic
@@ -248,10 +255,6 @@ class Polynomial:
     def coefficient(self, pairs: Iterable[tuple[Atom, int]]) -> Fraction:
         mono = tuple(sorted((a, e) for a, e in pairs if e != 0))
         return self._terms.get(mono, Fraction(0))
-
-    def moment_grade(self, mono: Mono) -> int:
-        """Total degree of a monomial in the moment atoms m_k."""
-        return sum(e for a, e in mono if a.kind == _MOM)
 
     # -- ring operations ------------------------------------------------
 
@@ -484,37 +487,38 @@ def integrate_halfsquare(p: Polynomial, upper: Atom) -> Polynomial:
 
 
 class GradedSeries:
-    """A polynomial truncated by total degree in the moment atoms.
+    """A polynomial truncated by moment grade, its terms stored by grade.
 
-    The grade of a term is its total degree in m_0, m_1, ...; every stored
-    term has grade <= grade_cap.  A body passed in is truncated; sums and
-    products of series are not: sums stay within the cap, and products
-    multiply only term pairs whose grades add up to at most grade_cap.  A
-    series buckets its terms by grade on its first product and keeps the
-    buckets, so one operand reused across products is bucketed once.
-    Operands must share the same cap.  Equal when body and cap are.
+    ``parts`` maps each grade g <= grade_cap (a term's total degree in m_0,
+    m_1, ...) to the nonzero polynomial of its terms of grade g.  A body is
+    graded once and its terms above the cap dropped; sums add equal-grade
+    parts, products multiply only part pairs whose grades sum to <= the cap.
+    Operands must share the cap.  Equal when parts and cap are.
     """
 
-    __slots__ = ("body", "grade_cap", "_buckets")
+    __slots__ = ("parts", "grade_cap")
 
     def __init__(self, body: Polynomial, grade_cap: int):
         if grade_cap < 0:
             raise ValueError("grade_cap must be >= 0")
-        self.body = _truncate(body, grade_cap)
+        parts: dict[int, dict[Mono, Fraction]] = {}
+        for m, c in body._terms.items():
+            if (g := _grade(m)) <= grade_cap:
+                parts.setdefault(g, {})[m] = c
+        self.parts = {g: Polynomial._of_terms(t) for g, t in parts.items()}
         self.grade_cap = grade_cap
-        self._buckets = None
 
     @staticmethod
-    def _within_cap(body: Polynomial, grade_cap: int) -> "GradedSeries":
-        """Wrap a body with no term above the cap, without re-truncating it."""
+    def _of_parts(parts: dict[int, Polynomial], grade_cap: int) -> "GradedSeries":
+        """Wrap parts already filed by grade, none of them zero."""
         s = GradedSeries.__new__(GradedSeries)
-        s.body, s.grade_cap, s._buckets = body, grade_cap, None
+        s.parts, s.grade_cap = parts, grade_cap
         return s
 
     def __eq__(self, other):
         if other.__class__ is not GradedSeries:
             return NotImplemented
-        return self.body == other.body and self.grade_cap == other.grade_cap
+        return self.parts == other.parts and self.grade_cap == other.grade_cap
 
     def _check(self, other: "GradedSeries") -> None:
         if self.grade_cap != other.grade_cap:
@@ -523,47 +527,36 @@ class GradedSeries:
 
     def __add__(self, other: "GradedSeries") -> "GradedSeries":
         self._check(other)
-        return GradedSeries._within_cap(self.body + other.body, self.grade_cap)
-
-    def __sub__(self, other: "GradedSeries") -> "GradedSeries":
-        self._check(other)
-        return GradedSeries._within_cap(self.body - other.body, self.grade_cap)
+        parts = {**self.parts, **other.parts}
+        for g in self.parts.keys() & other.parts.keys():
+            parts[g] = self.parts[g] + other.parts[g]
+        return GradedSeries._of_parts({g: p for g, p in parts.items() if p}, self.grade_cap)
 
     def __mul__(self, other: "GradedSeries") -> "GradedSeries":
         self._check(other)
         cap = self.grade_cap
-        out: dict[Mono, Fraction] = {}
-        others = other._by_grade()
-        for ga, terms_a in self._by_grade().items():
-            for gb, terms_b in others.items():
+        out: dict[int, dict[Mono, Fraction]] = {}
+        for ga, pa in self.parts.items():
+            for gb, pb in other.parts.items():
                 if ga + gb <= cap:
-                    _mul_into(out, terms_a, terms_b)
-        return GradedSeries._within_cap(Polynomial._of_terms(_nonzero(out)), cap)
+                    _mul_into(out.setdefault(ga + gb, {}),
+                              pa._terms.items(), pb._terms.items())
+        parts = {g: Polynomial._of_terms(t) for g, terms in out.items()
+                 if (t := _nonzero(terms))}
+        return GradedSeries._of_parts(parts, cap)
 
-    def _by_grade(self) -> dict[int, list[tuple[Mono, Fraction]]]:
-        """The terms of the body bucketed by moment grade, built once."""
-        if self._buckets is None:
-            buckets: dict[int, list[tuple[Mono, Fraction]]] = {}
-            for m, c in self.body.items():
-                buckets.setdefault(self.body.moment_grade(m), []).append((m, c))
-            self._buckets = buckets
-        return self._buckets
+    @property
+    def body(self) -> Polynomial:
+        """All terms of the series, the union of its parts."""
+        return Polynomial._of_terms(
+            {m: c for p in self.parts.values() for m, c in p._terms.items()})
 
     def is_zero(self) -> bool:
-        return self.body.is_zero()
+        return not self.parts
 
     def grade_part(self, g: int) -> Polynomial:
         """The sum of terms of exact grade g."""
-        terms = {m: c for m, c in self.body.items()
-                 if self.body.moment_grade(m) == g}
-        return Polynomial(terms)
-
-
-def _truncate(p: Polynomial, cap: int) -> Polynomial:
-    kept = {m: c for m, c in p.items() if p.moment_grade(m) <= cap}
-    if len(kept) == len(p):
-        return p
-    return Polynomial(kept)
+        return self.parts.get(g, Polynomial.zero())
 
 
 def multiset_permutations(items: Iterable) -> Iterator[tuple]:
@@ -652,7 +645,7 @@ def poly_to_json_terms(p: Polynomial,
         if has_aux:
             term["r"] = exps.get(AUX, 0)
         if with_grade:
-            term["grade"] = p.moment_grade(mono)
+            term["grade"] = _grade(mono)
         out.append(term)
     return out
 

@@ -112,20 +112,23 @@ def _parse_lengths(text: str, n: int) -> list[Fraction]:
 def _print_volume(poly: Polynomial, args, meta: dict, lengths) -> None:
     """Print a volume polynomial, or its value at ``lengths`` when given (the
     JSON then records the lengths and lists no L exponents)."""
-    n_lengths = args.n
     if lengths:
         poly = poly.substitute({lsq(i + 1): v * v for i, v in enumerate(lengths)})
         if any(max(abs(c.numerator), c.denominator) >= _TOO_LONG for _, c in poly.items()):
             raise ValueError(f"the value at these lengths has a coefficient of more than "
                              f"{LENGTH_MAX_DIGITS} digits, too long to print")
         meta["lengths"] = [str(v) for v in lengths]
-        n_lengths = 0
-    if args.format == "text":
+    _print_poly(poly, args.format, meta, n_lengths=0 if lengths else args.n)
+
+
+def _print_poly(poly: Polynomial, fmt: str, meta: dict, **json_options) -> None:
+    """Print ``poly`` as text, LaTeX, or JSON: ``meta`` and then the terms."""
+    if fmt == "text":
         print(poly.text())
-    elif args.format == "latex":
+    elif fmt == "latex":
         print(poly.latex())
     else:
-        print(json.dumps({**meta, "terms": poly_to_json_terms(poly, n_lengths=n_lengths)}))
+        print(json.dumps({**meta, "terms": poly_to_json_terms(poly, **json_options)}))
 
 
 def _cmd_vol(args) -> int:
@@ -169,18 +172,8 @@ def _cmd_gf(args) -> int:
         raise ValueError(f"series are limited to --order <= {GF_MAX_ORDER}, "
                          f"got --order {args.order}")
     series = {"z": z_series, "r": solve_r, "h": htc_genfun}[args.target](args.order)
-    if args.format == "text":
-        print(series.body.text())
-    elif args.format == "latex":
-        print(series.body.latex())
-    else:
-        payload = {
-            "command": "gf",
-            "target": args.target,
-            "grade_cap": series.grade_cap,
-            "terms": poly_to_json_terms(series.body, with_grade=True),
-        }
-        print(json.dumps(payload))
+    meta = {"command": "gf", "target": args.target, "grade_cap": series.grade_cap}
+    _print_poly(series.body, args.format, meta, with_grade=True)
     return 0
 
 

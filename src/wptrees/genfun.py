@@ -3,7 +3,7 @@
 A measure mu enters only through its moments m_k = int dmu(L) L^(2k); the
 per-boundary weight in moment form is t_k[mu] = 2 m_k / (4^k k!).  Series
 are graded by the number of mu-integrations: every atom m_k carries grade 1,
-and a :class:`~wptrees.algebra.GradedSeries` keeps terms up to a cap.
+and a :class:`~wptrees.algebra.GradedSeries` stores terms by grade up to a cap.
 
 The module provides
 
@@ -89,7 +89,7 @@ def z_series(cap: int) -> GradedSeries:
 def _compose_aux(p: Polynomial, r: GradedSeries) -> GradedSeries:
     """Substitute the auxiliary variable by the series r, truncating."""
     cap = r.grade_cap
-    terms = []
+    out = GradedSeries(Polynomial.zero(), cap)
     power = GradedSeries(Polynomial.one(), cap)
     for e in range(max((dict(m).get(AUX, 0) for m, _ in p.items()), default=-1) + 1):
         if e:
@@ -97,8 +97,8 @@ def _compose_aux(p: Polynomial, r: GradedSeries) -> GradedSeries:
         # the coefficient of r^e: its terms, with r^e struck out
         part = p.map_terms(lambda m, c: (tuple(x for x in m if x[0] != AUX), c)
                            if dict(m).get(AUX, 0) == e else None)
-        terms.append((power * GradedSeries(part, cap)).body)
-    return GradedSeries(Polynomial.sum(terms), cap)
+        out = out + power * GradedSeries(part, cap)
+    return out
 
 
 def solve_r(cap: int) -> GradedSeries:
@@ -116,10 +116,10 @@ def solve_r(cap: int) -> GradedSeries:
     z = z_series(cap).body
     r = Polynomial.of_atom(mom(0))
     for g in range(2, cap + 1):
-        residual = _compose_aux(z, GradedSeries(r, g)).body
-        if any(residual.moment_grade(m) < g for m, _ in residual.items()):
+        residual = _compose_aux(z, GradedSeries(r, g))
+        if any(h < g for h in residual.parts):
             raise ArithmeticError(f"root lifting left a residual below grade {g}")
-        r = r - residual
+        r = r - residual.body
     root = GradedSeries(r, cap)
     if not _compose_aux(z, root).is_zero():
         raise ArithmeticError("root lifting did not reach a zero residual")
@@ -134,17 +134,14 @@ def z_residual(r: GradedSeries) -> GradedSeries:
 def htc_genfun(cap: int) -> GradedSeries:
     """H(L1, L2) = sum_k 2^(-k) R^(k+1) (L2^2 - L1^2)^k / (k! (k+1)!).
 
-    Terms with k >= cap vanish under truncation since R has grade >= 1.
+    The sum is built as a polynomial in r and composed with R; terms with
+    k >= cap vanish under truncation since R has grade >= 1.
     """
-    r = solve_r(cap)
     diff = Polynomial.of_atom(lsq(2)) - Polynomial.of_atom(lsq(1))
-    out = GradedSeries(Polynomial.zero(), cap)
-    r_power = r
-    for k in range(cap):
-        coeff = Fraction(1, 2 ** k * factorial(k) * factorial(k + 1))
-        out = out + r_power * GradedSeries(diff ** k * coeff, cap)
-        r_power = r_power * r
-    return out
+    h = Polynomial.sum(
+        Polynomial.monomial(Fraction(1, 2 ** k * factorial(k) * factorial(k + 1)),
+                            [(AUX, k + 1)]) * diff ** k for k in range(cap))
+    return _compose_aux(h, solve_r(cap))
 
 
 # -- the boundary-insertion recursion ------------------------------------

@@ -173,18 +173,23 @@ def test_substitute_refuses_a_two_term_image():
         atom_poly(lsq(1)).substitute({lsq(1): atom_poly(lsq(2)) + atom_poly(PI2)})
 
 
-def test_series_sums_and_products_are_not_truncated_again(monkeypatch):
-    # Their terms never exceed the cap; only a body from outside is truncated.
+def test_series_operations_never_grade_a_term_again(monkeypatch):
+    # A series grades a body once, when built; sums, products and the
+    # readers work on its parts as filed.
     sa = GradedSeries(atom_poly(mom(0)) + atom_poly(PI2) * atom_poly(mom(1), 2), 2)
     sb = GradedSeries(atom_poly(mom(1)) + atom_poly(mom(0), 3), 2)
+    body_a, body_b = sa.body, sb.body
 
-    def refuse(p, cap):
-        raise AssertionError("truncated again")
+    def refuse(mono):
+        raise AssertionError("graded again")
 
-    monkeypatch.setattr(algebra, "_truncate", refuse)
+    monkeypatch.setattr(algebra, "_grade", refuse)
     assert (sa * sb).body == atom_poly(mom(0)) * atom_poly(mom(1))
-    assert (sa + sb).body == sa.body + sb.body
-    assert (sa - sb).body == sa.body - sb.body
+    assert (sa + sb).body == body_a + body_b
+    assert sa.grade_part(2) == atom_poly(PI2) * atom_poly(mom(1), 2)
+    assert sb.grade_part(3) == P.zero()
+    assert not (sa * sb).is_zero() and (sa * sb * sb).is_zero()
+    assert sa + sb == sb + sa and sa != sb
 
 
 def test_json_terms_build_each_length_atom_once(monkeypatch):
@@ -242,14 +247,24 @@ def test_ring_axioms(a, b, c):
 @settings(max_examples=40, deadline=None)
 def test_graded_product_matches_truncated_product(cap, a, b):
     # Operands mix pi2, r, lengths and moments, with grades up to 6 per term.
-    # A series keeps the grade buckets of its first product; reusing it as
-    # either operand, next to other series, must not read stale or foreign ones.
+    # Each operand, sum and product, with products reused as operands, must
+    # file every term under its own grade and keep no empty part.
     sa, sb = GradedSeries(a, cap), GradedSeries(b, cap)
     ab = sa * sb
     assert ab.body == GradedSeries(a * b, cap).body
     assert (sa * sa).body == GradedSeries(a * a, cap).body
     assert (ab * sa).body == GradedSeries(a * b * a, cap).body
     assert (sb * sa).body == GradedSeries(b * a, cap).body
+    assert (sa + sb).body == GradedSeries(a + b, cap).body
+    # Cancelling sums and products: a - a, and the cross terms of (a + b)(a - b).
+    gone = sa + GradedSeries(-a, cap)
+    square_diff = (sa + sb) * GradedSeries(a - b, cap)
+    assert gone.is_zero()
+    assert square_diff.body == GradedSeries(a * a - b * b, cap).body
+    for s in (sa, sb, ab, sa * sa, ab * sa, sb * sa, sa + sb, gone, square_diff):
+        for g, part in s.parts.items():
+            assert part and g <= cap
+            assert all(algebra._grade(m) == g for m, _ in part.items())
 
 
 # Every atom kind, with indices that tie and differ within a kind.

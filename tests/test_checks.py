@@ -1,5 +1,6 @@
-"""The identity-check registry shares one computation per route and n, and
-its dimension check fails on each mutant of what it reads."""
+"""The identity-check registry shares one computation per route and n, a
+raised guard included, and its dimension check fails on each mutant of what
+it reads."""
 from collections import Counter
 
 import pytest
@@ -22,6 +23,35 @@ def test_registry_computes_each_volume_once(monkeypatch):
     assert all(thunk() for thunk in registry.values())
     assert calls == {("reduced", n): 1 for n in range(3, 6)} | {
         ("htc", n): 1 for n in range(3, 6)}
+
+
+def test_registry_keeps_a_raised_guard_and_computes_once(monkeypatch, capsys):
+    # A reduced-route weight scaled by (1 + a_1) trips the symmetry guard for
+    # n >= 4: each check that reads V_{0,n} fails with the guard's message,
+    # and the route still runs once per n.
+    from wptrees import cli, volumes
+    reduced_factor = volumes._reduced
+
+    def scaled(a1, a2):
+        return tuple((e1, e2, lambda w=w: w() * (1 + a1)) for e1, e2, w in reduced_factor(a1, a2))
+
+    calls = Counter()
+    route = checks.v0n_reduced
+
+    def counted(n):
+        calls[n] += 1
+        return route(n)
+
+    monkeypatch.setattr(volumes, "_reduced", scaled)
+    monkeypatch.setattr(checks, "v0n_reduced", counted)
+    assert cli.main(["verify", "identities", "--max-n", "6"]) == 1
+    captured = capsys.readouterr()
+    assert calls == {n: 1 for n in range(3, 7)}
+    failed = [line[5:] for line in captured.out.splitlines() if line.startswith("FAIL ")]
+    assert len(failed) == 21 and "symmetry-6" in failed and "table-v0-3" not in failed
+    assert captured.err.splitlines() == [
+        f"{name}: orbit coefficient depends on the placement of its exponents"
+        for name in failed]
 
 
 def inner_degrees(tree):

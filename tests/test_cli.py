@@ -50,6 +50,7 @@ MOMENT_GOLDEN = {
     "gf-r7": "gf --target r --order 7",
     "gf-r10": "gf --target r --order 10",
     "gf-h6-json": "gf --target h --order 6 --format json",
+    "gf-h8-json": "gf --target h --order 8 --format json",
     "gf-z3-latex": "gf --target z --order 3 --format latex",
 }
 
