@@ -19,10 +19,9 @@ rational coefficients.  The atoms are:
 
 A monomial is a sorted tuple of ``(atom, exponent)`` pairs with exponent
 >= 1; a polynomial maps monomials to nonzero ``Fraction`` coefficients.  The
-zero polynomial stores no terms.  All arithmetic is exact.  Floating point
-appears only in :meth:`Polynomial.eval_float`, which converts the bindings to
-exact rationals, evaluates exactly, and rounds once at the end
-(round-to-nearest into binary64).
+zero polynomial stores no terms.  All arithmetic is exact and the algebra
+holds no floats: the sampler evaluates its reference with
+:meth:`Polynomial.eval_exact` and rounds the result once into binary64.
 
 Substitution, differentiation, evaluation and the half-square integral (and
 elsewhere the mu-average and the symmetry test) are term rules handed to
@@ -380,16 +379,6 @@ class Polynomial:
         if unbound:
             raise KeyError(f"unbound atom {unbound[0].name()}")
         return self.substitute({a: bindings[a] for a in atoms}).coefficient(())
-
-    def eval_float(self, bindings: Mapping[Atom, float]) -> float:
-        """Correctly rounded float evaluation.
-
-        Bindings are converted to exact rationals (float -> Fraction is
-        exact), the polynomial is evaluated exactly, and the result is
-        rounded once into binary64.
-        """
-        exact = self.eval_exact({a: Fraction(v) for a, v in bindings.items()})
-        return float(exact)
 
     # -- rendering -------------------------------------------------------
 

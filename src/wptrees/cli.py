@@ -216,22 +216,16 @@ def _fmt_float(x: float) -> str:
 
 
 def _report_json(report) -> str:
+    """The report's scalar fields in the record's field order, then its rows."""
     rows = ", ".join(
         "{" + f'"key": {json.dumps(row["key"])}, "kind": "{row["kind"]}", '
         f'"estimate": {_fmt_float(row["estimate"])}, '
         f'"std_error": {_fmt_float(row["std_error"])}, '
         f'"exact": {"true" if row["exact"] else "false"}' + "}"
         for row in report.per_tree)
-    return (
-        "{"
-        f'"estimate": {_fmt_float(report.estimate)}, '
-        f'"std_error": {_fmt_float(report.std_error)}, '
-        f'"samples": {report.samples}, '
-        f'"seed": {report.seed}, '
-        f'"reference": {_fmt_float(report.reference)}, '
-        f'"z_score": {_fmt_float(report.z_score)}, '
-        f'"per_tree": [{rows}]'
-        "}")
+    scalars = "".join(f'"{name}": {value if isinstance(value, int) else _fmt_float(value)}, '
+                      for name, value in zip(report._fields, report) if name != "per_tree")
+    return "{" + scalars + f'"per_tree": [{rows}]' + "}"
 
 
 def _cmd_verify_mc(args) -> int:

@@ -52,12 +52,17 @@ No ``np.dot`` or ``@`` is called, so an OpenBLAS thread pool would serve
 nothing, and :func:`wptrees.cli.main` limits OpenBLAS to one thread.
 Only the drawing functions import numpy, so the exact commands, and a
 ``verify mc`` that samples no member, never load it.
-``McReport.unconstrained`` (the ablation) reads the constants kept on the
-rows back as exact rows.
+The reference and every constant are evaluated exactly at one set of
+bindings, ``_squares``: pi^2 and each L_i^2 rounded to binary64 and held as
+exact fractions; each result is rounded once into binary64.  A report
+(:class:`McReport`) and a side's plan (``_Plan``) are named tuples, so
+their fields are read-only.  ``McReport.unconstrained`` (the ablation)
+reads the constants kept on the rows back as exact rows.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import PI2, lsq
@@ -82,7 +87,7 @@ def _stream(seed: int, i: int):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
 
 
-class _Plan:
+class _Plan(namedtuple("_Plan", "slots drawn sticks squares tests")):
     """How one side's constraints are drawn and weighed.
 
     Row r of the side's fraction buffer holds the angle fraction at the
@@ -93,12 +98,7 @@ class _Plan:
     integrated leaf (weight 1 - f^2), in edge order, and ``tests`` the row
     pairs of the edges tested f_a + f_b < 1."""
 
-    __slots__ = ("slots", "drawn", "sticks", "squares", "tests")
-
-    def __init__(self, slots: tuple, drawn: int, sticks: tuple, squares: tuple,
-                 tests: tuple):
-        self.slots, self.drawn, self.sticks = slots, drawn, sticks
-        self.squares, self.tests = squares, tests
+    __slots__ = ()
 
 
 def _plan(constraints) -> _Plan:
@@ -211,7 +211,8 @@ def _row(key: str, kind: str, const: float, shape: str, sums, samples: int) -> d
     return row | {"estimate": const * (total / samples), "std_error": se, "exact": False}
 
 
-class McReport:
+class McReport(namedtuple("McReport", "estimate std_error samples seed reference "
+                                        "z_score per_tree")):
     """A Monte Carlo estimate next to its exact reference.
 
     ``z_score`` is (estimate - reference) / hypot(std_error, r), where
@@ -223,27 +224,7 @@ class McReport:
     reports are equal when every field is.
     """
 
-    __slots__ = ("estimate", "std_error", "samples", "seed", "reference", "z_score",
-                 "per_tree")
-
-    def __init__(self, estimate: float, std_error: float, samples: int, seed: int,
-                 reference: float, z_score: float, per_tree: list | None = None):
-        self.estimate, self.std_error = estimate, std_error
-        self.samples, self.seed = samples, seed
-        self.reference, self.z_score = reference, z_score
-        self.per_tree = [] if per_tree is None else per_tree
-
-    def _fields(self) -> list:
-        return [getattr(self, name) for name in self.__slots__]
-
-    def __eq__(self, other):
-        if other.__class__ is not McReport:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return "McReport(" + ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())) + ")"
+    __slots__ = ()
 
     def unconstrained(self) -> "McReport":
         """The ablation: every row exact at its constant, the volume without
@@ -262,10 +243,12 @@ def _zscore(estimate: float, reference: float, exact: bool, std_error: float,
     return math.copysign(math.inf, estimate - reference)
 
 
-def _bindings(lengths) -> dict:
-    out = {PI2: math.pi ** 2}
+def _squares(lengths) -> dict:
+    """pi^2 and each L_i^2, rounded to binary64 as the run binds them and
+    held as exact ``Fraction`` values."""
+    out = {PI2: Fraction(math.pi ** 2)}
     for i, length in enumerate(lengths, start=1):
-        out[lsq(i)] = float(Fraction(length) ** 2)
+        out[lsq(i)] = Fraction(float(Fraction(length) ** 2))
     return out
 
 
@@ -324,11 +307,10 @@ def mc_full_volume(n: int, lengths, samples: int, seed: int) -> McReport:
         raise ValueError(f"sampling is limited to samples x sampled shapes <= {DRAW_BUDGET}, "
                          f"got {samples} samples of at least one shape")
     try:
-        bindings = _bindings(lengths)
-        reference = v0n_reduced(n).eval_float(bindings)
+        squares = _squares(lengths)
+        reference = float(v0n_reduced(n).eval_exact(squares))  # rounded once
     except OverflowError:
         raise ValueError("the exact reference overflows binary64") from None
-    squares = {a: Fraction(v) for a, v in bindings.items()}  # the same, exactly
     constants: dict[tuple, float] = {}  # by (label, excess) signature
     members = []  # (key, kind, constant, shape): no tree is kept
     firsts: dict[str, tuple] = {}  # shape -> sampled sides of its first member

@@ -16,10 +16,13 @@ Per-vertex weights (with k = deg - 1 unless stated otherwise):
     ttilde_k(L,l) = 2 (L^2 - l^2)^k / (4^k k!)      for l < L, k >= 0
     gamma_k       = (-1)^k pi^(2k-2) / (k-1)!       for k >= 1
 
-The sums are over combinatorial trees, but no route builds a tree or
-multiplies a polynomial.  A route is a special factor at boundaries 1 and 2
-summed over a list of splits (s1, s2), the boundary labels of the two
-components (1 in s1, 2 in s2):
+The sums are over combinatorial trees, but no route builds a tree, and only
+the reduced route multiplies no polynomial.  graph-sum, the decomposition
+and H_n read each gluing weight as a coefficient of :func:`ell_integral`,
+which multiplies and raises t and ttilde polynomials (and in ``integral``
+mode integrates them) once per (e1, e2, mode), its result cached.  A route is
+a special factor at boundaries 1 and 2 summed over a list of splits
+(s1, s2), the boundary labels of the two components (1 in s1, 2 in s2):
 
     reduced        t_{deg(b1)}(L1) t_{deg(b2)-1}(L2) / 8      over ``two-three``
     graph-sum      ell_integral(deg(b1) - 1, deg(b2) - 1) / 16  over ``graph``

@@ -90,20 +90,21 @@ def test_integrate_rejects_aux_upper():
         integrate_halfsquare(P.one(), AUX)
 
 
-def test_eval_float_examples():
+def test_eval_exact_examples():
     p = P.const(2) * atom_poly(PI2)
     for i in range(1, 5):
         p = p + P.const(Fraction(1, 2)) * atom_poly(lsq(i))
-    bindings = {PI2: math.pi ** 2}
-    bindings.update({lsq(i): 1.0 for i in range(1, 5)})
-    assert p.eval_float(bindings) == pytest.approx(2 * math.pi ** 2 + 2, abs=1e-12)
-    assert P.one().eval_float({}) == 1.0
-    assert atom_poly(lsq(1)).eval_float({lsq(1): 4.0}) == 4.0
+    pi2 = Fraction(math.pi ** 2)
+    bindings = {PI2: pi2}
+    bindings.update({lsq(i): Fraction(1) for i in range(1, 5)})
+    assert p.eval_exact(bindings) == 2 * pi2 + 2
+    assert P.one().eval_exact({}) == 1
+    assert atom_poly(lsq(1)).eval_exact({lsq(1): Fraction(4)}) == 4
 
 
 def test_eval_unbound_atom_raises():
     with pytest.raises(KeyError):
-        atom_poly(PI2).eval_float({})
+        atom_poly(PI2).eval_exact({})
 
 
 def test_series_examples():

@@ -1,6 +1,7 @@
 """CLI smoke and golden tests (fresh interpreter per invocation)."""
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from wptrees import checks, cli
+from wptrees.montecarlo import McReport
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -74,6 +76,11 @@ def test_readme_golden(name):
 @pytest.mark.parametrize("name", MOMENT_GOLDEN)
 def test_moment_route_golden(name):
     assert_golden(name, MOMENT_GOLDEN[name])
+
+
+def test_exact_mc_golden():
+    # Every member at n = 4 is exact, so these bytes hold without numpy.
+    assert_golden("verify-mc-n4", "verify mc --n 4 --lengths 1,2,3,4 --samples 10 --seed 1")
 
 
 @pytest.mark.parametrize("name", SHARED_PATH_GOLDEN)
@@ -491,6 +498,23 @@ def test_verify_mc_ablation_refused_below_n5(monkeypatch, capsys, n, lengths):
     assert code == 2
     assert captured.out == ""
     assert "--ablation needs --n >= 5" in captured.err
+
+
+def test_mc_report_json_bytes():
+    # Scalars in the record's field order: 17 significant digits, integers
+    # as written, an infinite z-score as a string; then each row.
+    rows = [{"key": "B2(B3())", "kind": "half-tight", "constant": 1.5, "shape": "",
+             "estimate": 1.5, "std_error": 0.0, "exact": True},
+            {"key": "D[B1(B3())|B2(B4())]", "kind": "full", "constant": 0.5, "shape": "(())",
+             "estimate": 1 / 3, "std_error": 0.01, "exact": False}]
+    report = McReport(0.1 + 0.2, 2.5e-17, 10, 7, -1.0, -math.inf, rows)
+    assert cli._report_json(report) == (
+        '{"estimate": 0.30000000000000004, "std_error": 2.4999999999999999e-17, '
+        '"samples": 10, "seed": 7, "reference": -1, "z_score": "-inf", "per_tree": ['
+        '{"key": "B2(B3())", "kind": "half-tight", "estimate": 1.5, "std_error": 0, '
+        '"exact": true}, '
+        '{"key": "D[B1(B3())|B2(B4())]", "kind": "full", "estimate": 0.33333333333333331, '
+        '"std_error": 0.01, "exact": false}]}')
 
 
 def test_byte_stable_output():

@@ -376,7 +376,7 @@ def half_tight(n: int, lengths, samples: int, seed: int) -> montecarlo.McReport:
     report = mc_full_volume(n, lengths, samples=samples, seed=seed)
     rows = [row for row in report.per_tree if row["kind"] == "half-tight"]
     assert rows
-    reference = htc_volume(n).eval_float(montecarlo._bindings(lengths))
+    reference = float(htc_volume(n).eval_exact(montecarlo._squares(lengths)))
     return montecarlo._report(rows, reference, samples, seed)
 
 
@@ -472,6 +472,16 @@ def test_mc_unconstrained_reads_the_constants(monkeypatch, n, lengths, seed):
     assert off.estimate == math.fsum(row["constant"] for row in report.per_tree)
     assert off.estimate > off.reference
     assert off.z_score == math.inf
+
+
+
+def test_mc_records_refuse_field_assignment():
+    report = mc_full_volume(4, [1, 2, 1, 1], samples=10, seed=1)
+    with pytest.raises(AttributeError):
+        report.estimate = 0.0
+    plan = montecarlo._plan(((-1, 0, -2, 0),))
+    with pytest.raises(AttributeError):
+        plan.drawn = 0
 
 
 def test_mc_refuses_large_n_before_the_reference(monkeypatch):

@@ -127,10 +127,10 @@ def test_positivity_at_positive_lengths():
     for n in (4, 5, 6):
         poly = v0n_reduced(n)
         for _ in range(3):
-            bindings = {PI2: 9.8696044010893586}
-            bindings.update({lsq(i): rng.uniform(0.1, 5.0) ** 2
+            bindings = {PI2: Fraction(9.8696044010893586)}
+            bindings.update({lsq(i): Fraction(rng.uniform(0.1, 5.0) ** 2)
                              for i in range(1, n + 1)})
-            assert poly.eval_float(bindings) > 0
+            assert poly.eval_exact(bindings) > 0
 
 
 def test_known_table_bounds():
