@@ -1,40 +1,31 @@
-"""The registry of exact identity checks.
+"""The registry of exact identity checks and the oracles only it reads.
 
 Every exact cross-check of the package lives here once, as a named thunk
 that returns True on success.  ``wptrees verify identities`` runs the whole
 registry in order, and the acceptance suite runs named subsets of it, so
-the two can never disagree on a criterion.
+the two can never disagree on a criterion.  Here too are the table
+:func:`known_v0n`, Zograf's :func:`zograf_v`, :func:`f_from_trees` and the
+invariants :func:`is_homogeneous` and :func:`is_symmetric`, each one pass
+over a volume's terms.  Oracles that share private code with a route stay
+beside it: ``mu_average`` and ``z_residual`` in :mod:`wptrees.genfun`, the
+brute-force enumerator in :mod:`wptrees.trees`.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
-from .algebra import PI2, Polynomial, lsq, mom
-from .genfun import (
-    f_from_trees,
-    f_recursion,
-    f_substituted,
-    htc_genfun,
-    mu_average,
-    solve_r,
-    z_residual,
-)
+from .algebra import PI2, Polynomial, expand_orbits, ghat, lsq, mom, that
+from .genfun import f_recursion, f_substituted, htc_genfun, mu_average, solve_r, z_residual
 from .polytope import corner_markings, polytope_dimension, side
 from .trees import brute_force_enumerate, canonical_key, enumerate_family
 from .volumes import (
-    ell_integral,
-    full_decomposition_v0n,
-    htc_volume,
-    is_homogeneous,
-    is_symmetric,
-    known_v0n,
-    v0n_graph_sum,
-    v0n_reduced,
-)
+    ell_integral, full_decomposition_v0n, htc_volume, v0n_graph_sum, v0n_reduced)
 
-__all__ = ["identity_checks", "zograf_v"]
+__all__ = ["identity_checks", "known_v0n", "zograf_v", "f_from_trees", "is_homogeneous",
+           "is_symmetric"]
 
 
 def identity_checks(max_n: int) -> dict:
@@ -45,9 +36,11 @@ def identity_checks(max_n: int) -> dict:
     recursion identity at n = 7.  The dimension formula stops at n = 5 to
     keep the command's output stable, not to save time.  Zograf's
     constant terms run from n = 4 with no cap, an oracle independent of
-    the tree routes past the table.  The reduced and half-tight volumes are
-    computed once per n and shared by every check of one registry; so is a
-    guard's ``ArithmeticError``, raised again in each check that reads it.
+    the tree routes past the table, and the half-tight series is read
+    against H_n at every n = 3 .. max_n.  The reduced and half-tight
+    volumes are computed once per n and shared by every check of one
+    registry; so is a guard's ``ArithmeticError``, raised again in each
+    check that reads it.
     """
     checks = {}
     table_n = range(3, min(max_n, 6) + 1)
@@ -61,8 +54,7 @@ def identity_checks(max_n: int) -> dict:
             lambda n=n: full_decomposition_v0n(n) == reduced(n))
     for n in range(3, max_n + 1):
         checks[f"homogeneity-{n}"] = lambda n=n: (
-            is_homogeneous(reduced(n), n - 3)
-            and is_homogeneous(htc(n), n - 3))
+            is_homogeneous(reduced(n), n - 3) and is_homogeneous(htc(n), n - 3))
         checks[f"symmetry-{n}"] = lambda n=n: is_symmetric(reduced(n), n)
     for n in range(4, max_n + 1):
         checks[f"zograf-{n}"] = lambda n=n: _check_zograf(reduced(n), n)
@@ -74,14 +66,13 @@ def identity_checks(max_n: int) -> dict:
         z_residual(solve_r(cap)).is_zero() for cap in range(1, 6))
     checks["r-grade-2"] = _check_r_grade_2
     checks["h-genfun-matches-averages"] = (
-        lambda: _check_h_genfun(min(3, max(1, max_n - 2)), htc))
+        lambda: _check_h_genfun(max(1, max_n - 2), htc))
 
     for n in range(3, min(max_n, 6) + 1):
         checks[f"f-trees-vs-recursion-{n}"] = lambda n=n: f_from_trees(n) == f_recursion(n)
     for n in range(3, min(max_n, 7) + 1):
         checks[f"recursion-vs-volume-{n}"] = lambda n=n: (
-            f_substituted(n)
-            == mu_average(reduced(n), range(1, n + 1)))
+            f_substituted(n) == mu_average(reduced(n), range(1, n + 1)))
 
     for n in range(3, min(max_n, 6) + 1):
         checks[f"enumerator-oracle-{n}"] = lambda n=n: (
@@ -109,6 +100,31 @@ def _once(route):
     return read
 
 
+# -- oracle data and invariants ------------------------------------------
+
+# n -> (exponent shape, pi^2 power, coefficient) per orbit.
+_KNOWN_V0N = {
+    3: [((), 0, 1)],
+    4: [((), 1, 2), ((1,), 0, Fraction(1, 2))],
+    5: [((), 2, 10), ((1,), 1, 3), ((2,), 0, Fraction(1, 8)),
+        ((1, 1), 0, Fraction(1, 2))],
+    6: [((), 3, Fraction(244, 3)), ((1,), 2, 26), ((2,), 1, Fraction(3, 2)),
+        ((1, 1), 1, 6), ((3,), 0, Fraction(1, 48)), ((2, 1), 0, Fraction(3, 16)),
+        ((1, 1, 1), 0, Fraction(3, 4))],
+}
+
+
+def known_v0n(n: int) -> Polynomial:
+    """Reference closed forms of V_{0,n} for n <= 6 (oracle data).
+
+    The n = 5 row carries coefficient 3*pi^2 on sum_i L_i^2; see
+    ``wptrees.volumes.V05_COEFFICIENT_NOTE``.
+    """
+    if n not in _KNOWN_V0N:
+        raise ValueError(f"no reference form for n = {n}")
+    return expand_orbits((p, shape + (0,) * (n - len(shape)), c) for shape, p, c in _KNOWN_V0N[n])
+
+
 @cache
 def zograf_v(n: int) -> Fraction:
     """Zograf's recursion for the Weil-Petersson volumes of M_{0,n}
@@ -121,9 +137,63 @@ def zograf_v(n: int) -> Fraction:
         for i in range(1, n - 2))
 
 
+def f_from_trees(n: int) -> Polynomial:
+    """f_n read off the ``two-three`` family, one double tree at a time.
+
+    A double tree contributes the monomial prod_b t_{deg(b)-1} (with a
+    half-edge added to boundary 1, so it contributes t_{deg(b1)}) times
+    prod_v gam_{deg(v)-1}, with coefficient 1.  Enumeration is refused above
+    ``ENUMERATION_MAX_N``, and so is this sum.
+    """
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+
+    def term(d):
+        pairs = Counter()
+        for t in (d.t1, d.t2):
+            for v, deg in t.degrees().items():
+                pairs[that(deg) if v == 1 else that(deg - 1) if v > 0 else ghat(deg - 1)] += 1
+        return Polynomial.monomial(1, pairs.items())
+
+    return Polynomial.sum(term(d) for d in enumerate_family("two-three", n))
+
+
+def is_homogeneous(p: Polynomial, degree: int) -> bool:
+    """True iff every monomial has pi^2-degree + squared-length degree == degree."""
+    kinds = (PI2.kind, lsq(1).kind)
+    return all(all(a.kind in kinds for a, _ in mono) and sum(e for _, e in mono) == degree
+               for mono, _ in p.items())
+
+
+def is_symmetric(p: Polynomial, n: int) -> bool:
+    """Invariance of p under permutations of L_1^2 .. L_n^2, in one pass.
+
+    The terms are counted by (other atoms, L-exponents over labels 1..n
+    sorted with zeros, coefficient), and p is symmetric iff each count is
+    the number n! / prod mult! of distinct arrangements of its exponents:
+    the monomials are distinct, so such a group is a whole orbit with one
+    coefficient.  Length atoms with index above n count as fixed.
+    """
+    length, groups = lsq(1).kind, Counter()
+    for mono, c in p.items():
+        exponents, rest = [0] * n, []
+        for pair in mono:
+            (kind, i), e = pair
+            if kind == length and i <= n:
+                exponents[i - 1] = e
+            else:
+                rest.append(pair)
+        groups[tuple(rest), tuple(sorted(exponents)), c] += 1
+    return all(count == factorial(n) // prod(map(factorial, Counter(exponents).values()))
+               for (_, exponents, _), count in groups.items())
+
+
 def _check_zograf(volume: Polynomial, n: int) -> bool:
-    """V_{0,n} at zero lengths is 2^(n-3) / (n-3)! * v_n * pi^(2(n-3))."""
-    at_zero = volume.substitute({lsq(i): 0 for i in range(1, n + 1)})
+    """V_{0,n} at zero lengths, its terms free of L_1..L_n, is
+    2^(n-3) / (n-3)! * v_n * pi^(2(n-3))."""
+    length = lsq(1).kind
+    at_zero = volume.map_terms(
+        lambda m, c: None if any(a.kind == length and a.index <= n for a, _ in m) else (m, c))
     return at_zero == Polynomial.monomial(
         Fraction(2 ** (n - 3), factorial(n - 3)) * zograf_v(n), [(PI2, n - 3)])
 
@@ -137,11 +207,9 @@ def _check_r_grade_2() -> bool:
 
 def _check_h_genfun(max_p: int, htc) -> bool:
     h = htc_genfun(max_p)
-    for p in range(1, max_p + 1):
-        avg = mu_average(htc(p + 2), range(3, p + 3))
-        if h.grade_part(p) != avg * Fraction(1, factorial(p)):
-            return False
-    return True
+    return all(
+        h.grade_part(p) == mu_average(htc(p + 2), range(3, p + 3)) * Fraction(1, factorial(p))
+        for p in range(1, max_p + 1))
 
 
 def _check_dimensions(n: int) -> bool:

@@ -23,10 +23,8 @@ The module provides
 * ``htc_genfun``    H(L1, L2) = sum_{k>=0} 2^(-k) R^(k+1) (L2^2 - L1^2)^k
                     / (k! (k+1)!);
 * ``f_recursion``   the polynomials f_3, f_4, ... in t0.., gam2.., built by
-                    the boundary-insertion operator;
-* ``f_from_trees``  the same polynomials read off directly from the
-                    ``two-three`` tree family, one enumerated tree at a
-                    time (the reference for the recursion);
+                    the boundary-insertion operator (its tree-by-tree
+                    reference is :func:`wptrees.checks.f_from_trees`);
 * ``mu_average``    termwise replacement L_i^(2a) -> m_a over a label subset;
 * ``symmetric_from_moments``   the inverse of a full mu-average, recovering
                     the (symmetric) length polynomial.
@@ -48,7 +46,6 @@ from .algebra import (
     mom,
     that,
 )
-from .trees import enumerate_family
 from .volumes import weight_gamma
 
 __all__ = [
@@ -58,7 +55,6 @@ __all__ = [
     "solve_r",
     "htc_genfun",
     "f_recursion",
-    "f_from_trees",
     "f_substituted",
     "mu_average",
     "symmetric_from_moments",
@@ -179,27 +175,6 @@ def f_recursion(n: int) -> Polynomial:
             terms.append(Polynomial.of_atom(ghat(k + 2)) * t0 * dg)
         f = Polynomial.sum(terms)
     return f
-
-
-def f_from_trees(n: int) -> Polynomial:
-    """f_n read off the ``two-three`` family, one double tree at a time.
-
-    A double tree contributes the monomial prod_b t_{deg(b)-1} (with a
-    half-edge added to boundary 1, so it contributes t_{deg(b1)}) times
-    prod_v gam_{deg(v)-1}, with coefficient 1.  Enumeration is refused above
-    ``ENUMERATION_MAX_N``, and so is this sum.
-    """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-
-    def term(d):
-        pairs = Counter()
-        for t in (d.t1, d.t2):
-            for v, deg in t.degrees().items():
-                pairs[that(deg) if v == 1 else that(deg - 1) if v > 0 else ghat(deg - 1)] += 1
-        return Polynomial.monomial(1, pairs.items())
-
-    return Polynomial.sum(term(d) for d in enumerate_family("two-three", n))
 
 
 def f_substituted(n: int) -> Polynomial:

@@ -55,6 +55,8 @@ objects only; the final V_{0,n} are symmetric in all lengths and the
 assumption drops out.
 
 All arithmetic is exact, so the order of summation never changes a result.
+The reference table and the invariants that test these volumes
+(homogeneity, symmetry) are oracle data of :mod:`wptrees.checks`.
 """
 from __future__ import annotations
 
@@ -76,10 +78,7 @@ __all__ = [
     "v0n_graph_sum",
     "full_decomposition_v0n",
     "ell_integral",
-    "known_v0n",
     "V05_COEFFICIENT_NOTE",
-    "is_homogeneous",
-    "is_symmetric",
 ]
 
 HTC_ASSUMPTION = "0 < L1 < L2"
@@ -309,46 +308,3 @@ def full_decomposition_v0n(n: int) -> Polynomial:
     """
     return _orbit_sum(n, _split_sum(family_splits("graph", n), partial(_glued, "integral")),
                       singled=2)
-
-
-# -- oracle data and invariants ------------------------------------------
-
-# n -> (exponent shape, pi^2 power, coefficient) per orbit.
-_KNOWN_V0N = {
-    3: [((), 0, 1)],
-    4: [((), 1, 2), ((1,), 0, Fraction(1, 2))],
-    5: [((), 2, 10), ((1,), 1, 3), ((2,), 0, Fraction(1, 8)),
-        ((1, 1), 0, Fraction(1, 2))],
-    6: [((), 3, Fraction(244, 3)), ((1,), 2, 26), ((2,), 1, Fraction(3, 2)),
-        ((1, 1), 1, 6), ((3,), 0, Fraction(1, 48)), ((2, 1), 0, Fraction(3, 16)),
-        ((1, 1, 1), 0, Fraction(3, 4))],
-}
-
-
-def known_v0n(n: int) -> Polynomial:
-    """Reference closed forms of V_{0,n} for n <= 6 (oracle data).
-
-    The n = 5 row carries coefficient 3*pi^2 on sum_i L_i^2; see
-    ``V05_COEFFICIENT_NOTE``.
-    """
-    if n not in _KNOWN_V0N:
-        raise ValueError(f"no reference form for n = {n}")
-    return expand_orbits((p, shape + (0,) * (n - len(shape)), c) for shape, p, c in _KNOWN_V0N[n])
-
-
-def is_homogeneous(p: Polynomial, degree: int) -> bool:
-    """True iff every monomial has pi^2-degree + squared-length degree == degree."""
-    kinds = (PI2.kind, lsq(1).kind)
-    return all(all(a.kind in kinds for a, _ in mono) and sum(e for _, e in mono) == degree
-               for mono, _ in p.items())
-
-
-def is_symmetric(p: Polynomial, n: int) -> bool:
-    """Invariance of p under permutations of L_1^2 .. L_n^2, tested on the
-    adjacent transpositions: they generate the full permutation group, so
-    this is a complete test."""
-    def swapped(i):  # p with L_i^2 and L_(i+1)^2 exchanged
-        swap = {lsq(i): lsq(i + 1), lsq(i + 1): lsq(i)}
-        return p.map_terms(lambda m, c: (tuple(sorted((swap.get(a, a), e) for a, e in m)), c))
-
-    return all(swapped(i) == p for i in range(1, n))

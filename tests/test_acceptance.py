@@ -68,9 +68,11 @@ def test_criterion_4_trees_vs_recursion():
 
 
 def test_criterion_5_generating_functions():
-    # H is checked through grade min(3, max_n - 2), so max_n = 5 gives p <= 3.
+    # H is checked through grade max(1, max_n - 2), so max_n = 5 gives p <= 3
+    # and max_n = 10 gives p <= 8, that is, H_n for n = 3..10.
     ok = passes(5, ["z-root-through-grade-5", "h-genfun-matches-averages", "r-grade-2"])
-    report(5, "Z(R)=0 through grade 5; H grades p<=3; R grade 2", ok)
+    ok = ok and passes(10, ["h-genfun-matches-averages"])
+    report(5, "Z(R)=0 through grade 5; H grades p<=8; R grade 2", ok)
 
 
 def test_criterion_6_ell_integration():

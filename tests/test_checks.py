@@ -1,11 +1,15 @@
 """The identity-check registry shares one computation per route and n, a
-raised guard included, and its dimension check fails on each mutant of what
-it reads."""
+raised guard included; its dimension, half-tight, symmetry and Zograf
+checks fail on each mutant of what they read."""
 from collections import Counter
+from functools import cache
 
 import pytest
 
 from wptrees import checks
+from wptrees.algebra import PI2, Polynomial, lsq
+
+P = Polynomial
 
 
 def test_registry_computes_each_volume_once(monkeypatch):
@@ -68,3 +72,61 @@ def inner_degrees(tree):
 def test_dimension_check_fails_on_a_mutant(monkeypatch, name, mutant):
     monkeypatch.setattr(checks, name, mutant(getattr(checks, name)))
     assert not checks.identity_checks(5)["dimension-formula-5"]()
+
+
+def test_h_check_reads_every_half_tight_volume(monkeypatch):
+    # H_7 plus one of its own terms doubles one coefficient and stays
+    # homogeneous; only a check that reads n = 7 sees it.
+    real = checks.htc_volume
+
+    def doubled(n):
+        h = real(n)
+        if n != 7:
+            return h
+        mono, c = next(h.items())
+        return h + P.monomial(c, mono)
+
+    monkeypatch.setattr(checks, "htc_volume", doubled)
+    assert checks.identity_checks(6)["h-genfun-matches-averages"]()
+    assert not checks.identity_checks(9)["h-genfun-matches-averages"]()
+
+
+@cache
+def v09():
+    return checks.v0n_reduced(9)
+
+
+# pi^8 L_1^2 L_2^2 and its 35 other arrangements over labels 1..9.
+PAIR_TERM = ((PI2, 4), (lsq(1), 1), (lsq(2), 1))
+
+
+@pytest.mark.parametrize("change", [
+    lambda c: -c,      # one member of the orbit dropped
+    lambda c: 1,       # one coefficient raised by 1
+], ids=["member-dropped", "coefficient-raised"])
+def test_symmetry_rejects_a_broken_orbit_of_v09(change):
+    volume = v09()
+    c = volume.coefficient(PAIR_TERM)
+    assert c and checks.is_symmetric(volume, 9)
+    assert not checks.is_symmetric(volume + P.monomial(change(c), PAIR_TERM), 9)
+
+
+def test_symmetry_counts_a_higher_label_as_fixed():
+    def term(*pairs):
+        return P.monomial(1, [(lsq(i), e) for i, e in pairs])
+
+    assert checks.is_symmetric(term((1, 1), (3, 2)) + term((2, 1), (3, 2)), 2)
+    assert checks.is_symmetric(term((3, 1)), 2)
+    assert not checks.is_symmetric(term((1, 1), (3, 1)) + term((2, 1)), 2)
+    assert not checks.is_symmetric(term((3, 1)), 3)
+
+
+@pytest.mark.parametrize("extra", [
+    P.monomial(1, [(PI2, 3)]),
+    P.const(1),
+    P.monomial(1, [(PI2, 2), (lsq(7), 1)]),
+], ids=["pi-only-off-by-one", "length-free-term", "term-in-L7"])
+def test_zograf_check_rejects_a_changed_length_free_part(extra):
+    volume = checks.v0n_reduced(6)
+    assert checks._check_zograf(volume, 6)
+    assert not checks._check_zograf(volume + extra, 6)

@@ -7,8 +7,8 @@ from math import factorial
 import pytest
 
 from wptrees.algebra import AUX, PI2, GradedSeries, Polynomial, ghat, lsq, mom, that
+from wptrees.checks import f_from_trees
 from wptrees.genfun import (
-    f_from_trees,
     f_recursion,
     f_substituted,
     htc_genfun,

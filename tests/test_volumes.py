@@ -11,16 +11,13 @@ import pytest
 
 from wptrees import volumes
 from wptrees.algebra import PI2, Polynomial, lsq, mom
-from wptrees.checks import zograf_v
+from wptrees.checks import is_homogeneous, is_symmetric, known_v0n, zograf_v
 from wptrees.genfun import f_substituted, symmetric_from_moments
 from wptrees.trees import enumerate_family, family_splits
 from wptrees.volumes import (
     ell_integral,
     full_decomposition_v0n,
     htc_volume,
-    is_homogeneous,
-    is_symmetric,
-    known_v0n,
     v0n_graph_sum,
     v0n_reduced,
     weight_gamma,
