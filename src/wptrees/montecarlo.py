@@ -35,13 +35,16 @@ Every n >= 5 has a sampled shape, so there a samples count above the
 budget is refused before the reference and the enumeration.
 
 One seed drives everything: the sampled shape at index i in sorted order of
-the shape strings draws from numpy's default PCG64 generator on child i of
-``SeedSequence(seed)``, planned from the shape's first member in the
+the shape strings draws from a counter-based SplitMix64 stream keyed by
+(seed, i), planned from the shape's first member in the
 canonical order of the ``graph`` family (the lone-vertex pairs first, in
 the ``htc`` order of their trees, then the ``full`` pairs in ``full``
-order), so a report depends only on (seed, samples).  The shapes are drawn
+order), so a report depends only on (seed, samples).  Uniform j of a
+stream is mix64(key + (j + 1) gamma) >> 11 times 2^-53, mixed in integers
+on numpy ``uint64`` arrays, so the draws are the same bits on every numpy
+build and ``numpy.random`` is never loaded.  The shapes are drawn
 one after another in the calling thread.  ``_stream`` builds a shape's
-generator when the shape is first drawn; a member with no inner-inner edge
+stream when the shape is first drawn; a member with no inner-inner edge
 is exact and draws nothing.  Draws go in chunks of ``_CHUNK``, small enough
 that each chunk's arrays stay in cache.  Each shape allocates its arrays once,
 and every chunk works on views of them: per side one ``rng.random`` call
@@ -72,19 +75,73 @@ from .volumes import v0n_reduced
 __all__ = ["McReport", "mc_full_volume", "DRAW_BUDGET"]
 
 _CHUNK = 1 << 14
-# Draws of one run, samples x sampled shapes, refused above this: 17 to 25
-# minutes of drawing at the 7e7 to 1e8 draws per second measured at n = 5
-# and 6 on 2 vCPU.
+# Draws of one run, samples x sampled shapes, refused above this: 13 to 26
+# minutes of drawing at the 6.5e7 to 1.3e8 draws per second measured at
+# n = 6 and 5 on 2 vCPU.
 DRAW_BUDGET = 10 ** 11
 
 
 # -- sampling ---------------------------------------------------------------
 
-def _stream(seed: int, i: int):
-    """The PCG64 generator on child ``i`` of ``SeedSequence(seed)``, the
-    same stream as ``default_rng(SeedSequence(seed).spawn(count)[i])``."""
-    import numpy as np
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's Weyl increment, 2^64 / golden ratio
+_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))  # then z ^= z >> 31
+_M64 = (1 << 64) - 1
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's finalizer on a Python int below 2^64."""
+    for shift, factor in _MIX:
+        z = (z ^ z >> shift) * factor & _M64
+    return z ^ z >> 31
+
+
+def _key(seed: int, i: int) -> int:
+    """Output ``i`` of the SplitMix64 stream whose state folds in every
+    64-bit limb of ``seed``, low limb first, so seeds s and s + 2^64 differ."""
+    state = 0
+    while True:
+        state = _mix64(((state ^ (seed & _M64)) + _GAMMA) & _M64)
+        seed >>= 64
+        if not seed:
+            return _mix64((state + (i + 1) * _GAMMA) & _M64)
+
+
+class _SplitMix64:
+    """A counter-based SplitMix64 stream: uniform j is
+    mix64(key + (j + 1) gamma) >> 11 times 2^-53, in [0, 1)."""
+
+    def __init__(self, key: int):
+        self.key, self.drawn, self._steps, self._scratch = key, 0, None, None
+
+    def random(self, size=None, out=None):
+        """Fill ``out``, or a new array of ``size``, with the next uniforms
+        in C order, mixing in place on ``uint64`` views, which wrap."""
+        import numpy as np
+        out = np.empty(size) if out is None else out
+        n = out.size
+        if self._steps is None or len(self._steps) < n:  # (k + 1) gamma, k < n
+            self._steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+            self._scratch = np.empty(n, np.uint64)
+        z, t = out.view(np.uint64), self._scratch[:n].reshape(out.shape)
+        np.add(self._steps[:n].reshape(out.shape),
+               np.uint64((self.key + self.drawn * _GAMMA) & _M64), out=z)
+        for shift, factor in _MIX:
+            np.right_shift(z, np.uint64(shift), out=t)
+            z ^= t
+            z *= np.uint64(factor)
+        np.right_shift(z, np.uint64(31), out=t)
+        t ^= z
+        t >>= np.uint64(11)
+        np.multiply(t, 2.0 ** -53, out=out)
+        self.drawn += n
+        return out
+
+
+def _stream(seed: int, i: int) -> _SplitMix64:
+    """The stream of the sampled shape at index ``i``, keyed by
+    :func:`_key`: SplitMix64 (Steele, Lea and Flood, OOPSLA 2014) on numpy
+    arrays, with no ``numpy.random``."""
+    return _SplitMix64(_key(seed, i))
 
 
 class _Plan(namedtuple("_Plan", "slots drawn sticks squares tests")):

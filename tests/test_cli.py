@@ -349,6 +349,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     state["mc"] = cli.main(["verify", "mc", "--n", "5", "--lengths", "1,2,1,1,1",
                             "--samples", "2000", "--seed", "3", "--sigma", "100"])
     state["numpy_after_mc"] = "numpy" in sys.modules
+    state["sampler_modules"] = {m: m in sys.modules for m in ("numpy.random", "hashlib")}
 state["pool_module_loaded"] = "concurrent.futures" in sys.modules
 tasks = "/proc/self/task"
 state["os_threads"] = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
@@ -364,6 +365,29 @@ def probe_state():
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout.splitlines()[-1])
+
+
+# Whether numpy's bit generators and hashlib, which seeding them loads, are
+# loaded by a bare ``import numpy``.
+BARE_NUMPY_PROBE = """
+import json, sys
+import numpy
+print(json.dumps({m: m in sys.modules for m in ("numpy.random", "hashlib")}))
+"""
+
+
+def test_sampling_loads_no_bit_generator_or_hashlib(probe_state):
+    # numpy 1.x loads numpy.random with numpy itself; the sampler adds
+    # neither it nor hashlib, and still runs on one OS thread.
+    out = subprocess.run([sys.executable, "-c", BARE_NUMPY_PROBE],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    bare = json.loads(out.stdout)
+    assert probe_state["mc"] == 0 and probe_state["numpy_after_mc"]
+    assert {m for m, loaded in probe_state["sampler_modules"].items() if loaded} <= {
+        m for m, loaded in bare.items() if loaded}
+    if probe_state["os_threads"] is not None:
+        assert probe_state["os_threads"] == 1
 
 
 def test_numpy_is_loaded_only_to_sample(probe_state):

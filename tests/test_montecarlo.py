@@ -3,6 +3,7 @@ import json
 import math
 import statistics
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -116,8 +117,8 @@ def test_sample_angle_polytope():
     plan = montecarlo._plan(constraints)
     assert plan.slots == ((-1, 0), (-1, 1), (-1, 2))
     fractions = np.empty((3, 1000))
-    montecarlo._sample_angles(plan, np.random.Generator(np.random.Philox(1)), fractions)
-    twin = np.random.Generator(np.random.Philox(1))
+    montecarlo._sample_angles(plan, montecarlo._stream(1, 0), fractions)
+    twin = montecarlo._stream(1, 0)
     first, second = np.sqrt(twin.random(1000)), twin.random(1000)
     assert fractions[0].tobytes() == (1.0 - first).tobytes()
     assert fractions[1].tobytes() == (first * (1.0 - second)).tobytes()
@@ -209,7 +210,7 @@ def test_sampled_rate_matches_closed_form(tree, moments):
 
     plan = montecarlo._plan(constraints)
     fractions = np.empty((len(plan.slots), draws))
-    montecarlo._sample_angles(plan, np.random.Generator(np.random.Philox(9)), fractions)
+    montecarlo._sample_angles(plan, montecarlo._stream(9, 1), fractions)
     for x in fractions:  # Beta(1, 2): mean 1/3, variance 1/18
         assert abs(x.mean() - 1 / 3) < 5 * math.sqrt(1 / 18 / draws)
     if len(plan.slots) == 3:  # the star's centre: all of its stick
@@ -681,11 +682,9 @@ def first_members(n: int) -> dict:
 
 
 @pytest.mark.parametrize("n", [5, 6])
-def test_mc_streams_are_spawned_children(monkeypatch, n):
-    # The shape at index i of the sorted shapes draws from child i of
-    # SeedSequence(seed).spawn(count) and is planned from its first member.
-    # Compared run against run, not against a golden file: chunk sums may
-    # differ in the last bit across numpy builds and CPUs.
+def test_mc_shape_i_draws_stream_i(n):
+    # The shape at index i of the sorted shapes draws from _stream(seed, i)
+    # and is planned from its first member.
     lengths = [1.0, 2.0, 1.0, 1.0, 1.0, 2.0][:n]
     firsts = first_members(n)
     shapes = sorted(firsts)
@@ -696,10 +695,88 @@ def test_mc_streams_are_spawned_children(monkeypatch, n):
     for row in shipped.per_tree:
         if not row["exact"]:
             assert row["estimate"] == row["constant"] * means[row["shape"]]
-    children = np.random.SeedSequence(8).spawn(len(shapes))
-    monkeypatch.setattr(montecarlo, "_stream",
-                        lambda seed, i: np.random.default_rng(children[i]))
-    assert mc_full_volume(n, lengths, samples=300, seed=8) == shipped
+
+
+M64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, 1))
+
+
+def splitmix64(state: int, count: int) -> list[int]:
+    """The next ``count`` outputs of the reference splitmix64.c from Weyl
+    state ``state``, in Python ints."""
+    out = []
+    for _ in range(count):
+        state = (state + GAMMA) & M64
+        z = state
+        for shift, factor in MIX:
+            z = ((z ^ (z >> shift)) * factor) & M64
+        out.append(z)
+    return out
+
+
+def unmix64(z: int) -> int:
+    """The Weyl state at which splitmix64's finalizer outputs ``z``."""
+    for shift, factor in reversed(MIX):
+        z = (z * pow(factor, -1, 1 << 64)) & M64
+        x = z
+        for _ in range(64 // shift):  # undo z ^= z >> shift
+            x = z ^ (x >> shift)
+        z = x
+    return z
+
+
+def as_uniforms(outputs: list[int]) -> list[float]:
+    return [(z >> 11) * 2.0 ** -53 for z in outputs]
+
+
+def test_stream_is_splitmix64():
+    assert splitmix64(0, 3) == [0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f]
+    assert montecarlo._SplitMix64(0).random(3).tolist() == as_uniforms(splitmix64(0, 3))
+    # A two-slot side's full chunk, its ragged last chunk, then a plain draw:
+    # one counter runs across the calls.
+    key = montecarlo._key(13, 2)
+    stream = montecarlo._stream(13, 2)
+    chunk, ragged = np.empty((2, montecarlo._CHUNK)), np.empty((2, 5))
+    assert stream.random(out=chunk) is chunk
+    stream.random(out=ragged)
+    drawn = np.concatenate([chunk.ravel(), ragged.ravel(), stream.random(7)])
+    assert drawn.tolist() == as_uniforms(splitmix64(key, drawn.size))
+
+
+def test_stream_uniforms_lie_in_the_half_open_unit_interval():
+    # Keys whose first output is 0, 2^11 - 1 and 2^64 - 1.
+    for z, u in ((0, 0.0), ((1 << 11) - 1, 0.0), (M64, 1.0 - 2.0 ** -53)):
+        key = (unmix64(z) - GAMMA) & M64
+        assert splitmix64(key, 1) == [z]
+        assert montecarlo._SplitMix64(key).random(1).tolist() == [u]
+
+
+def test_stream_keys_fold_the_shape_and_every_seed_limb():
+    seeds = (0, 1, 2 ** 64, 2 ** 64 + 1, 2 ** 200)
+    keys = {montecarlo._key(seed, i) for seed in seeds for i in range(4)}
+    assert len(keys) == 4 * len(seeds) and all(0 <= key <= M64 for key in keys)
+
+
+def test_single_sample_draws_raise_no_numpy_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (1, 2 ** 64 + 1, 2 ** 200):
+            assert montecarlo._stream(seed, 0).random(1).shape == (1,)
+            report = mc_full_volume(6, [1.0, 2.0, 1.0, 1.0, 1.0, 2.0], samples=1, seed=seed)
+            assert math.isfinite(report.z_score)
+
+
+def test_stream_moments_smoke():
+    # Mean, mean square and lag-1 product of 2^20 uniforms within 5 sigma
+    # of 1/2, 1/3 and 1/4.  Adjacent lag-1 products covary by 1/48, so
+    # their mean has variance (7/144 + 2/48) / N.
+    n = 1 << 20
+    u = montecarlo._stream(2024, 3).random(n)
+    assert 0.0 <= u.min() and u.max() < 1.0
+    for value, mean, var in ((u.mean(), 1 / 2, 1 / 12), ((u * u).mean(), 1 / 3, 4 / 45),
+                             ((u[1:] * u[:-1]).mean(), 1 / 4, 13 / 144)):
+        assert abs(value - mean) < 5 * math.sqrt(var / n)
 
 
 @pytest.mark.parametrize("constrained", [True, False])
