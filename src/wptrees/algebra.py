@@ -28,7 +28,9 @@ elsewhere the mu-average and the symmetry test) are term rules handed to
 :meth:`Polynomial.map_terms`, the one place where the like terms of a
 rewritten polynomial are summed.  Ring operations, :func:`expand_orbits` and
 the sums and products of a :class:`GradedSeries`, which stores its terms by
-moment grade, keep their own loops.
+moment grade, keep their own loops.  A volume stays an orbit dict,
+``(p, head, tail) -> coefficient``, until :func:`expand_orbits` writes out
+the monomials for a reader that needs them.
 
 Canonical term order, used by every serializer: ascending total degree, then
 descending lexicographic with respect to the atom order
@@ -569,26 +571,24 @@ def multiset_permutations(items: Iterable) -> Iterator[tuple]:
         a[i + 1:] = reversed(a[i + 1:])
 
 
-def expand_orbits(orbits, fixed: int = 0) -> Polynomial:
+def expand_orbits(orbits: Mapping) -> Polynomial:
     """The sum of monomial orbits in pi^2 and the squared lengths L_1^2 .. L_n^2.
 
-    ``orbits`` yields ``(p, exponents, coefficient)``, n = len(exponents): the
-    monomials pi^(2p) * prod_i L_i^(2 e_i), where e keeps the first ``fixed``
-    ``exponents`` in place and runs over the distinct arrangements of the
-    rest, each with the number ``coefficient``.
+    ``orbits`` maps ``(p, head, tail)`` to a number, n = len(head) +
+    len(tail): the monomials pi^(2p) * prod_i L_i^(2 e_i), where e is
+    ``head`` on labels 1..len(head) followed by each distinct arrangement of
+    the nonincreasing ``tail``, each with that number as its coefficient.
     """
     pairs: dict[tuple[int, int], tuple] = {}  # (i - 1, e) -> the shared (L_i^2, e)
     out: dict[Mono, Fraction] = {}
-    for p, exponents, coefficient in orbits:
+    for (p, head, tail), coefficient in orbits.items():
         coefficient = Fraction(coefficient)
-        if not coefficient:
-            continue
-        for i, e in product(range(len(exponents)), set(exponents) - {0}):
+        for i, e in product(range(len(head) + len(tail)), set(head + tail) - {0}):
             pairs.setdefault((i, e), (lsq(i + 1), e))
-        head = ((PI2, p),) if p else ()
-        head += tuple(pairs[i, e] for i, e in enumerate(exponents[:fixed]) if e)
-        for tail in multiset_permutations(exponents[fixed:]):
-            mono = head + tuple(pairs[i, e] for i, e in enumerate(tail, fixed) if e)
+        lead = ((PI2, p),) if p else ()
+        lead += tuple(pairs[i, e] for i, e in enumerate(head) if e)
+        for arrangement in multiset_permutations(tail):
+            mono = lead + tuple(pairs[i, e] for i, e in enumerate(arrangement, len(head)) if e)
             if mono in out:
                 out[mono] += coefficient
             else:

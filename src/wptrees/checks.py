@@ -33,29 +33,32 @@ def identity_checks(max_n: int) -> dict:
 
     Each family of checks runs for n = 3 .. max_n, capped where the
     reference data or the running time ends: the table at n = 6, the
-    recursion identity at n = 7.  The dimension formula stops at n = 5 to
-    keep the command's output stable, not to save time.  Zograf's
-    constant terms run from n = 4 with no cap, an oracle independent of
-    the tree routes past the table, and the half-tight series is read
-    against H_n at every n = 3 .. max_n.  The reduced and half-tight
-    volumes are computed once per n and shared by every check of one
-    registry; so is a guard's ``ArithmeticError``, raised again in each
-    check that reads it.
+    recursion identity at n = 7, the routes at n = 11 (each read of their
+    symmetry guard re-sums all 2^(n-3) splits: about 15 s a route at 13).
+    The dimension formula stops at n = 5 to keep the command's output
+    stable, not to save time.  Zograf's constant terms run from n = 4 with
+    no cap, and the half-tight series is read against every H_n.  The
+    reduced and half-tight orbit dicts, which the table, route and Zograf
+    checks compare, are computed once per n, and expanded once per n for
+    the checks that read monomials; each is shared by the whole registry,
+    and so is a guard's ``ArithmeticError``, raised again in each check
+    that reads it.
     """
     checks = {}
-    table_n = range(3, min(max_n, 6) + 1)
     reduced, htc = _once(v0n_reduced), _once(htc_volume)
+    reduced_poly = _once(lambda n: expand_orbits(reduced(n)))
+    htc_poly = _once(lambda n: expand_orbits(htc(n)))
 
-    for n in table_n:
+    for n in range(3, min(max_n, 6) + 1):
         checks[f"table-v0-{n}"] = lambda n=n: reduced(n) == known_v0n(n)
-    for n in table_n:
+    for n in range(3, min(max_n, 11) + 1):
         checks[f"route-graph-sum-{n}"] = lambda n=n: v0n_graph_sum(n) == reduced(n)
         checks[f"route-decomposition-{n}"] = (
             lambda n=n: full_decomposition_v0n(n) == reduced(n))
     for n in range(3, max_n + 1):
         checks[f"homogeneity-{n}"] = lambda n=n: (
-            is_homogeneous(reduced(n), n - 3) and is_homogeneous(htc(n), n - 3))
-        checks[f"symmetry-{n}"] = lambda n=n: is_symmetric(reduced(n), n)
+            is_homogeneous(reduced_poly(n), n - 3) and is_homogeneous(htc_poly(n), n - 3))
+        checks[f"symmetry-{n}"] = lambda n=n: is_symmetric(reduced_poly(n), n)
     for n in range(4, max_n + 1):
         checks[f"zograf-{n}"] = lambda n=n: _check_zograf(reduced(n), n)
 
@@ -66,13 +69,13 @@ def identity_checks(max_n: int) -> dict:
         z_residual(solve_r(cap)).is_zero() for cap in range(1, 6))
     checks["r-grade-2"] = _check_r_grade_2
     checks["h-genfun-matches-averages"] = (
-        lambda: _check_h_genfun(max(1, max_n - 2), htc))
+        lambda: _check_h_genfun(max(1, max_n - 2), htc_poly))
 
     for n in range(3, min(max_n, 6) + 1):
         checks[f"f-trees-vs-recursion-{n}"] = lambda n=n: f_from_trees(n) == f_recursion(n)
     for n in range(3, min(max_n, 7) + 1):
         checks[f"recursion-vs-volume-{n}"] = lambda n=n: (
-            f_substituted(n) == mu_average(reduced(n), range(1, n + 1)))
+            f_substituted(n) == mu_average(reduced_poly(n), range(1, n + 1)))
 
     for n in range(3, min(max_n, 6) + 1):
         checks[f"enumerator-oracle-{n}"] = lambda n=n: (
@@ -102,27 +105,28 @@ def _once(route):
 
 # -- oracle data and invariants ------------------------------------------
 
-# n -> (exponent shape, pi^2 power, coefficient) per orbit.
+# n -> the orbit dict of V_{0,n}: (pi^2 power, (), exponents) -> coefficient.
 _KNOWN_V0N = {
-    3: [((), 0, 1)],
-    4: [((), 1, 2), ((1,), 0, Fraction(1, 2))],
-    5: [((), 2, 10), ((1,), 1, 3), ((2,), 0, Fraction(1, 8)),
-        ((1, 1), 0, Fraction(1, 2))],
-    6: [((), 3, Fraction(244, 3)), ((1,), 2, 26), ((2,), 1, Fraction(3, 2)),
-        ((1, 1), 1, 6), ((3,), 0, Fraction(1, 48)), ((2, 1), 0, Fraction(3, 16)),
-        ((1, 1, 1), 0, Fraction(3, 4))],
+    3: {(0, (), (0, 0, 0)): 1},
+    4: {(1, (), (0, 0, 0, 0)): 2, (0, (), (1, 0, 0, 0)): Fraction(1, 2)},
+    5: {(2, (), (0, 0, 0, 0, 0)): 10, (1, (), (1, 0, 0, 0, 0)): 3,
+        (0, (), (2, 0, 0, 0, 0)): Fraction(1, 8), (0, (), (1, 1, 0, 0, 0)): Fraction(1, 2)},
+    6: {(3, (), (0, 0, 0, 0, 0, 0)): Fraction(244, 3), (2, (), (1, 0, 0, 0, 0, 0)): 26,
+        (1, (), (2, 0, 0, 0, 0, 0)): Fraction(3, 2), (1, (), (1, 1, 0, 0, 0, 0)): 6,
+        (0, (), (3, 0, 0, 0, 0, 0)): Fraction(1, 48), (0, (), (2, 1, 0, 0, 0, 0)): Fraction(3, 16),
+        (0, (), (1, 1, 1, 0, 0, 0)): Fraction(3, 4)},
 }
 
 
-def known_v0n(n: int) -> Polynomial:
-    """Reference closed forms of V_{0,n} for n <= 6 (oracle data).
+def known_v0n(n: int) -> dict:
+    """Reference closed forms of V_{0,n} for n <= 6 as orbit dicts (oracle data).
 
     The n = 5 row carries coefficient 3*pi^2 on sum_i L_i^2; see
     ``wptrees.volumes.V05_COEFFICIENT_NOTE``.
     """
     if n not in _KNOWN_V0N:
         raise ValueError(f"no reference form for n = {n}")
-    return expand_orbits((p, shape + (0,) * (n - len(shape)), c) for shape, p, c in _KNOWN_V0N[n])
+    return _KNOWN_V0N[n]
 
 
 @cache
@@ -188,14 +192,12 @@ def is_symmetric(p: Polynomial, n: int) -> bool:
                for (_, exponents, _), count in groups.items())
 
 
-def _check_zograf(volume: Polynomial, n: int) -> bool:
-    """V_{0,n} at zero lengths, its terms free of L_1..L_n, is
+def _check_zograf(volume: dict, n: int) -> bool:
+    """V_{0,n} at zero lengths, its orbits whose exponents are all zero, is
     2^(n-3) / (n-3)! * v_n * pi^(2(n-3))."""
-    length = lsq(1).kind
-    at_zero = volume.map_terms(
-        lambda m, c: None if any(a.kind == length and a.index <= n for a, _ in m) else (m, c))
-    return at_zero == Polynomial.monomial(
-        Fraction(2 ** (n - 3), factorial(n - 3)) * zograf_v(n), [(PI2, n - 3)])
+    at_zero = {key: c for key, c in volume.items() if not any(key[1] + key[2])}
+    expected = Fraction(2 ** (n - 3), factorial(n - 3)) * zograf_v(n)
+    return at_zero == {(n - 3, (), (0,) * n): expected}
 
 
 def _check_r_grade_2() -> bool:

@@ -20,7 +20,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import Polynomial, lsq, poly_to_json_terms
+from .algebra import Polynomial, expand_orbits, lsq, poly_to_json_terms
 from .genfun import (
     f_substituted,
     htc_genfun,
@@ -110,9 +110,10 @@ def _parse_lengths(text: str, n: int) -> list[Fraction]:
     return values
 
 
-def _print_volume(poly: Polynomial, args, meta: dict, lengths) -> None:
-    """Print a volume polynomial, or its value at ``lengths`` when given (the
-    JSON then records the lengths and lists no L exponents)."""
+def _print_volume(orbits: dict, args, meta: dict, lengths) -> None:
+    """Print a volume's orbit dict as a polynomial, or its value at ``lengths``
+    when given (the JSON then records the lengths and lists no L exponents)."""
+    poly = expand_orbits(orbits)
     if lengths:
         poly = poly.substitute({lsq(i + 1): v * v for i, v in enumerate(lengths)})
         if any(max(abs(c.numerator), c.denominator) >= _TOO_LONG for _, c in poly.items()):
@@ -143,10 +144,10 @@ def _cmd_vol(args) -> int:
         "recursion": lambda n: symmetric_from_moments(f_substituted(n), n),
     }[args.method]
     lengths = _parse_lengths(args.lengths, args.n) if args.lengths is not None else None
-    poly = route(args.n)
+    orbits = route(args.n)
     if args.n == 5:
         print(V05_COEFFICIENT_NOTE, file=sys.stderr)
-    _print_volume(poly, args, {"command": "vol", "n": args.n, "method": args.method},
+    _print_volume(orbits, args, {"command": "vol", "n": args.n, "method": args.method},
                   lengths)
     return 0
 
@@ -158,10 +159,10 @@ def _cmd_htc(args) -> int:
     lengths = _parse_lengths(args.lengths, args.n) if args.lengths is not None else None
     if lengths and not lengths[0] < lengths[1]:
         raise ValueError(f"half-tight volumes assume {HTC_ASSUMPTION}")
-    poly = htc_volume(args.n)
+    orbits = htc_volume(args.n)
     if args.format == "text":
         print(f"# assumes {HTC_ASSUMPTION}", file=sys.stderr)
-    _print_volume(poly, args, {"command": "htc", "n": args.n, "assumption": HTC_ASSUMPTION},
+    _print_volume(orbits, args, {"command": "htc", "n": args.n, "assumption": HTC_ASSUMPTION},
                   lengths)
     return 0
 

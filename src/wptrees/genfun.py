@@ -27,7 +27,7 @@ The module provides
                     reference is :func:`wptrees.checks.f_from_trees`);
 * ``mu_average``    termwise replacement L_i^(2a) -> m_a over a label subset;
 * ``symmetric_from_moments``   the inverse of a full mu-average, recovering
-                    the (symmetric) length polynomial.
+                    the (symmetric) length polynomial as an orbit dict.
 """
 from __future__ import annotations
 
@@ -40,7 +40,6 @@ from .algebra import (
     PI2,
     GradedSeries,
     Polynomial,
-    expand_orbits,
     ghat,
     lsq,
     mom,
@@ -216,24 +215,23 @@ def mu_average(p: Polynomial, subset) -> Polynomial:
     return p.map_terms(average)
 
 
-def symmetric_from_moments(p: Polynomial, n: int) -> Polynomial:
+def symmetric_from_moments(p: Polynomial, n: int) -> dict:
     """Invert a full mu-average back to the symmetric length polynomial.
 
     Each term is a power of pi^2 times moments of total degree exactly n;
     any other term raises ``ValueError``.  A moment monomial prod_k m_k^(c_k)
     with coefficient C averages the orbit whose exponent multiset is {k with
-    multiplicity c_k}; each of its monomials receives C * prod_k c_k! / n!,
-    and :func:`~wptrees.algebra.expand_orbits` writes them out.
+    multiplicity c_k}, keyed (pi^2 power, (), the k nonincreasing) as the
+    tree routes key it, and gives it the coefficient C * prod_k c_k! / n!.
     """
-    def orbits():
-        for mono, c in p.items():
-            exps = dict(mono)
-            pi2 = exps.pop(PI2, 0)
-            if any(a.kind != mom(0).kind for a in exps):
-                raise ValueError("a term holds an atom besides pi2 and the moments")
-            orders = tuple(a.index for a, e in exps.items() for _ in range(e))
-            if len(orders) != n:
-                raise ValueError(f"term has moment degree {len(orders)}, expected {n}")
-            yield pi2, orders, c * prod(map(factorial, exps.values())) / factorial(n)
-
-    return expand_orbits(orbits())
+    orbits = {}
+    for mono, c in p.items():
+        exps = dict(mono)
+        pi2 = exps.pop(PI2, 0)
+        if any(a.kind != mom(0).kind for a in exps):
+            raise ValueError("a term holds an atom besides pi2 and the moments")
+        orders = tuple(a.index for a, e in reversed(exps.items()) for _ in range(e))
+        if len(orders) != n:
+            raise ValueError(f"term has moment degree {len(orders)}, expected {n}")
+        orbits[pi2, (), orders] = c * prod(map(factorial, exps.values())) / factorial(n)
+    return orbits

@@ -68,7 +68,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import PI2, lsq
+from .algebra import PI2, expand_orbits, lsq
 from .trees import canonical_key, check_enumeration_size, enumerate_family
 from .volumes import v0n_reduced
 
@@ -365,7 +365,7 @@ def mc_full_volume(n: int, lengths, samples: int, seed: int) -> McReport:
                          f"got {samples} samples of at least one shape")
     try:
         squares = _squares(lengths)
-        reference = float(v0n_reduced(n).eval_exact(squares))  # rounded once
+        reference = float(expand_orbits(v0n_reduced(n)).eval_exact(squares))  # rounded once
     except OverflowError:
         raise ValueError("the exact reference overflows binary64") from None
     constants: dict[tuple, float] = {}  # by (label, excess) signature

@@ -43,9 +43,10 @@ pi^2 power is m - 2 - s, and
               m + j - 2 - s of (m + j - 2)! prod_v (-1)^e_v / (e_v! (e_v - 1)!)
               / prod_k mult_k!
 
-(see :func:`wptrees.trees.prufer_counts`).  Each route computes one
-coefficient per monomial orbit, and :func:`wptrees.algebra.expand_orbits`
-writes the monomials out.  The V routes are symmetric though their families
+(see :func:`wptrees.trees.prufer_counts`).  Each route returns one
+coefficient per monomial orbit, as the orbit dict that
+:func:`wptrees.algebra.expand_orbits` writes out; H_n keeps L_1's and L_2's
+exponents in place.  The V routes are symmetric though their families
 single out labels (1, 2, 3 for ``two-three``, else 1, 2); :func:`_orbit_sum`
 reads each orbit coefficient at every placement of its exponents on those
 labels and raises ``ArithmeticError`` on a mismatch, so symmetry is never
@@ -65,7 +66,7 @@ from functools import lru_cache, partial
 from itertools import permutations, product
 from math import factorial, prod
 
-from .algebra import AUX, PI2, Polynomial, expand_orbits, integrate_halfsquare, lsq
+from .algebra import AUX, PI2, Polynomial, integrate_halfsquare, lsq
 from .trees import family_splits, partitions, prufer_counts
 
 __all__ = [
@@ -155,8 +156,8 @@ def _placements(exponents, k: int):
         yield head + tuple(rest)
 
 
-def _orbit_sum(n: int, coefficient, fixed: int = 0, singled: int = 0) -> Polynomial:
-    """The volume with coefficient(a) on pi^(2(n - 3 - sum a)) prod_b L_b^(2 a_b).
+def _orbit_sum(n: int, coefficient, fixed: int = 0, singled: int = 0) -> dict:
+    """{(n - 3 - sum a, a[:fixed], a[fixed:]): coefficient(a)}, zeros dropped.
 
     A coefficient that singles out labels 1..``singled`` (and is symmetric in
     the others by construction) is read at every distinct ordered choice of
@@ -164,16 +165,14 @@ def _orbit_sum(n: int, coefficient, fixed: int = 0, singled: int = 0) -> Polynom
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-
-    def orbits():
-        for a in _representatives(n, fixed):
-            values = {coefficient(b) for b in _placements(a, singled)}
-            if len(values) != 1:
-                raise ArithmeticError(
-                    "orbit coefficient depends on the placement of its exponents")
-            yield n - 3 - sum(a), a, values.pop()
-
-    return expand_orbits(orbits(), fixed)
+    orbits = {}
+    for a in _representatives(n, fixed):
+        values = {coefficient(b) for b in _placements(a, singled)}
+        if len(values) != 1:
+            raise ArithmeticError("orbit coefficient depends on the placement of its exponents")
+        if c := values.pop():
+            orbits[n - 3 - sum(a), a[:fixed], a[fixed:]] = c
+    return orbits
 
 
 def _split_sum(splits, factor):
@@ -222,8 +221,8 @@ def _gluing(mode: str, e1: int, e2: int, a1: int, a2: int) -> Fraction:
 
 # -- the routes ------------------------------------------------------------
 
-def htc_volume(n: int) -> Polynomial:
-    """H_n as an exact polynomial in pi^2, L_1^2, ..., L_n^2.
+def htc_volume(n: int) -> dict:
+    """H_n in pi^2, L_1^2, ..., L_n^2 as an orbit dict keyed (p, (a_1, a_2), tail).
 
     H_n = 1/4 * sum over trees with boundary labels 2..n of
           ttilde_{deg(b2)-1}(L2, L1) * prod_{b != 2} t_{deg(b)-1}(L_b)
@@ -235,8 +234,8 @@ def htc_volume(n: int) -> Polynomial:
     return _orbit_sum(n, _split_sum([lone], partial(_glued, "integral")), fixed=2)
 
 
-def v0n_reduced(n: int) -> Polynomial:
-    """V_{0,n} from the reduced double-tree sum.
+def v0n_reduced(n: int) -> dict:
+    """V_{0,n} from the reduced double-tree sum, as an orbit dict keyed (p, (), tail).
 
     V_{0,n} = 1/8 * sum over the ``two-three`` family of
               t_{deg(b1)}(L1) * prod_{b != 1} t_{deg(b)-1}(L_b)
@@ -249,8 +248,8 @@ def v0n_reduced(n: int) -> Polynomial:
     return _orbit_sum(n, _split_sum(family_splits("two-three", n), _reduced), singled=3)
 
 
-def v0n_graph_sum(n: int) -> Polynomial:
-    """V_{0,n} from the graph-family sum with the alternating m-sum.
+def v0n_graph_sum(n: int) -> dict:
+    """V_{0,n} from the graph-family sum with the alternating m-sum, as an orbit dict.
 
     V_{0,n} = 1/8 * sum over the ``graph`` family, with the pair of special
     boundaries contributing
@@ -295,8 +294,8 @@ def ell_integral(a: int, b: int, mode: str = "closed") -> Polynomial:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def full_decomposition_v0n(n: int) -> Polynomial:
-    """V_{0,n} as half-tight part plus glued pairs of half-tight parts.
+def full_decomposition_v0n(n: int) -> dict:
+    """V_{0,n} as half-tight part plus glued pairs of half-tight parts, as an orbit dict.
 
     V_{0,n} = H_n + 1/16 * sum over the ``full`` family of
               [int_0^inf l dl ttilde_{deg(b1)-1}(L1,l) ttilde_{deg(b2)-1}(L2,l)]

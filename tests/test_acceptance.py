@@ -11,7 +11,7 @@ import subprocess
 import sys
 import time
 
-from wptrees.algebra import PI2, lsq, poly_from_json_terms, poly_to_json_terms
+from wptrees.algebra import PI2, expand_orbits, lsq, poly_from_json_terms, poly_to_json_terms
 from wptrees.checks import identity_checks
 from wptrees.montecarlo import mc_full_volume
 from wptrees.trees import brute_force_enumerate, enumerate_family
@@ -40,7 +40,7 @@ def test_criterion_1_table_reproduction(capfd):
         [sys.executable, "-m", "wptrees.cli", "vol", "--n", "5", "--method", "tree"],
         capture_output=True, text=True)
     ok = ok and out.returncode == 0 and "3*pi" in out.stderr  # the note
-    ok = ok and v0n_reduced(5).coefficient([(PI2, 1), (lsq(1), 1)]) == 3
+    ok = ok and expand_orbits(v0n_reduced(5)).coefficient([(PI2, 1), (lsq(1), 1)]) == 3
     elapsed = time.monotonic() - start
     report(1, f"exact table rows n=3..6 incl. 3*pi2 note ({elapsed:.1f}s < 10s)",
            ok and elapsed < 10)
@@ -48,9 +48,9 @@ def test_criterion_1_table_reproduction(capfd):
 
 def test_criterion_2_route_equivalence():
     start = time.monotonic()
-    ok = passes(6, each_n("route-graph-sum", 6) + each_n("route-decomposition", 6))
+    ok = passes(9, each_n("route-graph-sum", 9) + each_n("route-decomposition", 9))
     elapsed = time.monotonic() - start
-    report(2, f"graph-sum = reduced = decomposition, n<=6 ({elapsed:.1f}s < 120s)",
+    report(2, f"graph-sum = reduced = decomposition, n<=9 ({elapsed:.1f}s < 120s)",
            ok and elapsed < 120)
 
 
@@ -107,9 +107,9 @@ def test_criterion_9_monte_carlo():
 def test_criterion_10_invariants():
     # Symmetry on the adjacent transpositions, which generate S_n.
     ok = passes(6, each_n("homogeneity", 6) + each_n("symmetry", 6))
-    poly = v0n_reduced(5)
+    poly = expand_orbits(v0n_reduced(5))
     ok = ok and poly_from_json_terms(poly_to_json_terms(poly)) == poly
-    ok = ok and poly.text() == v0n_reduced(5).text()
+    ok = ok and poly.text() == expand_orbits(v0n_reduced(5)).text()
     first = subprocess.run(
         [sys.executable, "-m", "wptrees.cli", "vol", "--n", "5", "--format", "json"],
         capture_output=True, text=True).stdout

@@ -144,9 +144,9 @@ def test_multiset_permutations(items):
 
 
 def test_expand_orbits_writes_each_arrangement_in_canonical_order():
-    # A pi^2 power, a fixed head, and a tail with repeats; the expected sum
-    # goes through Polynomial.monomial.
-    got = expand_orbits([(1, (1, 0, 2, 0), Fraction(3, 2))], fixed=1)
+    # A pi^2 power, a head on label 1, and a tail with repeats; the expected
+    # sum goes through Polynomial.monomial.
+    got = expand_orbits({(1, (1,), (2, 0, 0)): Fraction(3, 2)})
     expected = P.sum(P.monomial(Fraction(3, 2), [(PI2, 1), (lsq(1), 1)] + [
         (lsq(i), e) for i, e in zip((2, 3, 4), tail) if e])
         for tail in set(permutations((0, 2, 0))))

@@ -1,13 +1,13 @@
 """The identity-check registry shares one computation per route and n, a
-raised guard included; its dimension, half-tight, symmetry and Zograf
-checks fail on each mutant of what they read."""
+raised guard included; its dimension, half-tight, route, symmetry and
+Zograf checks fail on each mutant of what they read."""
 from collections import Counter
 from functools import cache
 
 import pytest
 
 from wptrees import checks
-from wptrees.algebra import PI2, Polynomial, lsq
+from wptrees.algebra import PI2, Polynomial, expand_orbits, lsq
 
 P = Polynomial
 
@@ -75,25 +75,40 @@ def test_dimension_check_fails_on_a_mutant(monkeypatch, name, mutant):
 
 
 def test_h_check_reads_every_half_tight_volume(monkeypatch):
-    # H_7 plus one of its own terms doubles one coefficient and stays
-    # homogeneous; only a check that reads n = 7 sees it.
+    # H_7 with one orbit coefficient doubled stays homogeneous; only a check
+    # that reads n = 7 sees it.
     real = checks.htc_volume
 
     def doubled(n):
         h = real(n)
         if n != 7:
             return h
-        mono, c = next(h.items())
-        return h + P.monomial(c, mono)
+        key, c = next(iter(h.items()))
+        return {**h, key: 2 * c}
 
     monkeypatch.setattr(checks, "htc_volume", doubled)
     assert checks.identity_checks(6)["h-genfun-matches-averages"]()
     assert not checks.identity_checks(9)["h-genfun-matches-averages"]()
 
 
+def test_route_checks_run_past_the_table(monkeypatch):
+    # A route whose V_{0,8} has one orbit coefficient raised by 1 fails its
+    # check at n = 8, past the n <= 6 table.
+    def raised(n):
+        orbits = checks.v0n_reduced(n)
+        key = next(iter(orbits))
+        return {**orbits, key: orbits[key] + 1}
+
+    monkeypatch.setattr(checks, "v0n_graph_sum", raised)
+    monkeypatch.setattr(checks, "full_decomposition_v0n", raised)
+    registry = checks.identity_checks(8)
+    assert not registry["route-graph-sum-8"]()
+    assert not registry["route-decomposition-8"]()
+
+
 @cache
 def v09():
-    return checks.v0n_reduced(9)
+    return expand_orbits(checks.v0n_reduced(9))
 
 
 # pi^8 L_1^2 L_2^2 and its 35 other arrangements over labels 1..9.
@@ -121,12 +136,9 @@ def test_symmetry_counts_a_higher_label_as_fixed():
     assert not checks.is_symmetric(term((3, 1)), 3)
 
 
-@pytest.mark.parametrize("extra", [
-    P.monomial(1, [(PI2, 3)]),
-    P.const(1),
-    P.monomial(1, [(PI2, 2), (lsq(7), 1)]),
-], ids=["pi-only-off-by-one", "length-free-term", "term-in-L7"])
-def test_zograf_check_rejects_a_changed_length_free_part(extra):
+@pytest.mark.parametrize("key", [(3, (), (0,) * 6), (0, (), (0,) * 6)],
+                         ids=["pi-only-off-by-one", "length-free-term"])
+def test_zograf_check_rejects_a_changed_length_free_part(key):
     volume = checks.v0n_reduced(6)
     assert checks._check_zograf(volume, 6)
-    assert not checks._check_zograf(volume + extra, 6)
+    assert not checks._check_zograf({**volume, key: volume.get(key, 0) + 1}, 6)

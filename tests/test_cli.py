@@ -105,14 +105,14 @@ def test_vol_n5_emits_coefficient_note():
 
 
 def test_vol_json_round_trips():
-    from wptrees.algebra import poly_from_json_terms
+    from wptrees.algebra import expand_orbits, poly_from_json_terms
     from wptrees.volumes import v0n_reduced
 
     out = run_cli("vol", "--n", "4", "--format", "json")
     payload = json.loads(out.stdout)
     assert list(payload) == ["command", "n", "method", "terms"]
     assert payload["n"] == 4 and payload["method"] == "tree"
-    assert poly_from_json_terms(payload["terms"]) == v0n_reduced(4)
+    assert poly_from_json_terms(payload["terms"]) == expand_orbits(v0n_reduced(4))
     htc = json.loads(run_cli("htc", "--n", "4", "--lengths", "1,2,3,4",
                              "--format", "json").stdout)
     assert list(htc) == ["command", "n", "assumption", "lengths", "terms"]
