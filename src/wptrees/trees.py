@@ -54,8 +54,8 @@ lone vertex has degree 0 and count 1.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
-from functools import cached_property, lru_cache
+from collections import Counter, namedtuple
+from functools import lru_cache
 from itertools import combinations, product
 from math import factorial, prod
 
@@ -82,7 +82,7 @@ __all__ = [
 FAMILIES = ("two-three", "graph", "htc", "full")
 BRUTE_FORCE_MAX_N = 7
 # The caller holds every tree of one call: two-three at n = 8 is 217,968 trees
-# and 384 MB, and each further label multiplies both by about 25.
+# and 345 MB peak RSS, and each further label multiplies both by about 25.
 ENUMERATION_MAX_N = 8
 
 
@@ -90,24 +90,26 @@ def _norm_edge(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-class Tree:
+def _adjacency(boundary, edges) -> dict[int, list[int]]:
+    adj: dict[int, list[int]] = {b: [] for b in boundary}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    for nbrs in adj.values():
+        nbrs.sort()
+    return adj
+
+
+class Tree(namedtuple("Tree", "boundary edges key")):
     """A boundary-labeled tree; a single boundary vertex has no edges.
-    Treated as immutable: equal and hashed by (boundary, edges)."""
+    A read-only tuple whose ``key`` is computed from (boundary, edges) when
+    the tree is made, so two trees are equal exactly when those are."""
 
-    def __init__(self, boundary: tuple[int, ...], edges: frozenset[tuple[int, int]]):
-        self.boundary = boundary
-        self.edges = edges
+    __slots__ = ()
 
-    def __eq__(self, other):
-        if other.__class__ is not Tree:
-            return NotImplemented
-        return self.boundary == other.boundary and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.boundary, self.edges))
-
-    def __repr__(self) -> str:
-        return f"Tree(boundary={self.boundary!r}, edges={self.edges!r})"
+    def __new__(cls, boundary: tuple[int, ...], edges: frozenset[tuple[int, int]]):
+        key = _encode(_adjacency(boundary, edges), min(boundary), None)
+        return super().__new__(cls, boundary, edges, key)
 
     @staticmethod
     def make(boundary, edges) -> "Tree":
@@ -124,13 +126,7 @@ class Tree:
 
     def adjacency(self) -> dict[int, list[int]]:
         """Vertex -> ascending neighbours, built afresh in one pass over the edges."""
-        adj: dict[int, list[int]] = {b: [] for b in self.boundary}
-        for a, b in self.edges:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        for nbrs in adj.values():
-            nbrs.sort()
-        return adj
+        return _adjacency(self.boundary, self.edges)
 
     def inner_ids(self) -> set[int]:
         return {v for v in self.adjacency() if v < 0}
@@ -142,41 +138,23 @@ class Tree:
     def degrees(self) -> dict[int, int]:
         return {v: len(nbrs) for v, nbrs in self.adjacency().items()}
 
-    @cached_property
-    def _key(self) -> bytes:
-        return _encode(self.adjacency(), min(self.boundary), None)
 
+class DoubleTree(namedtuple("DoubleTree", "t1 t2 key")):
+    """An ordered pair of trees with label 1 in t1 and label 2 in t2, as a
+    read-only tuple whose ``key`` joins the two trees' keys."""
 
-class DoubleTree:
-    """An ordered pair of trees with label 1 in t1 and label 2 in t2.
-    Treated as immutable: equal and hashed by (t1, t2)."""
+    __slots__ = ()
 
-    def __init__(self, t1: Tree, t2: Tree):
+    def __new__(cls, t1: Tree, t2: Tree):
         if 1 not in t1.boundary or 2 not in t2.boundary:
             raise ValueError("double tree needs label 1 in t1 and 2 in t2")
-        self.t1 = t1
-        self.t2 = t2
-
-    def __eq__(self, other):
-        if other.__class__ is not DoubleTree:
-            return NotImplemented
-        return self.t1 == other.t1 and self.t2 == other.t2
-
-    def __hash__(self) -> int:
-        return hash((self.t1, self.t2))
-
-    def __repr__(self) -> str:
-        return f"DoubleTree(t1={self.t1!r}, t2={self.t2!r})"
-
-    @cached_property
-    def _key(self) -> bytes:
-        return b"D[" + self.t1._key + b"|" + self.t2._key + b"]"
+        return super().__new__(cls, t1, t2, b"D[" + t1.key + b"|" + t2.key + b"]")
 
 
 def canonical_key(t: Tree | DoubleTree) -> bytes:
     """Isomorphism-invariant key; equal iff the labeled graphs are equal.
-    Kept on the tree once computed."""
-    return t._key
+    Computed once, when the tree is made."""
+    return t.key
 
 
 def _encode(adj: dict[int, list[int]], v: int, parent: int | None) -> bytes:

@@ -177,9 +177,8 @@ def _orbit_sum(n: int, coefficient, fixed: int = 0, singled: int = 0) -> dict:
 
 def _split_sum(splits, factor):
     """A route's coefficient function: over the terms (e1, e2, weight) of
-    factor(a_1, a_2), weight() times the sum over the splits of both
-    components' G(m, s) / e!, read only where that sum is nonzero (a lone
-    vertex 1 has e1 = -1 alone, so H_n integrates no other gluing term)."""
+    factor(a_1, a_2), the weight times the sum over the splits of both
+    components' G(m, s) / e! (a lone vertex 1 has e1 = -1 alone)."""
     splits = list(splits)
 
     def coefficient(a):
@@ -191,7 +190,7 @@ def _split_sum(splits, factor):
                 if first:
                     part += first * _component(len(s2), e2 + sum(a[b - 1] for b in s2[1:]), e2)
             if part:
-                total += part * weight()
+                total += part * weight
         # t_{a_b} / a_b! per plain boundary b, whose excess is a_b
         return prod((_t(x) / factorial(x) for x in a[2:]), start=total)
     return coefficient
@@ -200,23 +199,17 @@ def _split_sum(splits, factor):
 @lru_cache(maxsize=None)
 def _reduced(a1: int, a2: int) -> tuple:
     """t_{deg(b1)}(L1) t_{deg(b2)-1}(L2) / 8 has deg(b1) = a_1, deg(b2) = a_2 + 1."""
-    weight = _t(a1) * _t(a2) / 8
-    return ((a1 - 1, a2, lambda: weight),)
+    return ((a1 - 1, a2, _t(a1) * _t(a2) / 8),)
 
 
 @lru_cache(maxsize=None)
 def _glued(mode: str, a1: int, a2: int) -> tuple:
-    """ell_integral(e1, e2, mode) / 16 has L-degree e1 + e2 + 1: one term per
-    excess e1 = deg(b1) - 1 < a_1."""
+    """The coefficient of L1^(2 a_1) L2^(2 a_2) in ell_integral(e1, e2, mode) / 16,
+    which has L-degree e1 + e2 + 1: one term per excess e1 = deg(b1) - 1 < a_1."""
     k = a1 + a2 - 1
-    return tuple((e1, k - e1, partial(_gluing, mode, e1, k - e1, a1, a2))
+    return tuple((e1, k - e1, ell_integral(e1, k - e1, mode).coefficient(
+                      ((lsq(1), a1), (lsq(2), a2))) / 16)
                  for e1 in range(-1, a1))
-
-
-@lru_cache(maxsize=None)
-def _gluing(mode: str, e1: int, e2: int, a1: int, a2: int) -> Fraction:
-    """The coefficient of L1^(2 a_1) L2^(2 a_2) in ell_integral(e1, e2, mode) / 16."""
-    return ell_integral(e1, e2, mode).coefficient(((lsq(1), a1), (lsq(2), a2))) / 16
 
 
 # -- the routes ------------------------------------------------------------

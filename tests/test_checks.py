@@ -37,7 +37,7 @@ def test_registry_keeps_a_raised_guard_and_computes_once(monkeypatch, capsys):
     reduced_factor = volumes._reduced
 
     def scaled(a1, a2):
-        return tuple((e1, e2, lambda w=w: w() * (1 + a1)) for e1, e2, w in reduced_factor(a1, a2))
+        return tuple((e1, e2, w * (1 + a1)) for e1, e2, w in reduced_factor(a1, a2))
 
     calls = Counter()
     route = checks.v0n_reduced

@@ -485,7 +485,7 @@ def test_verify_identities_reports_a_raising_check_as_fail(monkeypatch, capsys):
     reduced_factor = volumes._reduced
 
     def scaled(a1, a2):
-        return tuple((e1, e2, lambda w=w: w() * (1 + a1)) for e1, e2, w in reduced_factor(a1, a2))
+        return tuple((e1, e2, w * (1 + a1)) for e1, e2, w in reduced_factor(a1, a2))
 
     monkeypatch.setattr(volumes, "_reduced", scaled)
     code = cli.main(["verify", "identities", "--max-n", "4"])

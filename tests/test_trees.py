@@ -2,7 +2,6 @@
 and the Pruefer counts of the degree profiles."""
 import gc
 import json
-import weakref
 from collections import Counter
 from itertools import product
 from math import factorial, prod
@@ -211,14 +210,28 @@ def test_edge_views_match_edge_scans(family, n):
 def test_enumerated_trees_are_freed_with_their_tuple(family):
     # No process-wide cache holds a tree: once the caller drops the family,
     # its members and their components are gone.
+    def live():
+        gc.collect()
+        return sum(isinstance(o, (Tree, DoubleTree)) for o in gc.get_objects())
+
+    before = live()
     members = enumerate_family(family, 5)
-    first = members[0]
-    canonical_key(first)
-    parts = [first] if isinstance(first, Tree) else [first, first.t1, first.t2]
-    refs = [weakref.ref(t) for t in parts]
-    del members, first, parts
-    gc.collect()
-    assert all(r() is None for r in refs)
+    assert live() > before
+    del members
+    assert live() == before
+
+
+def test_trees_are_read_only_and_equal_by_their_edges():
+    star = Tree.make((2, 3, 4), [(2, -1), (3, -1), (4, -1)])
+    pair = DoubleTree(Tree.single(1), star)
+    with pytest.raises(AttributeError):
+        star.edges = frozenset()
+    with pytest.raises(AttributeError):
+        pair.t1 = Tree.single(1)
+    again = Tree.make((4, 3, 2), [(-1, 4), (3, -1), (-1, 2)])
+    assert again == star
+    assert again.key == star.key
+    assert hash(again) == hash(star)
 
 
 def test_tree_json_export():

@@ -174,7 +174,7 @@ def test_reduced_guard_catches_an_asymmetric_weight(monkeypatch):
     reduced_factor = volumes._reduced
 
     def scaled(a1, a2):
-        return tuple((e1, e2, lambda w=w: w() * (1 + a1)) for e1, e2, w in reduced_factor(a1, a2))
+        return tuple((e1, e2, w * (1 + a1)) for e1, e2, w in reduced_factor(a1, a2))
 
     monkeypatch.setattr(volumes, "_reduced", scaled)
     with pytest.raises(ArithmeticError):
