@@ -10,7 +10,13 @@ The API is the submodules: ``algebra`` (exact polynomials and graded
 series), ``trees`` (tree families), ``volumes`` (the tree-sum routes),
 ``genfun`` (generating functions and the recursion), ``polytope`` (the
 polytope geometry), ``checks`` (the identity battery), ``montecarlo`` (the
-sampler) and ``cli``; ``import wptrees`` loads none of them.
+sampler) and ``cli``; ``import wptrees`` loads none of them.  Besides
+``__version__``, the package itself holds only :class:`UsageError`.
 """
 
 __version__ = "0.1.0"
+
+
+class UsageError(ValueError):
+    """Input refused before any work: the command line prints its message
+    and exits 2.  Every other exception is an internal error."""

@@ -3,12 +3,14 @@
 Every exact cross-check of the package lives here once, as a named thunk
 that returns True on success.  ``wptrees verify identities`` runs the whole
 registry in order, and the acceptance suite runs named subsets of it, so
-the two can never disagree on a criterion.  Here too are the table
-:func:`known_v0n`, Zograf's :func:`zograf_v`, :func:`f_from_trees` and the
-invariants :func:`is_homogeneous` and :func:`is_symmetric`, each one pass
-over a volume's terms.  Oracles that share private code with a route stay
-beside it: ``mu_average`` and ``z_residual`` in :mod:`wptrees.genfun`, the
-brute-force enumerator in :mod:`wptrees.trees`.
+the two can never disagree on a criterion.  Every check reads a volume
+as the orbit dict its route returns, and none expands one.  Here too are
+the table :func:`known_v0n`, Zograf's :func:`zograf_v`, :func:`f_from_trees`,
+the mu-average :func:`tail_average` and the invariants
+:func:`keys_homogeneous` and :func:`keys_symmetric`, each one pass over an
+orbit dict's keys or entries.  Oracles that share private code with a route
+stay beside it: ``z_residual`` in :mod:`wptrees.genfun`, the brute-force
+enumerator in :mod:`wptrees.trees`.
 """
 from __future__ import annotations
 
@@ -17,37 +19,34 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial, prod
 
-from .algebra import PI2, Polynomial, expand_orbits, ghat, lsq, mom, that
-from .genfun import f_recursion, f_substituted, htc_genfun, mu_average, solve_r, z_residual
+from .algebra import PI2, Polynomial, ghat, lsq, mom, that
+from .genfun import f_recursion, f_substituted, htc_genfun, solve_r, z_residual
 from .polytope import corner_markings, polytope_dimension, side
 from .trees import brute_force_enumerate, canonical_key, enumerate_family
 from .volumes import (
     ell_integral, full_decomposition_v0n, htc_volume, v0n_graph_sum, v0n_reduced)
 
-__all__ = ["identity_checks", "known_v0n", "zograf_v", "f_from_trees", "is_homogeneous",
-           "is_symmetric"]
+__all__ = ["identity_checks", "known_v0n", "zograf_v", "f_from_trees", "tail_average",
+           "keys_homogeneous", "keys_symmetric"]
 
 
 def identity_checks(max_n: int) -> dict:
     """Name -> thunk for every exact cross-check, in the order they run.
 
     Each family of checks runs for n = 3 .. max_n, capped where the
-    reference data or the running time ends: the table at n = 6, the
-    recursion identity at n = 7, the routes at n = 11 (each read of their
-    symmetry guard re-sums all 2^(n-3) splits: about 15 s a route at 13).
-    The dimension formula stops at n = 5 to keep the command's output
-    stable, not to save time.  Zograf's constant terms run from n = 4 with
-    no cap, and the half-tight series is read against every H_n.  The
-    reduced and half-tight orbit dicts, which the table, route and Zograf
-    checks compare, are computed once per n, and expanded once per n for
-    the checks that read monomials; each is shared by the whole registry,
-    and so is a guard's ``ArithmeticError``, raised again in each check
-    that reads it.
+    reference data or the running time ends: the table at n = 6 and the
+    routes at n = 11 (each read of their symmetry guard re-sums all
+    2^(n-3) splits: about 15 s a route at 13).  The dimension formula stops
+    at n = 5 to keep the command's output stable, not to save time.
+    Homogeneity, symmetry and the recursion identity run to max_n, Zograf's
+    constant terms from n = 4 with no cap, and the half-tight series is
+    read against every H_n.  The reduced and half-tight orbit dicts are
+    computed once per n and read as they are, never expanded; each is
+    shared by the whole registry, and so is a guard's ``ArithmeticError``,
+    raised again in each check that reads it.
     """
     checks = {}
     reduced, htc = _once(v0n_reduced), _once(htc_volume)
-    reduced_poly = _once(lambda n: expand_orbits(reduced(n)))
-    htc_poly = _once(lambda n: expand_orbits(htc(n)))
 
     for n in range(3, min(max_n, 6) + 1):
         checks[f"table-v0-{n}"] = lambda n=n: reduced(n) == known_v0n(n)
@@ -57,8 +56,8 @@ def identity_checks(max_n: int) -> dict:
             lambda n=n: full_decomposition_v0n(n) == reduced(n))
     for n in range(3, max_n + 1):
         checks[f"homogeneity-{n}"] = lambda n=n: (
-            is_homogeneous(reduced_poly(n), n - 3) and is_homogeneous(htc_poly(n), n - 3))
-        checks[f"symmetry-{n}"] = lambda n=n: is_symmetric(reduced_poly(n), n)
+            keys_homogeneous(reduced(n), n) and keys_homogeneous(htc(n), n))
+        checks[f"symmetry-{n}"] = lambda n=n: keys_symmetric(reduced(n), n)
     for n in range(4, max_n + 1):
         checks[f"zograf-{n}"] = lambda n=n: _check_zograf(reduced(n), n)
 
@@ -69,13 +68,13 @@ def identity_checks(max_n: int) -> dict:
         z_residual(solve_r(cap)).is_zero() for cap in range(1, 6))
     checks["r-grade-2"] = _check_r_grade_2
     checks["h-genfun-matches-averages"] = (
-        lambda: _check_h_genfun(max(1, max_n - 2), htc_poly))
+        lambda: _check_h_genfun(max(1, max_n - 2), htc))
 
     for n in range(3, min(max_n, 6) + 1):
         checks[f"f-trees-vs-recursion-{n}"] = lambda n=n: f_from_trees(n) == f_recursion(n)
-    for n in range(3, min(max_n, 7) + 1):
+    for n in range(3, max_n + 1):
         checks[f"recursion-vs-volume-{n}"] = lambda n=n: (
-            f_substituted(n) == mu_average(reduced_poly(n), range(1, n + 1)))
+            f_substituted(n) == tail_average(reduced(n)))
 
     for n in range(3, min(max_n, 6) + 1):
         checks[f"enumerator-oracle-{n}"] = lambda n=n: (
@@ -162,34 +161,37 @@ def f_from_trees(n: int) -> Polynomial:
     return Polynomial.sum(term(d) for d in enumerate_family("two-three", n))
 
 
-def is_homogeneous(p: Polynomial, degree: int) -> bool:
-    """True iff every monomial has pi^2-degree + squared-length degree == degree."""
-    kinds = (PI2.kind, lsq(1).kind)
-    return all(all(a.kind in kinds for a, _ in mono) and sum(e for _, e in mono) == degree
-               for mono, _ in p.items())
+def tail_average(orbits: dict) -> Polynomial:
+    """The mu-average of an orbit dict over the labels past each orbit's head.
 
-
-def is_symmetric(p: Polynomial, n: int) -> bool:
-    """Invariance of p under permutations of L_1^2 .. L_n^2, in one pass.
-
-    The terms are counted by (other atoms, L-exponents over labels 1..n
-    sorted with zeros, coefficient), and p is symmetric iff each count is
-    the number n! / prod mult! of distinct arrangements of its exponents:
-    the monomials are distinct, so such a group is a whole orbit with one
-    coefficient.  Length atoms with index above n count as fixed.
+    Each orbit (p, head, tail) with coefficient c sums the monomials
+    pi^(2p) prod_i L_i^(2 head_i) times each distinct arrangement of
+    L^(2 tail) on the other labels, and every arrangement averages to the
+    same moment product: the orbit becomes c * (the number of distinct
+    arrangements of tail) * pi^(2p) * prod_i L_i^(2 head_i) * prod_{e in
+    tail} m_e, of moment grade len(tail).
     """
-    length, groups = lsq(1).kind, Counter()
-    for mono, c in p.items():
-        exponents, rest = [0] * n, []
-        for pair in mono:
-            (kind, i), e = pair
-            if kind == length and i <= n:
-                exponents[i - 1] = e
-            else:
-                rest.append(pair)
-        groups[tuple(rest), tuple(sorted(exponents)), c] += 1
-    return all(count == factorial(n) // prod(map(factorial, Counter(exponents).values()))
-               for (_, exponents, _), count in groups.items())
+    def term(p, head, tail, c):
+        arrangements = factorial(len(tail)) // prod(map(factorial, Counter(tail).values()))
+        lengths = [(lsq(i), e) for i, e in enumerate(head, start=1)]
+        return Polynomial.monomial(c * arrangements,
+                                   [(PI2, p), *lengths, *Counter(map(mom, tail)).items()])
+
+    return Polynomial.sum(term(*key, c) for key, c in orbits.items())
+
+
+def keys_homogeneous(orbits: dict, n: int) -> bool:
+    """True iff every orbit of a volume on n boundaries has pi^2-degree plus
+    squared-length degree n - 3."""
+    return all(p + sum(head) + sum(tail) == n - 3 for p, head, tail in orbits)
+
+
+def keys_symmetric(orbits: dict, n: int) -> bool:
+    """True iff every key has the form of a symmetric orbit on n labels: an
+    empty head and a nonincreasing tail of length n.  Whether the route's
+    coefficients are symmetric is read by its placement guard."""
+    return all(not head and len(tail) == n and list(tail) == sorted(tail, reverse=True)
+               for _, head, tail in orbits)
 
 
 def _check_zograf(volume: dict, n: int) -> bool:
@@ -210,7 +212,7 @@ def _check_r_grade_2() -> bool:
 def _check_h_genfun(max_p: int, htc) -> bool:
     h = htc_genfun(max_p)
     return all(
-        h.grade_part(p) == mu_average(htc(p + 2), range(3, p + 3)) * Fraction(1, factorial(p))
+        h.grade_part(p) == tail_average(htc(p + 2)) * Fraction(1, factorial(p))
         for p in range(1, max_p + 1))
 
 

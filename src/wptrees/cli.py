@@ -7,8 +7,10 @@ enumeration), ``verify identities`` (the exact cross-check battery) and
 render in canonical term order, floats print with 17 significant digits,
 and ``--threads``, kept for the scripts that pass it, has no effect: the
 sampler runs in one thread, and numpy is loaded with a one-thread OpenBLAS.
-Exit codes: 0 success, 1 verification failure, 2 invalid input, 141
-(128 + SIGPIPE) when the reader closes stdout early.
+Exit codes: 0 success, 1 verification failure, 2 invalid input (a
+:class:`wptrees.UsageError`), 141 (128 + SIGPIPE) when the reader closes
+stdout early.  Any other exception is an internal error: it keeps its
+traceback and exits 1.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ import re
 import sys
 from fractions import Fraction
 
+from . import UsageError
 from .algebra import Polynomial, expand_orbits, lsq, poly_to_json_terms
 from .genfun import (
     f_substituted,
@@ -66,7 +69,7 @@ ABLATION_SIGMA = 5.0  # the ablation's rows are exact: its |z| is 0 or infinite
 def _check_volume_size(n: int, flag: str = "--n") -> None:
     """Refuse, before any work, a volume size that cannot finish."""
     if n > VOLUME_MAX_N:
-        raise ValueError(f"volumes are limited to n <= {VOLUME_MAX_N}, got {flag} {n}")
+        raise UsageError(f"volumes are limited to n <= {VOLUME_MAX_N}, got {flag} {n}")
 
 
 def _parse_length(field: str) -> Fraction:
@@ -75,12 +78,12 @@ def _parse_length(field: str) -> Fraction:
     digits."""
     match = _LENGTH_FIELD.fullmatch(field)
     if match is None:
-        raise ValueError("digit separators are not accepted" if "_" in field
+        raise UsageError("digit separators are not accepted" if "_" in field
                          else f"{field!r} is not a decimal or p/q in ASCII digits")
     frac, exp = match["frac"] or "", match["exp"] or "0"
     num, den = (match["int"] + frac).lstrip("0"), (match["den"] or "1").lstrip("0")
     if not den:
-        raise ValueError(f"{field!r} has a zero denominator")
+        raise UsageError(f"{field!r} has a zero denominator")
     # The value is num / den * 10^scale.  With num within the bound, a |scale|
     # past twice the bound puts the numerator or the denominator past it; an
     # exponent of ten digits or more stands for such a scale.
@@ -90,7 +93,7 @@ def _parse_length(field: str) -> Fraction:
         value = Fraction(int(num or "0") * 10 ** max(scale, 0),
                          int(den or "0") * 10 ** max(-scale, 0))
     if value is None or max(value.numerator, value.denominator) >= _TOO_LONG:
-        raise ValueError(f"length {field!r} has more than {LENGTH_MAX_DIGITS} digits "
+        raise UsageError(f"length {field!r} has more than {LENGTH_MAX_DIGITS} digits "
                          f"in its numerator or denominator")
     return -value if field[0] == "-" else value
 
@@ -98,15 +101,15 @@ def _parse_length(field: str) -> Fraction:
 def _parse_lengths(text: str, n: int) -> list[Fraction]:
     parts = [p.strip() for p in text.split(",")]
     if not all(parts):
-        raise ValueError(f"malformed length list {text!r}: empty field")
+        raise UsageError(f"malformed length list {text!r}: empty field")
     if len(parts) != n:
-        raise ValueError(f"expected {n} comma-separated lengths, got {len(parts)}")
+        raise UsageError(f"expected {n} comma-separated lengths, got {len(parts)}")
     try:
         values = [_parse_length(p) for p in parts]
-    except ValueError as exc:
-        raise ValueError(f"malformed length list {text!r}: {exc}") from None
+    except UsageError as exc:
+        raise UsageError(f"malformed length list {text!r}: {exc}") from None
     if any(v <= 0 for v in values):
-        raise ValueError("lengths must be positive")
+        raise UsageError("lengths must be positive")
     return values
 
 
@@ -117,7 +120,7 @@ def _print_volume(orbits: dict, args, meta: dict, lengths) -> None:
     if lengths:
         poly = poly.substitute({lsq(i + 1): v * v for i, v in enumerate(lengths)})
         if any(max(abs(c.numerator), c.denominator) >= _TOO_LONG for _, c in poly.items()):
-            raise ValueError(f"the value at these lengths has a coefficient of more than "
+            raise UsageError(f"the value at these lengths has a coefficient of more than "
                              f"{LENGTH_MAX_DIGITS} digits, too long to print")
         meta["lengths"] = [str(v) for v in lengths]
     _print_poly(poly, args.format, meta, n_lengths=0 if lengths else args.n)
@@ -135,7 +138,7 @@ def _print_poly(poly: Polynomial, fmt: str, meta: dict, **json_options) -> None:
 
 def _cmd_vol(args) -> int:
     if args.n < 3:
-        raise ValueError("need --n >= 3")
+        raise UsageError("need --n >= 3")
     _check_volume_size(args.n)
     route = {
         "tree": v0n_reduced,
@@ -154,11 +157,11 @@ def _cmd_vol(args) -> int:
 
 def _cmd_htc(args) -> int:
     if args.n < 3:
-        raise ValueError("need --n >= 3")
+        raise UsageError("need --n >= 3")
     _check_volume_size(args.n)
     lengths = _parse_lengths(args.lengths, args.n) if args.lengths is not None else None
     if lengths and not lengths[0] < lengths[1]:
-        raise ValueError(f"half-tight volumes assume {HTC_ASSUMPTION}")
+        raise UsageError(f"half-tight volumes assume {HTC_ASSUMPTION}")
     orbits = htc_volume(args.n)
     if args.format == "text":
         print(f"# assumes {HTC_ASSUMPTION}", file=sys.stderr)
@@ -169,9 +172,9 @@ def _cmd_htc(args) -> int:
 
 def _cmd_gf(args) -> int:
     if args.order < 1:
-        raise ValueError("need --order >= 1")
+        raise UsageError("need --order >= 1")
     if args.order > GF_MAX_ORDER:
-        raise ValueError(f"series are limited to --order <= {GF_MAX_ORDER}, "
+        raise UsageError(f"series are limited to --order <= {GF_MAX_ORDER}, "
                          f"got --order {args.order}")
     series = {"z": z_series, "r": solve_r, "h": htc_genfun}[args.target](args.order)
     meta = {"command": "gf", "target": args.target, "grade_cap": series.grade_cap}
@@ -181,7 +184,7 @@ def _cmd_gf(args) -> int:
 
 def _cmd_trees(args) -> int:
     if args.n < 3:
-        raise ValueError("need --n >= 3")
+        raise UsageError("need --n >= 3")
     family = enumerate_family(args.family, args.n)
     if args.list:
         print(json.dumps([tree_to_json(t) for t in family]))
@@ -194,7 +197,7 @@ def _cmd_trees(args) -> int:
 
 def _cmd_verify_identities(args) -> int:
     if args.max_n < 3:
-        raise ValueError("need --max-n >= 3")
+        raise UsageError("need --max-n >= 3")
     _check_volume_size(args.max_n, "--max-n")
     from .checks import identity_checks  # here, so no other command loads it
     failures = 0
@@ -232,10 +235,10 @@ def _report_json(report) -> str:
 
 def _cmd_verify_mc(args) -> int:
     if args.ablation and args.n <= 4:
-        raise ValueError("--ablation needs --n >= 5: no tree at n <= 4 has an "
+        raise UsageError("--ablation needs --n >= 5: no tree at n <= 4 has an "
                          "inner-inner edge, so dropping the constraints changes nothing")
     if not (math.isfinite(args.sigma) and args.sigma > 0):
-        raise ValueError(f"need a finite --sigma > 0, got {args.sigma}")
+        raise UsageError(f"need a finite --sigma > 0, got {args.sigma}")
     lengths = _parse_lengths(args.lengths, args.n)
     report = mc_full_volume(args.n, lengths, args.samples, args.seed)
     print(_report_json(report))
@@ -322,7 +325,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         if args.threads < 1:
-            raise ValueError("need --threads >= 1")
+            raise UsageError("need --threads >= 1")
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -330,7 +333,7 @@ def main(argv=None) -> int:
         # Send the interpreter's final flush of stdout to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,13 +25,12 @@ The module provides
 * ``f_recursion``   the polynomials f_3, f_4, ... in t0.., gam2.., built by
                     the boundary-insertion operator (its tree-by-tree
                     reference is :func:`wptrees.checks.f_from_trees`);
-* ``mu_average``    termwise replacement L_i^(2a) -> m_a over a label subset;
 * ``symmetric_from_moments``   the inverse of a full mu-average, recovering
-                    the (symmetric) length polynomial as an orbit dict.
+                    the (symmetric) length polynomial as an orbit dict (the
+                    average itself is :func:`wptrees.checks.tail_average`).
 """
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
@@ -55,7 +54,6 @@ __all__ = [
     "htc_genfun",
     "f_recursion",
     "f_substituted",
-    "mu_average",
     "symmetric_from_moments",
 ]
 
@@ -187,33 +185,6 @@ def f_substituted(n: int) -> Polynomial:
 
 
 # -- moment averaging ------------------------------------------------------
-
-def mu_average(p: Polynomial, subset) -> Polynomial:
-    """Integrate the boundaries in ``subset`` against mu.
-
-    Termwise, each factor L_i^(2a) with i in the subset becomes the moment
-    atom m_a; a boundary absent from a term contributes m_0.  Evenness in
-    every averaged length is guaranteed by the squared-length atoms.  A term
-    free of moment atoms averages to moment grade exactly ``len(subset)``.
-    """
-    subset = set(subset)
-    length, m0 = lsq(1).kind, mom(0)
-
-    def average(mono, c):
-        pairs: Counter = Counter()
-        absent = len(subset)
-        for a, e in mono:
-            if a.kind == length and a.index in subset:
-                pairs[mom(e)] += 1
-                absent -= 1
-            else:
-                pairs[a] += e
-        if absent:
-            pairs[m0] += absent
-        return tuple(sorted(pairs.items())), c
-
-    return p.map_terms(average)
-
 
 def symmetric_from_moments(p: Polynomial, n: int) -> dict:
     """Invert a full mu-average back to the symmetric length polynomial.

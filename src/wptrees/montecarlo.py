@@ -29,7 +29,7 @@ total's standard error is sqrt(sum over shapes of (sum of the shape's row
 errors)^2), not ``hypot`` over rows.  Only fractions and weights, all in
 [0, 1], are squared, so the constants are the only values that can
 overflow: lengths at which a constant or their sum overflows binary64 are
-refused, before any draw, with ``ValueError``, as are an n too large to
+refused, before any draw, with ``UsageError``, as are an n too large to
 enumerate and more than ``DRAW_BUDGET`` draws (samples x sampled shapes).
 Every n >= 5 has a sampled shape, so there a samples count above the
 budget is refused before the reference and the enumeration.
@@ -68,6 +68,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
+from . import UsageError
 from .algebra import PI2, expand_orbits, lsq
 from .trees import canonical_key, check_enumeration_size, enumerate_family
 from .volumes import v0n_reduced
@@ -313,22 +314,22 @@ def _check_lengths(n: int, lengths) -> None:
     """Refuse lengths outside the sampler's domain: checked on the exact
     values, then on their binary64 roundings, which the run binds."""
     if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+        raise UsageError(f"need n >= 3, got {n}")
     if len(lengths) != n:
-        raise ValueError(f"need {n} lengths, got {len(lengths)}")
+        raise UsageError(f"need {n} lengths, got {len(lengths)}")
     try:
         exact = [Fraction(v) for v in lengths]
         if any(v <= 0 for v in exact):
-            raise ValueError("lengths must be positive")
+            raise UsageError("lengths must be positive")
         if not exact[0] < exact[1]:
-            raise ValueError("need L1 < L2")
+            raise UsageError("need L1 < L2")
         L = [float(v) for v in exact]
     except OverflowError:
-        raise ValueError("lengths must be below the binary64 maximum") from None
+        raise UsageError("lengths must be below the binary64 maximum") from None
     if any(v <= 0 for v in L):
-        raise ValueError("lengths must stay positive when rounded to binary64")
+        raise UsageError("lengths must stay positive when rounded to binary64")
     if not L[0] < L[1]:
-        raise ValueError("need L1 < L2 after rounding to binary64")
+        raise UsageError("need L1 < L2 after rounding to binary64")
 
 
 def _report(rows: list[dict], reference: float, samples: int, seed: int) -> McReport:
@@ -356,18 +357,18 @@ def mc_full_volume(n: int, lengths, samples: int, seed: int) -> McReport:
     from .polytope import constant, member  # here, so vol, htc, gf and trees never load it
     _check_lengths(n, lengths)
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise UsageError("samples must be >= 1")
     if seed < 0:
-        raise ValueError("seed must be >= 0")
+        raise UsageError("seed must be >= 0")
     check_enumeration_size(n)
     if n >= 5 and samples > DRAW_BUDGET:  # every such n has a sampled shape
-        raise ValueError(f"sampling is limited to samples x sampled shapes <= {DRAW_BUDGET}, "
+        raise UsageError(f"sampling is limited to samples x sampled shapes <= {DRAW_BUDGET}, "
                          f"got {samples} samples of at least one shape")
     try:
         squares = _squares(lengths)
         reference = float(expand_orbits(v0n_reduced(n)).eval_exact(squares))  # rounded once
     except OverflowError:
-        raise ValueError("the exact reference overflows binary64") from None
+        raise UsageError("the exact reference overflows binary64") from None
     constants: dict[tuple, float] = {}  # by (label, excess) signature
     members = []  # (key, kind, constant, shape): no tree is kept
     firsts: dict[str, tuple] = {}  # shape -> sampled sides of its first member
@@ -385,10 +386,10 @@ def mc_full_volume(n: int, lengths, samples: int, seed: int) -> McReport:
                                 "full" if glued else "half-tight", constants[key], shape))
         math.fsum(const for _, _, const, _ in members)
     except OverflowError:
-        raise ValueError("the per-tree volumes overflow binary64 at these lengths") from None
+        raise UsageError("the per-tree volumes overflow binary64 at these lengths") from None
     shapes = sorted(s for s in firsts if s)  # "" is the exact members'
     if samples * len(shapes) > DRAW_BUDGET:
-        raise ValueError(f"sampling is limited to samples x sampled shapes <= {DRAW_BUDGET}, "
+        raise UsageError(f"sampling is limited to samples x sampled shapes <= {DRAW_BUDGET}, "
                          f"got {samples} x {len(shapes)} = {samples * len(shapes)}")
     by_shape = {s: _estimate(firsts[s], samples, seed, i) for i, s in enumerate(shapes)}
     rows = [_row(key, kind, const, shape, by_shape.get(shape), samples)

@@ -59,6 +59,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import factorial, prod
 
+from . import UsageError
+
 __all__ = [
     "Tree",
     "DoubleTree",
@@ -256,7 +258,7 @@ def _check_family(family: str, n: int) -> None:
 
 def check_enumeration_size(n: int) -> None:
     if n > ENUMERATION_MAX_N:
-        raise ValueError(
+        raise UsageError(
             f"tree enumeration keeps every tree in memory and is limited to "
             f"n <= {ENUMERATION_MAX_N}, got n = {n}")
 

@@ -1,5 +1,6 @@
 """Exact arithmetic: ring axioms, calculus rules, serialization."""
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -23,6 +24,7 @@ from wptrees.algebra import (
     poly_to_json_terms,
     that,
 )
+from wptrees.volumes import htc_volume, v0n_reduced
 
 P = Polynomial
 
@@ -151,6 +153,27 @@ def test_expand_orbits_writes_each_arrangement_in_canonical_order():
         (lsq(i), e) for i, e in zip((2, 3, 4), tail) if e])
         for tail in set(permutations((0, 2, 0))))
     assert got == expected and len(got) == 3
+
+
+def symmetrised(orbits):
+    """The orbit dict by brute force: each orbit's coefficient on every
+    permutation of its tail, the repeats struck out."""
+    return P.sum(P.monomial(c, [(PI2, p)] + [
+        (lsq(i), e) for i, e in enumerate(head + arrangement, start=1)])
+        for (p, head, tail), c in orbits.items() for arrangement in set(permutations(tail)))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_expand_orbits_matches_brute_force_symmetrisation(n):
+    for orbits in (v0n_reduced(n), htc_volume(n)):
+        assert expand_orbits(orbits) == symmetrised(orbits)
+
+
+def test_expand_orbits_writes_each_distinct_arrangement_once():
+    for orbits in (v0n_reduced(10), htc_volume(10)):
+        arrangements = sum(math.factorial(len(tail)) // math.prod(
+            map(math.factorial, Counter(tail).values())) for _, _, tail in orbits)
+        assert len(expand_orbits(orbits)) == arrangements
 
 
 def test_map_terms_merges_like_terms_and_drops_cancelled_ones():

@@ -1,15 +1,12 @@
 """The identity-check registry shares one computation per route and n, a
-raised guard included; its dimension, half-tight, route, symmetry and
-Zograf checks fail on each mutant of what they read."""
+raised guard included; its dimension, half-tight, route, homogeneity,
+symmetry, recursion and Zograf checks fail on each mutant of what they
+read."""
 from collections import Counter
-from functools import cache
 
 import pytest
 
 from wptrees import checks
-from wptrees.algebra import PI2, Polynomial, expand_orbits, lsq
-
-P = Polynomial
 
 
 def test_registry_computes_each_volume_once(monkeypatch):
@@ -106,34 +103,33 @@ def test_route_checks_run_past_the_table(monkeypatch):
     assert not registry["route-decomposition-8"]()
 
 
-@cache
-def v09():
-    return expand_orbits(checks.v0n_reduced(9))
+def _one_orbit_changed(change):
+    """The reduced route with ``change`` applied to one V_{0,8} orbit whose
+    tail is not constant: (key, c) -> (key', c')."""
+    real = checks.v0n_reduced
+
+    def changed(n):
+        orbits = real(n)
+        if n != 8:
+            return orbits
+        key = next(k for k in orbits if len(set(k[2])) > 1)
+        new_key, c = change(key, orbits[key])
+        return {**{k: v for k, v in orbits.items() if k != key}, new_key: c}
+    return changed
 
 
-# pi^8 L_1^2 L_2^2 and its 35 other arrangements over labels 1..9.
-PAIR_TERM = ((PI2, 4), (lsq(1), 1), (lsq(2), 1))
-
-
-@pytest.mark.parametrize("change", [
-    lambda c: -c,      # one member of the orbit dropped
-    lambda c: 1,       # one coefficient raised by 1
-], ids=["member-dropped", "coefficient-raised"])
-def test_symmetry_rejects_a_broken_orbit_of_v09(change):
-    volume = v09()
-    c = volume.coefficient(PAIR_TERM)
-    assert c and checks.is_symmetric(volume, 9)
-    assert not checks.is_symmetric(volume + P.monomial(change(c), PAIR_TERM), 9)
-
-
-def test_symmetry_counts_a_higher_label_as_fixed():
-    def term(*pairs):
-        return P.monomial(1, [(lsq(i), e) for i, e in pairs])
-
-    assert checks.is_symmetric(term((1, 1), (3, 2)) + term((2, 1), (3, 2)), 2)
-    assert checks.is_symmetric(term((3, 1)), 2)
-    assert not checks.is_symmetric(term((1, 1), (3, 1)) + term((2, 1)), 2)
-    assert not checks.is_symmetric(term((3, 1)), 3)
+@pytest.mark.parametrize("change, failing", [
+    (lambda key, c: ((key[0] + 1, *key[1:]), c), "homogeneity-8"),
+    (lambda key, c: ((key[0], (), key[2][::-1]), c), "symmetry-8"),
+    (lambda key, c: ((key[0], key[2][:1], key[2][1:]), c), "symmetry-8"),
+    (lambda key, c: (key, c + 1), "recursion-vs-volume-8"),
+], ids=["p-off-by-one", "increasing-tail", "nonempty-head", "coefficient-raised"])
+def test_a_changed_orbit_of_v08_fails_its_check(monkeypatch, change, failing):
+    registry = checks.identity_checks(8)
+    assert registry[failing]()
+    monkeypatch.setattr(checks, "v0n_reduced", _one_orbit_changed(change))
+    registry = checks.identity_checks(8)
+    assert not registry[failing]()
 
 
 @pytest.mark.parametrize("key", [(3, (), (0,) * 6), (0, (), (0,) * 6)],

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from wptrees import checks, cli
+from wptrees import UsageError, checks, cli
+from wptrees.algebra import Polynomial, mom
 from wptrees.montecarlo import McReport
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -469,6 +470,15 @@ def test_internal_key_error_is_not_invalid_input(monkeypatch):
     monkeypatch.setattr(cli, "v0n_reduced", broken)
     with pytest.raises(KeyError):
         cli.main(["vol", "--n", "4"])
+
+
+def test_internal_value_error_is_not_invalid_input(monkeypatch):
+    # A plain ValueError from inside a route, here symmetric_from_moments'
+    # degree check, is an internal fault: main does not turn it into exit 2.
+    monkeypatch.setattr(cli, "f_substituted", lambda n: Polynomial.of_atom(mom(0), n - 1))
+    with pytest.raises(ValueError, match="moment degree") as raised:
+        cli.main(["vol", "--n", "4", "--method", "recursion"])
+    assert not isinstance(raised.value, UsageError)
 
 
 def test_verify_identities_exit_zero():

@@ -7,13 +7,12 @@ from math import factorial
 import pytest
 
 from wptrees.algebra import (
-    AUX, PI2, GradedSeries, Polynomial, expand_orbits, ghat, lsq, mom, that)
-from wptrees.checks import f_from_trees
+    AUX, PI2, GradedSeries, Polynomial, ghat, lsq, mom, that)
+from wptrees.checks import f_from_trees, tail_average
 from wptrees.genfun import (
     f_recursion,
     f_substituted,
     htc_genfun,
-    mu_average,
     solve_r,
     symmetric_from_moments,
     t_moment,
@@ -155,7 +154,7 @@ def test_htc_genfun_structure():
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_htc_genfun_matches_averaged_volumes(p):
     h = htc_genfun(3)
-    avg = mu_average(expand_orbits(htc_volume(p + 2)), range(3, p + 3))
+    avg = tail_average(htc_volume(p + 2))
     assert h.grade_part(p) == avg * Fraction(1, factorial(p))
 
 
@@ -180,7 +179,7 @@ def test_f4_substitution_matches_averaged_v04():
     expected = (P.monomial(2, [(mom(0), 3), (mom(1), 1)])
                 + P.monomial(2, [(PI2, 1), (mom(0), 4)]))
     assert sub == expected
-    assert sub == mu_average(expand_orbits(v0n_reduced(4)), range(1, 5))
+    assert sub == tail_average(v0n_reduced(4))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -218,21 +217,24 @@ def test_f_coefficients_count_two_three_trees(n):
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_recursion_equals_averaged_volumes(n):
     lhs = f_substituted(n)
-    assert lhs == mu_average(expand_orbits(v0n_reduced(n)), range(1, n + 1))
+    assert lhs == tail_average(v0n_reduced(n))
 
 
 def test_mu_average_examples():
-    assert mu_average(P.one(), (1, 2, 3)) == P.of_atom(mom(0), 3)
-    avg = mu_average(expand_orbits(v0n_reduced(4)), range(1, 5))
+    # The tail's labels are averaged, each distinct arrangement alike; the
+    # head's lengths stay.
+    assert tail_average({(0, (), (0, 0, 0)): 1}) == P.of_atom(mom(0), 3)
+    avg = tail_average(v0n_reduced(4))
     assert avg == (P.monomial(2, [(PI2, 1), (mom(0), 4)])
                    + P.monomial(2, [(mom(0), 3), (mom(1), 1)]))
+    assert tail_average({(1, (2, 0), (1, 0, 0)): Fraction(1, 3)}) == P.monomial(
+        1, [(PI2, 1), (lsq(1), 2), (mom(1), 1), (mom(0), 2)])
 
 
 def test_symmetric_from_moments_round_trip():
     for n in (3, 4, 5):
         orbits = v0n_reduced(n)
-        avg = mu_average(expand_orbits(orbits), range(1, n + 1))
-        assert symmetric_from_moments(avg, n) == orbits
+        assert symmetric_from_moments(tail_average(orbits), n) == orbits
 
 
 def test_symmetric_from_moments_degree_check():

@@ -11,7 +11,7 @@ import pytest
 
 from wptrees import volumes
 from wptrees.algebra import PI2, Polynomial, expand_orbits, lsq, mom
-from wptrees.checks import is_homogeneous, is_symmetric, known_v0n, zograf_v
+from wptrees.checks import keys_homogeneous, keys_symmetric, known_v0n, zograf_v
 from wptrees.genfun import f_substituted, symmetric_from_moments
 from wptrees.trees import enumerate_family, family_splits
 from wptrees.volumes import (
@@ -100,24 +100,18 @@ def test_ell_integral_validation():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_homogeneity(n):
-    assert is_homogeneous(expand_orbits(v0n_reduced(n)), n - 3)
-    assert is_homogeneous(expand_orbits(htc_volume(n)), n - 3)
+    assert keys_homogeneous(v0n_reduced(n), n)
+    assert keys_homogeneous(htc_volume(n), n)
+    assert not keys_homogeneous({**v0n_reduced(n), (n - 2, (), (0,) * n): 1}, n)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_full_symmetry(n):
-    assert is_symmetric(expand_orbits(v0n_reduced(n)), n)
-
-
-@pytest.mark.parametrize("j", [1, 2, 3, 4], ids=lambda j: f"{j}-generators")
-def test_symmetry_check_rejects_one_asymmetric_pair(j):
-    # Invariant under every adjacent transposition but (L_j, L_{j+1}).
-    n = 5
-    symmetric = P.sum(P.monomial(1, [(PI2, 1), (lsq(i), 1), (lsq(k), 1)])
-                      for i in range(1, n + 1) for k in range(i + 1, n + 1))
-    split = P.sum(P.monomial(1 if i <= j else 2, [(lsq(i), 2)]) for i in range(1, n + 1))
-    assert is_symmetric(symmetric, n)
-    assert not is_symmetric(symmetric + split, n)
+    # Each V_{0,n} key is a symmetric orbit: no head, a nonincreasing tail
+    # over all n labels; an H_n key keeps L_1's and L_2's exponents in place.
+    assert keys_symmetric(v0n_reduced(n), n)
+    assert not keys_symmetric(htc_volume(n), n)
+    assert not keys_symmetric({(0, (), (0,) * (n - 1)): 1}, n)
 
 
 def test_positivity_at_positive_lengths():
