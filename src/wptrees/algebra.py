@@ -26,16 +26,21 @@ holds no floats: the sampler evaluates its reference with
 Substitution, differentiation, evaluation and the half-square integral (and
 elsewhere the mu-average and the symmetry test) are term rules handed to
 :meth:`Polynomial.map_terms`, the one place where the like terms of a
-rewritten polynomial are summed.  Ring operations, :func:`expand_orbits` and
+rewritten polynomial are summed.  Ring operations, :func:`orbit_terms` and
 the sums and products of a :class:`GradedSeries`, which stores its terms by
 moment grade, keep their own loops.  A volume stays an orbit dict,
-``(p, head, tail) -> coefficient``, until :func:`expand_orbits` writes out
-the monomials for a reader that needs them.
+``(p, head, tail) -> coefficient``: :func:`orbit_terms` streams its terms in
+canonical order for the printer, and :func:`expand_orbits` collects them
+for a reader that needs monomials.
 
 Canonical term order, used by every serializer: ascending total degree, then
 descending lexicographic with respect to the atom order
 
     pi2 < L1^2 < L2^2 < ... < m0 < m1 < ... < r < t0 < ... < gam2 < ...
+
+Terms are rendered one at a time, as text, LaTeX or JSON, by
+:func:`render_text`, :func:`render_latex` and :func:`json_terms`, whether
+they come sorted from a polynomial or streamed from an orbit dict.
 
 Monomials, coefficients, polynomials and series are immutable (a series
 writes nothing after it is built) and operations are pure functions, so
@@ -43,8 +48,11 @@ values can be shared freely across threads and summed in any order.
 """
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from itertools import product
+from itertools import repeat
+from math import lcm
+from operator import getitem
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
@@ -58,8 +66,13 @@ __all__ = [
     "Polynomial",
     "GradedSeries",
     "multiset_permutations",
+    "orbit_terms",
     "expand_orbits",
     "integrate_halfsquare",
+    "render_text",
+    "render_latex",
+    "json_terms",
+    "json_layout",
     "poly_to_json_terms",
     "poly_from_json_terms",
 ]
@@ -137,10 +150,11 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted(merged.items()))
 
 
-def _mul_into(out: dict[Mono, Fraction], a, b) -> None:
-    """Add the product of the term lists ``a`` and ``b`` into ``out``.
+def _mul_into(out: dict, a, b) -> None:
+    """Add the product of the term lists ``a`` and ``b``, with ``Fraction``
+    or integer coefficients, into ``out``.
 
-    Cancelled terms are left in place as zeros; :func:`_nonzero` drops them.
+    Cancelled terms are left in place as zeros for the caller to drop.
     A new monomial stores its product as is: ``0 + Fraction`` would take
     the slow ``Fraction.__radd__`` path.
     """
@@ -384,76 +398,90 @@ class Polynomial:
 
     # -- rendering -------------------------------------------------------
 
-    @staticmethod
-    def _atom_text(a: Atom, e: int) -> str:
-        if a.kind == _LSQ:
-            return f"L{a.index}^{2 * e}"
-        base = a.name()
-        return base if e == 1 else f"{base}^{e}"
-
-    def _render(self, atom_text, coeff_text, sep: str) -> str:
-        """Signed terms joined by `` + ``/`` - ``; ``atom_text(a, e)`` renders an
-        atom power, ``coeff_text(c)`` a positive coefficient, and ``sep``
-        joins the coefficient and the atom powers of a term."""
-        if not self._terms:
-            return "0"
-        texts: dict[tuple[Atom, int], str] = {}  # each atom power rendered once
-        parts: list[str] = []
-        for m, c in self.sorted_terms():
-            negative = c.numerator < 0
-            atom_parts = []
-            for pair in m:
-                text = texts.get(pair)
-                if text is None:
-                    text = texts[pair] = atom_text(*pair)
-                atom_parts.append(text)
-            atoms = sep.join(atom_parts)
-            if atoms and c.denominator == 1 and abs(c.numerator) == 1:
-                body = atoms
-            else:
-                mag = -c if negative else c
-                body = f"{coeff_text(mag)}{sep}{atoms}" if atoms else coeff_text(mag)
-            if parts:
-                parts.append(" - " if negative else " + ")
-            elif negative:
-                parts.append("-")
-            parts.append(body)
-        return "".join(parts)
-
     def text(self) -> str:
         """Canonical plain-text form, e.g. ``2*pi2 + 1/2*L1^2``."""
-        return self._render(self._atom_text, str, "*")
-
-    @staticmethod
-    def _atom_latex(a: Atom, e: int) -> str:
-        if a.kind == _PI2:
-            return f"\\pi^{{{2 * e}}}" if 2 * e != 2 else "\\pi^2"
-        if a.kind == _LSQ:
-            return f"L_{{{a.index}}}^{{{2 * e}}}" if 2 * e != 2 else f"L_{{{a.index}}}^2"
-        if a.kind == _MOM:
-            base = f"m_{{{a.index}}}"
-        elif a.kind == _AUX:
-            base = "r"
-        elif a.kind == _THAT:
-            base = f"\\hat t_{{{a.index}}}"
-        else:
-            base = f"\\hat\\gamma_{{{a.index}}}"
-        return base if e == 1 else f"{base}^{{{e}}}"
-
-    @staticmethod
-    def _coeff_latex(c: Fraction) -> str:
-        if c.denominator == 1:
-            return str(c.numerator)
-        return f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
+        return "".join(render_text(self.sorted_terms()))
 
     def latex(self) -> str:
-        return self._render(self._atom_latex, self._coeff_latex, " ")
+        return "".join(render_latex(self.sorted_terms()))
 
     def __str__(self) -> str:
         return self.text()
 
     def __repr__(self) -> str:
         return f"Polynomial({self.text()})"
+
+
+def _atom_text(a: Atom, e: int) -> str:
+    if a.kind == _LSQ:
+        return f"L{a.index}^{2 * e}"
+    base = a.name()
+    return base if e == 1 else f"{base}^{e}"
+
+
+def _atom_latex(a: Atom, e: int) -> str:
+    if a.kind == _PI2:
+        return f"\\pi^{{{2 * e}}}" if 2 * e != 2 else "\\pi^2"
+    if a.kind == _LSQ:
+        return f"L_{{{a.index}}}^{{{2 * e}}}" if 2 * e != 2 else f"L_{{{a.index}}}^2"
+    if a.kind == _MOM:
+        base = f"m_{{{a.index}}}"
+    elif a.kind == _AUX:
+        base = "r"
+    elif a.kind == _THAT:
+        base = f"\\hat t_{{{a.index}}}"
+    else:
+        base = f"\\hat\\gamma_{{{a.index}}}"
+    return base if e == 1 else f"{base}^{{{e}}}"
+
+
+def _coeff_latex(c: Fraction) -> str:
+    if c.denominator == 1:
+        return str(c.numerator)
+    return f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
+
+
+def _render(terms: Iterable[tuple[Mono, Fraction]], atom_text, coeff_text,
+            sep: str) -> Iterator[str]:
+    """Signed terms joined by `` + ``/`` - ``, one string per term, or "0"
+    for no terms; ``atom_text(a, e)`` renders an atom power, ``coeff_text(c)``
+    a positive coefficient, and ``sep`` joins the coefficient and the atom
+    powers of a term."""
+    texts: dict[tuple[Atom, int], str] = {}  # each atom power rendered once
+    first = True
+    for m, c in terms:
+        negative = c.numerator < 0
+        atom_parts = []
+        for pair in m:
+            text = texts.get(pair)
+            if text is None:
+                text = texts[pair] = atom_text(*pair)
+            atom_parts.append(text)
+        atoms = sep.join(atom_parts)
+        if atoms and c.denominator == 1 and abs(c.numerator) == 1:
+            body = atoms
+        else:
+            mag = -c if negative else c
+            body = f"{coeff_text(mag)}{sep}{atoms}" if atoms else coeff_text(mag)
+        if first:
+            yield "-" + body if negative else body
+            first = False
+        else:
+            yield (" - " if negative else " + ") + body
+    if first:
+        yield "0"
+
+
+def render_text(terms: Iterable[tuple[Mono, Fraction]]) -> Iterator[str]:
+    """The plain-text form of canonically ordered terms, as
+    :meth:`Polynomial.text` joins it."""
+    return _render(terms, _atom_text, str, "*")
+
+
+def render_latex(terms: Iterable[tuple[Mono, Fraction]]) -> Iterator[str]:
+    """The LaTeX form of canonically ordered terms, as
+    :meth:`Polynomial.latex` joins it."""
+    return _render(terms, _atom_latex, _coeff_latex, " ")
 
 
 def integrate_halfsquare(p: Polynomial, upper: Atom) -> Polynomial:
@@ -523,18 +551,30 @@ class GradedSeries:
             parts[g] = self.parts[g] + other.parts[g]
         return GradedSeries._of_parts({g: p for g, p in parts.items() if p}, self.grade_cap)
 
+    def _numerators(self) -> tuple[int, dict[int, list[tuple[Mono, int]]]]:
+        """The lcm D of the coefficients' denominators, and each part's terms
+        with their coefficients times D, all integers."""
+        d = lcm(*(c.denominator for p in self.parts.values() for c in p._terms.values()))
+        return d, {g: [(m, c.numerator * (d // c.denominator)) for m, c in p._terms.items()]
+                   for g, p in self.parts.items()}
+
     def __mul__(self, other: "GradedSeries") -> "GradedSeries":
+        """The truncated product, summed over integer numerators: each
+        coefficient is one ``Fraction`` of the summed integer over the
+        product of the operands' common denominators."""
         self._check(other)
         cap = self.grade_cap
-        out: dict[int, dict[Mono, Fraction]] = {}
-        for ga, pa in self.parts.items():
-            for gb, pb in other.parts.items():
+        da, a = self._numerators()
+        db, b = other._numerators()
+        out: dict[int, dict[Mono, int]] = {}
+        for ga, ta in a.items():
+            for gb, tb in b.items():
                 if ga + gb <= cap:
-                    _mul_into(out.setdefault(ga + gb, {}),
-                              pa._terms.items(), pb._terms.items())
-        parts = {g: Polynomial._of_terms(t) for g, terms in out.items()
-                 if (t := _nonzero(terms))}
-        return GradedSeries._of_parts(parts, cap)
+                    _mul_into(out.setdefault(ga + gb, {}), ta, tb)
+        den = da * db
+        parts = {g: Polynomial._of_terms({m: Fraction(n, den) for m, n in terms.items() if n})
+                 for g, terms in out.items()}
+        return GradedSeries._of_parts({g: p for g, p in parts.items() if p}, cap)
 
     @property
     def body(self) -> Polynomial:
@@ -551,24 +591,62 @@ class GradedSeries:
 
 
 def multiset_permutations(items: Iterable) -> Iterator[tuple]:
-    """The distinct permutations of ``items``, in lexicographic order.
+    """The distinct permutations of ``items``, in descending lexicographic order.
 
-    Walks next-permutation steps from the sorted order, so a multiset with
-    repeats costs one step per distinct arrangement, not one per permutation.
+    Walks previous-permutation steps from the nonincreasing order, so a
+    multiset with repeats costs one step per distinct arrangement, not one
+    per permutation.
     """
-    a = sorted(items)
+    a = sorted(items, reverse=True)
     while True:
         yield tuple(a)
         i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
+        while i >= 0 and a[i] <= a[i + 1]:
             i -= 1
         if i < 0:
             return
         j = len(a) - 1
-        while a[j] <= a[i]:
+        while a[j] >= a[i]:
             j -= 1
         a[i], a[j] = a[j], a[i]
         a[i + 1:] = reversed(a[i + 1:])
+
+
+def orbit_terms(orbits: Mapping) -> Iterator[tuple[Mono, Fraction]]:
+    """The terms of the orbit sum :func:`expand_orbits` writes out, in the
+    canonical order, like terms summed and zeros dropped.
+
+    Within one total degree the canonical order is descending lexicographic
+    order on the exponent vector (p, e_1, .., e_n): two monomials of equal
+    degree first differ in an exponent, never in a missing atom.  So each
+    orbit walks its arrangements in that order, and one ``heapq.merge`` per
+    total degree and pi^2 power (the degree ascending, then the power
+    descending) interleaves them; no monomial dict is built and no sort key
+    computed.  Every key spreads over the same n labels.
+    """
+    groups: dict[tuple[int, int], list] = {}
+    width = degree = 0
+    for (p, head, tail), coefficient in orbits.items():
+        total = p + sum(head) + sum(tail)
+        exps = multiset_permutations(tail)
+        if head:
+            exps = map(head.__add__, exps)
+        groups.setdefault((total, -p), []).append(zip(exps, repeat(Fraction(coefficient))))
+        width, degree = max(width, len(head) + len(tail)), max(degree, total)
+    # pairs[i][e] is the one shared (L_(i+1)^2, e), and pairs[i][0] is None
+    pairs = [[None] + [(lsq(i + 1), e) for e in range(1, degree + 1)] for i in range(width)]
+    for total, p in sorted(groups):
+        lead = ((PI2, -p),) if p else ()
+        last, coefficient = None, 0
+        for exps, c in heapq.merge(*groups[total, p], reverse=True):
+            if exps == last:
+                coefficient += c
+                continue
+            if coefficient:
+                yield lead + tuple(filter(None, map(getitem, pairs, last))), coefficient
+            last, coefficient = exps, c
+        if coefficient:
+            yield lead + tuple(filter(None, map(getitem, pairs, last))), coefficient
 
 
 def expand_orbits(orbits: Mapping) -> Polynomial:
@@ -578,52 +656,26 @@ def expand_orbits(orbits: Mapping) -> Polynomial:
     len(tail): the monomials pi^(2p) * prod_i L_i^(2 e_i), where e is
     ``head`` on labels 1..len(head) followed by each distinct arrangement of
     the nonincreasing ``tail``, each with that number as its coefficient.
+    The terms are those of :func:`orbit_terms`.
     """
-    pairs: dict[tuple[int, int], tuple] = {}  # (i - 1, e) -> the shared (L_i^2, e)
-    out: dict[Mono, Fraction] = {}
-    for (p, head, tail), coefficient in orbits.items():
-        coefficient = Fraction(coefficient)
-        for i, e in product(range(len(head) + len(tail)), set(head + tail) - {0}):
-            pairs.setdefault((i, e), (lsq(i + 1), e))
-        lead = ((PI2, p),) if p else ()
-        lead += tuple(pairs[i, e] for i, e in enumerate(head) if e)
-        for arrangement in multiset_permutations(tail):
-            mono = lead + tuple(pairs[i, e] for i, e in enumerate(arrangement, len(head)) if e)
-            if mono in out:
-                out[mono] += coefficient
-            else:
-                out[mono] = coefficient
-    return Polynomial._of_terms(_nonzero(out))
+    return Polynomial._of_terms(dict(orbit_terms(orbits)))
 
 
 # -- JSON serialization ------------------------------------------------
 
-def poly_to_json_terms(p: Polynomial,
-                       n_lengths: int | None = None,
-                       with_grade: bool = False) -> list[dict]:
-    """Canonically ordered JSON term list.
+def json_terms(terms: Iterable[tuple[Mono, Fraction]], n_lengths: int,
+               n_moments: int = 0, has_aux: bool = False,
+               with_grade: bool = False) -> Iterator[dict]:
+    """One JSON term per term, in the order given.
 
-    Each term is ``{"coeff": "p/q", "pi2": a, "L": [b1..bn], "m": [c0..cK]}``;
-    the L exponents refer to the squared-length atoms.  When the auxiliary
-    variable is present an ``"r"`` key is added, and ``with_grade`` adds the
-    moment grade of the term.
+    Each term is ``{"coeff": "p/q", "pi2": a, "L": [b1..bn], "m": [c0..cK]}``
+    with ``n_lengths`` L exponents, of the squared-length atoms, and
+    ``n_moments`` m exponents; ``has_aux`` adds an ``"r"`` key, and
+    ``with_grade`` the moment grade of the term.
     """
-    max_l = 0
-    max_m = -1
-    has_aux = False
-    for m, _ in p.items():
-        for a, _e in m:
-            if a.kind == _LSQ:
-                max_l = max(max_l, a.index)
-            elif a.kind == _MOM:
-                max_m = max(max_m, a.index)
-            elif a.kind == _AUX:
-                has_aux = True
-    lengths = [lsq(i) for i in range(1, (max_l if n_lengths is None else n_lengths) + 1)]
-    moments = [mom(k) for k in range(max_m + 1)]
-
-    out = []
-    for mono, c in p.sorted_terms():
+    lengths = [lsq(i) for i in range(1, n_lengths + 1)]
+    moments = [mom(k) for k in range(n_moments)]
+    for mono, c in terms:
         exps = {a: e for a, e in mono}
         term = {
             "coeff": f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator),
@@ -635,8 +687,36 @@ def poly_to_json_terms(p: Polynomial,
             term["r"] = exps.get(AUX, 0)
         if with_grade:
             term["grade"] = _grade(mono)
-        out.append(term)
-    return out
+        yield term
+
+
+def json_layout(p: Polynomial) -> dict:
+    """The :func:`json_terms` options that list every atom of ``p``: as many
+    L and m exponents as its highest L_i^2 and m_k need, and an ``"r"`` key
+    when the auxiliary variable is present."""
+    max_l = 0
+    max_m = -1
+    has_aux = False
+    for m, _ in p.items():
+        for a, _e in m:
+            if a.kind == _LSQ:
+                max_l = max(max_l, a.index)
+            elif a.kind == _MOM:
+                max_m = max(max_m, a.index)
+            elif a.kind == _AUX:
+                has_aux = True
+    return {"n_lengths": max_l, "n_moments": max_m + 1, "has_aux": has_aux}
+
+
+def poly_to_json_terms(p: Polynomial,
+                       n_lengths: int | None = None,
+                       with_grade: bool = False) -> list[dict]:
+    """Canonically ordered JSON term list, laid out by :func:`json_layout`
+    but with ``n_lengths`` L exponents when given."""
+    layout = json_layout(p)
+    if n_lengths is not None:
+        layout["n_lengths"] = n_lengths
+    return list(json_terms(p.sorted_terms(), **layout, with_grade=with_grade))
 
 
 def poly_from_json_terms(terms: list[dict]) -> Polynomial:

@@ -21,9 +21,19 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
+from typing import Iterator
 
 from . import UsageError
-from .algebra import Polynomial, expand_orbits, lsq, poly_to_json_terms
+from .algebra import (
+    expand_orbits,
+    json_layout,
+    json_terms,
+    lsq,
+    orbit_terms,
+    render_latex,
+    render_text,
+)
 from .genfun import (
     f_substituted,
     htc_genfun,
@@ -43,13 +53,14 @@ from .volumes import (
 )
 
 
-# The largest n whose volumes were measured to finish: on a 2-vCPU, 8 GB VM
-# (CPython 3.11) ``vol --n 12`` takes about 5 s and 131 MB and prints 11.6 MB,
-# ``vol --n 13`` about 17 s and 487 MB and prints 49.7 MB.
+# The largest n whose volumes were measured to finish: on a 2-vCPU VM
+# (CPython 3.11) ``vol --n 12`` takes about 5 s and prints 11.6 MB, ``vol --n
+# 13`` about 21 s and prints 49.7 MB, each within 19 MB: the terms are
+# written as they are made.  The time is the tree route's.
 VOLUME_MAX_N = 13
 
 # The largest series order measured to finish: ``gf --target h`` takes about
-# 1.7 s at order 14 and 29 s (111 MB) at order 20 on the same VM, about 2-4x
+# 0.5 s at order 14 and 5.4 s (101 MB) at order 20 on the same VM, about 2x
 # per two orders.
 GF_MAX_ORDER = 20
 
@@ -62,6 +73,9 @@ _TOO_LONG = 10 ** LENGTH_MAX_DIGITS
 # A length field: a decimal with optional exponent, or p/q, in ASCII digits.
 _LENGTH_FIELD = re.compile(r"[-+]?(?=\.?[0-9])(?P<int>[0-9]*)(?:/(?P<den>[0-9]+)"
                            r"|(?:\.(?P<frac>[0-9]*))?(?:[eE](?P<exp>[-+]?[0-9]+))?)")
+
+# Terms rendered, and JSON terms encoded, per write to stdout.
+_CHUNK = 4096
 
 ABLATION_SIGMA = 5.0  # the ablation's rows are exact: its |z| is 0 or infinite
 
@@ -114,26 +128,43 @@ def _parse_lengths(text: str, n: int) -> list[Fraction]:
 
 
 def _print_volume(orbits: dict, args, meta: dict, lengths) -> None:
-    """Print a volume's orbit dict as a polynomial, or its value at ``lengths``
-    when given (the JSON then records the lengths and lists no L exponents)."""
-    poly = expand_orbits(orbits)
+    """Print a volume's orbit dict as a polynomial, its terms streamed from the
+    orbits, or its value at ``lengths`` when given (the JSON then records the
+    lengths and lists no L exponents)."""
     if lengths:
-        poly = poly.substitute({lsq(i + 1): v * v for i, v in enumerate(lengths)})
+        poly = expand_orbits(orbits).substitute(
+            {lsq(i + 1): v * v for i, v in enumerate(lengths)})
         if any(max(abs(c.numerator), c.denominator) >= _TOO_LONG for _, c in poly.items()):
             raise UsageError(f"the value at these lengths has a coefficient of more than "
                              f"{LENGTH_MAX_DIGITS} digits, too long to print")
         meta["lengths"] = [str(v) for v in lengths]
-    _print_poly(poly, args.format, meta, n_lengths=0 if lengths else args.n)
-
-
-def _print_poly(poly: Polynomial, fmt: str, meta: dict, **json_options) -> None:
-    """Print ``poly`` as text, LaTeX, or JSON: ``meta`` and then the terms."""
-    if fmt == "text":
-        print(poly.text())
-    elif fmt == "latex":
-        print(poly.latex())
+        terms = poly.sorted_terms()
     else:
-        print(json.dumps({**meta, "terms": poly_to_json_terms(poly, **json_options)}))
+        terms = orbit_terms(orbits)
+    _print_terms(terms, args.format, meta, n_lengths=0 if lengths else args.n)
+
+
+def _json_chunks(meta: dict, rows: Iterator[dict]) -> Iterator[str]:
+    """``json.dumps({**meta, "terms": list(rows)})``, ``_CHUNK`` rows at a time."""
+    yield json.dumps({**meta, "terms": []})[:-2]
+    sep = ""
+    for chunk in iter(lambda: list(islice(rows, _CHUNK)), []):
+        yield sep + json.dumps(chunk)[1:-1]
+        sep = ", "
+    yield "]}"
+
+
+def _print_terms(terms, fmt: str, meta: dict, **layout) -> None:
+    """Print canonically ordered terms as text, LaTeX, or JSON (``meta`` and
+    then the terms, laid out by the :func:`~wptrees.algebra.json_terms`
+    options ``layout``), writing them out as they are rendered."""
+    if fmt == "json":
+        chunks = _json_chunks(meta, json_terms(terms, **layout))
+    else:
+        pieces = (render_text if fmt == "text" else render_latex)(terms)
+        chunks = iter(lambda: "".join(islice(pieces, _CHUNK)), "")
+    sys.stdout.writelines(chunks)
+    sys.stdout.write("\n")
 
 
 def _cmd_vol(args) -> int:
@@ -178,7 +209,8 @@ def _cmd_gf(args) -> int:
                          f"got --order {args.order}")
     series = {"z": z_series, "r": solve_r, "h": htc_genfun}[args.target](args.order)
     meta = {"command": "gf", "target": args.target, "grade_cap": series.grade_cap}
-    _print_poly(series.body, args.format, meta, with_grade=True)
+    body = series.body
+    _print_terms(body.sorted_terms(), args.format, meta, **json_layout(body), with_grade=True)
     return 0
 
 

@@ -17,11 +17,14 @@ The module provides
                     Z(r) = sum_{k>=0} (-1)^k 2^k pi^(2k) r^(k+1) / (k!(k+1)!)
                            - sum_{k>=0} m_k r^k / (2^k (k!)^2);
 * ``solve_r``       the unique series root R = m_0 + O(grade 2) of Z(R) = 0,
-                    lifted one grade per step: for r exact below grade g,
-                    the grade-g part of Z(r) is r's grade-g error, and
-                    subtracting it makes r exact through grade g;
+                    in closed form: Z(r) = r J(r) - M(r) with
+                    J(r) = sum_k (-2 pi^2 r)^k / (k! (k+1)!) and
+                    M(r) = sum_k m_k r^k / (2^k (k!)^2); giving each m_k a
+                    grade eps makes R = eps phi(R), phi = M / J, and Lagrange
+                    inversion gives [eps^n] R^s = (s/n) [r^(n-s)] phi^n, so
+                    R_n = (1/n) [r^(n-1)] phi^n;
 * ``htc_genfun``    H(L1, L2) = sum_{k>=0} 2^(-k) R^(k+1) (L2^2 - L1^2)^k
-                    / (k! (k+1)!);
+                    / (k! (k+1)!), each R^(k+1) read off the same way;
 * ``f_recursion``   the polynomials f_3, f_4, ... in t0.., gam2.., built by
                     the boundary-insertion operator (its tree-by-tree
                     reference is :func:`wptrees.checks.f_from_trees`);
@@ -32,7 +35,7 @@ The module provides
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .algebra import (
     AUX,
@@ -44,6 +47,7 @@ from .algebra import (
     mom,
     that,
 )
+from .trees import partitions
 from .volumes import weight_gamma
 
 __all__ = [
@@ -56,6 +60,8 @@ __all__ = [
     "f_substituted",
     "symmetric_from_moments",
 ]
+
+L1, L2 = lsq(1), lsq(2)
 
 
 def t_moment(k: int) -> Polynomial:
@@ -94,47 +100,93 @@ def _compose_aux(p: Polynomial, r: GradedSeries) -> GradedSeries:
     return out
 
 
-def solve_r(cap: int) -> GradedSeries:
-    """The series root R of Z(R) = 0 with R = m_0 + (grade >= 2).
-
-    Lifted one grade per step from R = m_0, which is exact through grade 1.
-    Z(r) = r - m_0 + r * (grade >= 1) + r^2 * (...), so Z'(R) = 1 + (grade
-    >= 1): if r agrees with R below grade g, then Z(r) = r - R up to grade
-    g.  The step for g = 2 .. cap composes Z at working cap g, with r and z
-    truncated to g; the residual is r's grade-g error and is subtracted.
-    Two guards raise ``ArithmeticError``: a residual with a term below grade
-    g at any step, and a nonzero residual of one full-cap composition after
-    the last step.
-    """
-    z = z_series(cap).body
-    r = Polynomial.of_atom(mom(0))
-    for g in range(2, cap + 1):
-        residual = _compose_aux(z, GradedSeries(r, g))
-        if any(h < g for h in residual.parts):
-            raise ArithmeticError(f"root lifting left a residual below grade {g}")
-        r = r - residual.body
-    root = GradedSeries(r, cap)
-    if not _compose_aux(z, root).is_zero():
-        raise ArithmeticError("root lifting did not reach a zero residual")
-    return root
-
-
 def z_residual(r: GradedSeries) -> GradedSeries:
     """Z evaluated at a series, truncated to the series' grade cap."""
     return _compose_aux(z_series(r.grade_cap).body, r)
 
 
+def _inverse_j(order: int) -> list[Fraction]:
+    """a_0 .. a_(order-1) with 1/J(r) = sum_e a_e (pi^2 r)^e, read off J * (1/J) = 1."""
+    j = [Fraction((-2) ** k, factorial(k) * factorial(k + 1)) for k in range(order)]
+    inv = [Fraction(1)]
+    for e in range(1, order):
+        inv.append(-sum(j[k] * inv[e - k] for k in range(1, e + 1)))
+    return inv
+
+
+def _root_powers(cap: int, most: int):
+    """The terms of [eps^n] R^s for n = 1 .. cap and s = 1 .. min(n, most).
+
+    Yields ``(s, p, moments, c)`` for the term c pi^(2p) prod m_k^(c_k),
+    ``moments`` the pairs (m_k, c_k) in ascending k.  By Lagrange inversion
+    [eps^n] R^s = (s/n) [r^(n-s)] phi^n, and [r^d] phi^n = sum_j [r^j] M^n
+    [r^(d-j)] J^(-n): a multiset of n moment orders summing to j, c_k of
+    them equal to k, contributes n! / prod_k c_k! * prod_k w_k^(c_k), with
+    w_k = 1 / (2^k k!^2), times the coefficient of (pi^2 r)^(d-j) in
+    J^(-n).  Distinct (s, multiset) give distinct monomials, so every term
+    is yielded once and none is summed.
+    """
+    if cap < 1:
+        raise ValueError("grade_cap must be >= 1")
+    inv_j = _inverse_j(cap)
+    power = [Fraction(1)] + [Fraction(0)] * (cap - 1)  # J^(-n) at n = 0
+    for n in range(1, cap + 1):
+        power = [sum(power[i] * inv_j[e - i] for i in range(e + 1)) for e in range(cap)]
+        for j in range(n):
+            for k in range(j + 1):  # k nonzero orders, n - k zeros
+                for orders in partitions(j, k):
+                    counts = [(0, n - k)] + [(v, orders.count(v)) for v in sorted(set(orders))]
+                    # (s/n) n! = s (n-1)!, and prod_k w_k^(c_k) = 2^-j / prod_k k!^(2 c_k)
+                    scale = Fraction(factorial(n - 1), 2 ** j * prod(
+                        factorial(c) * factorial(v) ** (2 * c) for v, c in counts))
+                    moments = tuple((mom(v), c) for v, c in counts if c)
+                    for s in range(1, min(n - j, most) + 1):
+                        if coeff := s * scale * power[n - s - j]:
+                            yield s, n - s - j, moments, coeff
+
+
+def _checked_root(root: dict, cap: int) -> GradedSeries:
+    """The root's terms as a series, refused unless Z vanishes on it."""
+    series = GradedSeries(Polynomial(root), cap)
+    if not _compose_aux(z_series(cap).body, series).is_zero():
+        raise ArithmeticError("the series root did not reach a zero residual")
+    return series
+
+
+def solve_r(cap: int) -> GradedSeries:
+    """The series root R of Z(R) = 0 with R = m_0 + (grade >= 2).
+
+    Read off in closed form by Lagrange inversion: R_n = (1/n) [r^(n-1)]
+    phi^n (see :func:`_root_powers`).  One guard, which survives ``python
+    -O``, composes Z with the root at the full cap and raises
+    ``ArithmeticError`` unless the residual is zero.
+    """
+    root = {((PI2, p),) + moments if p else moments: c
+            for _, p, moments, c in _root_powers(cap, 1)}
+    return _checked_root(root, cap)
+
+
 def htc_genfun(cap: int) -> GradedSeries:
     """H(L1, L2) = sum_k 2^(-k) R^(k+1) (L2^2 - L1^2)^k / (k! (k+1)!).
 
-    The sum is built as a polynomial in r and composed with R; terms with
-    k >= cap vanish under truncation since R has grade >= 1.
+    Each power R^s, s = k + 1, is read off in closed form (see
+    :func:`_root_powers`) and (L2^2 - L1^2)^k expanded binomially, so each
+    monomial is written once.  The root's own terms, the powers with s = 1,
+    pass the guard of :func:`solve_r`.
     """
-    diff = Polynomial.of_atom(lsq(2)) - Polynomial.of_atom(lsq(1))
-    h = Polynomial.sum(
-        Polynomial.monomial(Fraction(1, 2 ** k * factorial(k) * factorial(k + 1)),
-                            [(AUX, k + 1)]) * diff ** k for k in range(cap))
-    return _compose_aux(h, solve_r(cap))
+    root, h = {}, {}
+    for s, p, moments, c in _root_powers(cap, cap):
+        lead = ((PI2, p),) if p else ()
+        if s == 1:
+            root[lead + moments] = c
+        k = s - 1
+        scale = c / (2 ** k * factorial(k) * factorial(s))
+        for b in range(s):  # L1^(2a) L2^(2b) with a + b = k
+            a = k - b
+            lengths = (((L1, a),) if a else ()) + (((L2, b),) if b else ())
+            h[lead + lengths + moments] = scale * comb(k, b) * (-1) ** a
+    _checked_root(root, cap)
+    return GradedSeries(Polynomial(h), cap)
 
 
 # -- the boundary-insertion recursion ------------------------------------

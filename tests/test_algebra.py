@@ -17,11 +17,15 @@ from wptrees.algebra import (
     expand_orbits,
     ghat,
     integrate_halfsquare,
+    json_terms,
     lsq,
     mom,
     multiset_permutations,
+    orbit_terms,
     poly_from_json_terms,
     poly_to_json_terms,
+    render_latex,
+    render_text,
     that,
 )
 from wptrees.volumes import htc_volume, v0n_reduced
@@ -142,7 +146,7 @@ def test_sum_accumulates_without_zero_terms():
 @pytest.mark.parametrize("items", [(), (4,), (2, 2, 2), (3, 1, 2, 0), (0, 2, 1, 0, 2, 0)],
                          ids=["empty", "single", "all-equal", "all-distinct", "mixed"])
 def test_multiset_permutations(items):
-    assert list(multiset_permutations(items)) == sorted(set(permutations(items)))
+    assert list(multiset_permutations(items)) == sorted(set(permutations(items)), reverse=True)
 
 
 def test_expand_orbits_writes_each_arrangement_in_canonical_order():
@@ -167,6 +171,57 @@ def symmetrised(orbits):
 def test_expand_orbits_matches_brute_force_symmetrisation(n):
     for orbits in (v0n_reduced(n), htc_volume(n)):
         assert expand_orbits(orbits) == symmetrised(orbits)
+        assert list(orbit_terms(orbits)) == symmetrised(orbits).sorted_terms()
+
+
+# Orbit dicts the volume routes never return: no terms, a negative leading
+# coefficient, coefficients of +-1, a constant-only term, a constant beside
+# higher degrees, a zero orbit, heads of two, and orbits whose arrangements
+# meet, summed to a new coefficient or cancelled.
+EDGE_ORBITS = {
+    "empty": {},
+    "negative-lead": {(1, (), (0, 0, 0)): Fraction(-3, 2), (0, (), (1, 0, 0)): 2},
+    "unit-coefficients": {(0, (), (2, 0)): 1, (0, (), (1, 1)): -1},
+    "constant-only": {(0, (), (0, 0, 0)): 5},
+    "constant-and-higher": {(0, (), (0, 0)): -5, (0, (), (1, 0)): 1,
+                            (2, (), (1, 1)): Fraction(1, 3)},
+    "zero-orbit": {(0, (), (1, 0)): 0, (1, (), (0, 0)): 1},
+    "all-zero": {(0, (), (1, 0)): 0},
+    "head-of-two": {(0, (1, 0), (1, 0, 0)): 2, (0, (0, 1), (1, 0, 0)): -1,
+                    (1, (0, 0), (0, 0, 0)): Fraction(1, 2), (0, (2, 0), (0, 0, 0)): 1},
+    "meeting-orbits": {(0, (1,), (1, 0, 0)): 1, (0, (), (1, 1, 0, 0)): 2},
+    "cancelling-orbits": {(0, (1,), (0,)): 1, (0, (), (1, 0)): -1},
+}
+
+
+@pytest.mark.parametrize("name", EDGE_ORBITS)
+def test_orbit_terms_are_the_brute_force_terms_in_canonical_order(name):
+    orbits = EDGE_ORBITS[name]
+    assert list(orbit_terms(orbits)) == symmetrised(orbits).sorted_terms()
+    assert expand_orbits(orbits) == symmetrised(orbits)
+
+
+@pytest.mark.parametrize("name", EDGE_ORBITS)
+def test_rendered_stream_equals_the_rendered_polynomial(name):
+    # The printer renders the stream; the polynomial sorts its own terms.
+    orbits = EDGE_ORBITS[name]
+    poly = expand_orbits(orbits)
+    n = max((len(head) + len(tail) for _, head, tail in orbits), default=0)
+    assert "".join(render_text(orbit_terms(orbits))) == poly.text()
+    assert "".join(render_latex(orbit_terms(orbits))) == poly.latex()
+    assert list(json_terms(orbit_terms(orbits), n)) == poly_to_json_terms(poly, n_lengths=n)
+
+
+def test_rendered_edge_cases_by_hand():
+    def text(name):
+        return "".join(render_text(orbit_terms(EDGE_ORBITS[name])))
+
+    assert text("empty") == text("all-zero") == "0"
+    assert text("negative-lead") == "-3/2*pi2 + 2*L1^2 + 2*L2^2 + 2*L3^2"
+    assert text("unit-coefficients") == "L1^4 - L1^2*L2^2 + L2^4"
+    assert text("constant-only") == "5"
+    assert text("zero-orbit") == "pi2"
+    assert text("cancelling-orbits") == "-L2^2"
 
 
 def test_expand_orbits_writes_each_distinct_arrangement_once():

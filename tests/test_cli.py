@@ -1,4 +1,5 @@
 """CLI smoke and golden tests (fresh interpreter per invocation)."""
+import argparse
 import ast
 import json
 import math
@@ -11,8 +12,10 @@ from pathlib import Path
 import pytest
 
 from wptrees import UsageError, checks, cli
-from wptrees.algebra import Polynomial, mom
+from wptrees.algebra import Polynomial, expand_orbits, mom, poly_to_json_terms
+from wptrees.genfun import f_substituted, symmetric_from_moments
 from wptrees.montecarlo import McReport
+from wptrees.volumes import full_decomposition_v0n, htc_volume, v0n_graph_sum, v0n_reduced
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -52,8 +55,10 @@ MOMENT_GOLDEN = {
     "vol-n8-recursion": "vol --n 8 --method recursion",
     "gf-r7": "gf --target r --order 7",
     "gf-r10": "gf --target r --order 10",
+    "gf-r12": "gf --target r --order 12",
     "gf-h6-json": "gf --target h --order 6 --format json",
     "gf-h8-json": "gf --target h --order 8 --format json",
+    "gf-h10-json": "gf --target h --order 10 --format json",
     "gf-z3-latex": "gf --target z --order 3 --format latex",
 }
 
@@ -96,6 +101,39 @@ def test_all_methods_print_identical_polynomial():
         assert out.returncode == 0
         outputs.add(out.stdout)
     assert len(outputs) == 1
+
+
+VOLUME_ROUTES = {
+    "tree": v0n_reduced,
+    "graph-sum": v0n_graph_sum,
+    "decomposition": full_decomposition_v0n,
+    "recursion": lambda n: symmetric_from_moments(f_substituted(n), n),
+    "htc": htc_volume,
+}
+
+
+def printed_volume(capsys, orbits, fmt, n):
+    cli._print_volume(orbits, argparse.Namespace(format=fmt, n=n), {"n": n}, None)
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("route", VOLUME_ROUTES)
+def test_volumes_print_from_their_orbits_the_bytes_of_their_expansion(capsys, route, n):
+    # vol and htc stream their terms from the orbit dict; the expanded
+    # polynomial renders the same terms after sorting them itself.
+    orbits = VOLUME_ROUTES[route](n)
+    poly = expand_orbits(orbits)
+    assert printed_volume(capsys, orbits, "text", n) == poly.text() + "\n"
+    assert printed_volume(capsys, orbits, "latex", n) == poly.latex() + "\n"
+    assert printed_volume(capsys, orbits, "json", n) == json.dumps(
+        {"n": n, "terms": poly_to_json_terms(poly, n_lengths=n)}) + "\n"
+
+
+def test_empty_orbit_dict_prints_zero_and_no_terms(capsys):
+    assert printed_volume(capsys, {}, "text", 3) == "0\n"
+    assert printed_volume(capsys, {}, "latex", 3) == "0\n"
+    assert printed_volume(capsys, {}, "json", 3) == '{"n": 3, "terms": []}\n'
 
 
 def test_vol_n5_emits_coefficient_note():

@@ -10,6 +10,7 @@ from wptrees.algebra import (
     AUX, PI2, GradedSeries, Polynomial, ghat, lsq, mom, that)
 from wptrees.checks import f_from_trees, tail_average
 from wptrees.genfun import (
+    _compose_aux,
     f_recursion,
     f_substituted,
     htc_genfun,
@@ -73,49 +74,81 @@ def test_z_root_vanishes(cap):
     assert z_residual(solve_r(cap)).is_zero()
 
 
-# Each mutant of the composition adds m1, a term of grade 1, to the residual
-# at the calls it names, and the guard that must catch it is named by its
-# message (a grade-1 error keeps every power of the root truncated, so a
-# missing guard shows as the wrong message, not as a long run): at every
-# call the step for grade 2 refuses it; at the working cap 3 only, the step
-# for grade 3; at the final full-cap call only (the second call at cap 5,
-# after the step for grade 5), the closing zero-residual check.
+def lifted_root(cap):
+    """R lifted one grade per step from m0, an oracle independent of the
+    closed form: Z'(R) = 1 + (grade >= 1), so for r exact below grade g the
+    grade-g part of Z(r), composed at working cap g, is r's grade-g error."""
+    z = z_series(cap).body
+    r = P.of_atom(mom(0))
+    for g in range(2, cap + 1):
+        residual = _compose_aux(z, GradedSeries(r, g))
+        assert all(h >= g for h in residual.parts)
+        r = r - residual.body
+    return GradedSeries(r, cap)
+
+
+def composed_h(cap):
+    """H as a polynomial in r composed with the lifted root; the terms with
+    k >= cap vanish under truncation."""
+    diff = P.of_atom(lsq(2)) - P.of_atom(lsq(1))
+    h = P.sum(P.monomial(Fraction(1, 2 ** k * factorial(k) * factorial(k + 1)),
+                         [(AUX, k + 1)]) * diff ** k for k in range(cap))
+    return _compose_aux(h, lifted_root(cap))
+
+
+@pytest.mark.parametrize("cap", range(1, 11))
+def test_closed_forms_equal_the_lifted_root_and_composed_h(cap):
+    assert solve_r(cap) == lifted_root(cap)
+    assert htc_genfun(cap) == composed_h(cap)
+
+
+# Each mutant corrupts one piece of genfun's source: the final composition of
+# the guard (m1 added to it), or one factor of the closed form.  The module is
+# executed again from the corrupted text, and both solve_r and htc_genfun must
+# raise from the zero-residual guard, named by its message; with the source
+# executed again uncorrupted, both must solve.
 ROOT_GUARD_SCRIPT = """\
 import wptrees.genfun as g
-compose = g._compose_aux
-mutants = [
-    (lambda r, calls: True, "below grade 2"),
-    (lambda r, calls: r.grade_cap == 3, "below grade 3"),
-    (lambda r, calls: calls.count(5) == 2, "did not reach a zero residual"),
-]
-for when, message in mutants:
-    calls = []
 
-    def spurious(p, r):
-        calls.append(r.grade_cap)
-        out = compose(p, r)
-        if when(r, calls):
-            out = out + g.GradedSeries(g.Polynomial.of_atom(g.mom(1)), r.grade_cap)
-        return out
+source = open(g.__file__).read()
+mutants = {
+    "m1 added to the final composition": (
+        "_compose_aux(z_series(cap).body, series)",
+        "(_compose_aux(z_series(cap).body, series)"
+        " + GradedSeries(Polynomial.of_atom(mom(1)), cap))"),
+    "the sign of 1/J's linear coefficient": (
+        "    return inv\\n", "    inv[1] = -inv[1]\\n    return inv\\n"),
+    "the 1/n factor at grade 4": (
+        "factorial(n - 1)", "factorial(n - 1) * (1 + (n == 4))"),
+    "the moment weight of m2": (
+        "factorial(v) ** (2 * c)", "(factorial(v) + (v == 2)) ** (2 * c)"),
+}
 
-    g._compose_aux = spurious
-    try:
-        g.solve_r(5)
-    except ArithmeticError as exc:
-        if message not in str(exc):
-            raise SystemExit(f"{message}: another guard fired: {exc}")
-    else:
-        raise SystemExit(f"{message}: solve_r returned despite a nonzero residual")
-    g._compose_aux = compose
-    if not g.z_residual(g.solve_r(5)).is_zero():
-        raise SystemExit(f"{message}: no root after the patch was undone")
+
+def load(text):
+    exec(compile(text, g.__file__, "exec"), vars(g))
+
+
+for name, (old, new) in mutants.items():
+    if source.count(old) != 1:
+        raise SystemExit(f"{name}: the text to corrupt does not occur once")
+    load(source.replace(old, new))
+    for solve in (g.solve_r, g.htc_genfun):
+        try:
+            solve(5)
+        except ArithmeticError as exc:
+            if "did not reach a zero residual" not in str(exc):
+                raise SystemExit(f"{name}: {solve.__name__} raised another error: {exc}")
+        else:
+            raise SystemExit(f"{name}: {solve.__name__} returned despite a nonzero residual")
+    load(source)
+    if not g.z_residual(g.solve_r(5)).is_zero() or g.htc_genfun(5).is_zero():
+        raise SystemExit(f"{name}: no root after the corruption was undone")
 """
 
 
 def test_root_guard_survives_optimize():
-    # Under ``python -O`` a bare assert would vanish; both guards must not.
-    # Each mutant must make solve_r raise from the guard meant for it, and
-    # solve_r must solve again once the composition is restored.
+    # Under ``python -O`` a bare assert would vanish; the guard must not.
     out = subprocess.run([sys.executable, "-O", "-c", ROOT_GUARD_SCRIPT],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
